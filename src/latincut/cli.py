@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, experiments, vtkout
+from .assembly import FESpace
 from .config import RunConfig, parse_config, render_flat
 from .errors import ConfigError, LatinCutError
 
@@ -49,14 +50,13 @@ def _rate_to_previous(h: list[float], err: list[float]) -> list[float]:
     return rates
 
 
-def _write_profiles(
-    outdir: Path, pdef, result: experiments.SolveResult
-) -> None:
-    if result.profile_pair is None or not result.checkpoint_traction:
+def _write_profiles(outdir: Path, result: experiments.SolveResult) -> None:
+    if result.profile_interface is None or not result.checkpoint_traction:
         return
-    iface = experiments.interface_for_pair(pdef, result.profile_pair)
     for it in sorted(result.checkpoint_traction):
-        prof = analysis.traction_profile(iface, result.checkpoint_traction[it])
+        prof = analysis.traction_profile(
+            result.profile_interface, result.checkpoint_traction[it]
+        )
         write_csv(
             outdir / f"profile_{it}.csv",
             ["theta", "traction"],
@@ -65,12 +65,11 @@ def _write_profiles(
 
 
 def _write_fields(
-    outdir: Path, pdef, checkpoint_u: dict[int, list[np.ndarray]]
+    outdir: Path, spaces: list[FESpace], checkpoint_u: dict[int, list[np.ndarray]]
 ) -> None:
     if not checkpoint_u:
         return
     outdir.mkdir(parents=True, exist_ok=True)
-    _, _, _, spaces = experiments.problem_spaces(pdef)
     for it in sorted(checkpoint_u):
         for i, (space, u) in enumerate(zip(spaces, checkpoint_u[it])):
             vtkout.write_subdomain_vtk(
@@ -107,17 +106,13 @@ def _run_convergence(cfg: RunConfig, outdir: Path, case: str) -> None:
     )
     monitored = study.levels[-1]
     if cfg.export_profiles:
-        # rerun the monitored level capturing interface tractions
-        res = experiments.solve_problem(
-            monitored.pdef, sorted(monitors), capture_traction=True
-        )
-        _write_profiles(outdir, res.pdef, res)
+        _write_profiles(outdir, monitored)
     if cfg.export_fields:
         keep = set(cfg.checkpoints) | {cfg.latin_params().it_max}
         snaps = {
             it: u for it, u in monitored.checkpoint_u.items() if it in keep
         }
-        _write_fields(outdir / "fields", monitored.pdef, snaps)
+        _write_fields(outdir / "fields", monitored.spaces, snaps)
 
 
 def _run_condition_sweep(cfg: RunConfig, outdir: Path) -> None:
@@ -169,10 +164,10 @@ def _run_p1p0(cfg: RunConfig, outdir: Path) -> None:
     for scheme, res in results.items():
         sub = outdir / scheme
         sub.mkdir(parents=True, exist_ok=True)
-        _write_profiles(sub, res.pdef, res)
+        _write_profiles(sub, res)
         if cfg.export_fields:
             last = max(res.checkpoint_u)
-            _write_fields(sub / "fields", res.pdef, {last: res.checkpoint_u[last]})
+            _write_fields(sub / "fields", res.spaces, {last: res.checkpoint_u[last]})
 
 
 def run_experiment(cfg: RunConfig, outdir: Path) -> None:

@@ -307,18 +307,6 @@ def decompose_mesh(
     )
 
 
-def classify_elements(
-    mesh: TriMesh,
-    levelsets: list[DiscreteLevelSet],
-    grouping=None,
-    decomposition: MeshDecomposition | None = None,
-) -> np.ndarray:
-    """Per-subdomain element status array (n_subdomains, nt)."""
-    if decomposition is None:
-        decomposition = decompose_mesh(mesh, levelsets, grouping)
-    return decomposition.status
-
-
 @dataclass
 class CutDomain:
     """One subdomain's share of the background mesh.

@@ -9,6 +9,7 @@ writer.
 
 from __future__ import annotations
 
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
@@ -17,7 +18,8 @@ import numpy as np
 
 from . import analysis, assembly
 from .analysis import ConvergenceRecord, interpolate_to_fine, refinement_levels
-from .cutgeom import Material, build_cut_domain, build_interface, decompose_mesh
+from .assembly import FESpace
+from .cutgeom import InterfaceMesh, Material, build_cut_domain, build_interface, decompose_mesh
 from .errors import ConfigError
 from .latin import ContactProblem, IterationRecord, LatinParams, LatinState, build_state, iterate
 from .levelset import Circle, Ellipse, HalfPlane, interpolate_levelset
@@ -326,9 +328,21 @@ def linear_stage_condition_numbers(pdef: ProblemDef) -> dict[int, float]:
     the strong Dirichlet dofs, and estimates kappa; non-SPD operators
     report inf.
     """
-    problem = build_problem(pdef)
+    return gamma_sweep_condition_numbers(pdef, (pdef.params.gamma_g,))[0]
+
+
+def gamma_sweep_condition_numbers(
+    pdef: ProblemDef, gamma_g_values: Iterable[float]
+) -> list[dict[int, float]]:
+    """linear_stage_condition_numbers for each ghost-penalty weight in turn.
+
+    Only the ghost penalty depends on gamma_g, so the geometry, elasticity,
+    augmentation and Dirichlet elimination are built once; each weight's
+    operator is summed as (elasticity + ghost penalty) + augmentation.
+    """
+    gammas = [float(g) for g in gamma_g_values]
     params = pdef.params
-    deco = decompose_mesh(problem.mesh, problem.levelsets, problem.grouping)
+    problem, deco, _, spaces = problem_spaces(pdef)
     interfaces = {
         pair: build_interface(
             pair[0],
@@ -341,23 +355,23 @@ def linear_stage_condition_numbers(pdef: ProblemDef) -> dict[int, float]:
         )
         for pair in deco.pairs
     }
-    out: dict[int, float] = {}
-    for i in range(deco.n_subdomains):
-        domain = build_cut_domain(
-            i, problem.mesh, problem.levelsets, problem.materials[i],
-            problem.grouping, deco,
-        )
-        space = assembly.build_space(domain)
-        a = assembly.assemble_elasticity(space)
-        a = a + assembly.assemble_ghost_penalty(space, params.gamma_g)
+    out: list[dict[int, float]] = [{} for _ in gammas]
+    for i, space in enumerate(spaces):
+        elasticity = assembly.assemble_elasticity(space)
         touching = [ifc for pair, ifc in sorted(interfaces.items()) if i in pair]
-        a = a + assembly.assemble_latin_augmentation(space, touching, params.k_minus)
+        augmentation = assembly.assemble_latin_augmentation(
+            space, touching, params.k_minus
+        )
         fixed, _ = assembly.dirichlet_constraints(
             space, {s: (ux, uy) for sub, s, ux, uy in pdef.dirichlet if sub == i}
         )
         mask = np.ones(space.n_dofs, dtype=bool)
         mask[fixed] = False
-        out[i] = condition_number(a.submatrix(np.flatnonzero(mask)))
+        free = np.flatnonzero(mask)
+        for kappas, gamma_g in zip(out, gammas):
+            a = elasticity + assembly.assemble_ghost_penalty(space, gamma_g)
+            a = a + augmentation
+            kappas[i] = condition_number(a.submatrix(free))
     return out
 
 
@@ -370,19 +384,35 @@ def crack_condition_case(
     return pdef, max(kappas.values())
 
 
+def _crack_kappas(args) -> list[float]:
+    """Worst-subproblem kappa of one crack geometry for each gamma_g."""
+    eps_x, eps_y, n, gamma_g_values, nu = args
+    pdef = crack_problem(eps_x, eps_y, n, gamma_g_values[0], nu)
+    return [
+        max(kappas.values())
+        for kappas in gamma_sweep_condition_numbers(pdef, gamma_g_values)
+    ]
+
+
 # --- solve workers ------------------------------------------------------
 
 @dataclass
 class SolveResult:
-    """Plain-data outcome of one LaTIn solve (picklable for worker pools)."""
+    """Plain-data outcome of one LaTIn solve (picklable for worker pools).
+
+    spaces and profile_interface are the geometry the solve built, kept for
+    the error analysis and the exporters so they need not build it again.
+    """
 
     pdef: ProblemDef
     h_grid: float
     u: list[np.ndarray]
     history: list[IterationRecord]
+    spaces: list[FESpace] = field(default_factory=list)
     checkpoint_u: dict[int, list[np.ndarray]] = field(default_factory=dict)
     checkpoint_traction: dict[int, np.ndarray] = field(default_factory=dict)
     profile_pair: tuple[int, int] | None = None
+    profile_interface: InterfaceMesh | None = None
 
 
 def traction_at_quadrature(state: LatinState, pair: tuple[int, int]) -> np.ndarray:
@@ -398,7 +428,9 @@ def solve_problem(
 ) -> SolveResult:
     """Run the full iteration, snapshotting fields at monitor iterations."""
     state = build_state(build_problem(pdef), pdef.params)
-    result = SolveResult(pdef=pdef, h_grid=grid_spacing(pdef), u=[], history=[])
+    result = SolveResult(
+        pdef=pdef, h_grid=grid_spacing(pdef), u=[], history=[], spaces=state.spaces
+    )
     monitors = tuple(sorted(set(int(i) for i in monitor_iterations)))
     pair = min(state.pairs) if state.pairs else None
 
@@ -410,7 +442,9 @@ def solve_problem(
     iterate(state, checkpoints=monitors, callback=snapshot)
     result.u = [v.copy() for v in state.u]
     result.history = list(state.history)
-    result.profile_pair = pair
+    if pair is not None:
+        result.profile_pair = pair
+        result.profile_interface = state.operators[pair].iface
     return result
 
 
@@ -458,11 +492,16 @@ def _solve_job(args) -> SolveResult:
     return solve_problem(pdef, monitors, capture)
 
 
-def _run_jobs(jobs: list, workers: int) -> list[SolveResult]:
+def _map_jobs(fn, jobs: list, workers: int) -> list:
+    """[fn(job) for job in jobs], on a pool of spawned worker processes when
+    workers > 1 and there is more than one job."""
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_solve_job, jobs))
-    return [_solve_job(j) for j in jobs]
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(jobs)),
+            mp_context=multiprocessing.get_context("spawn"),
+        ) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
 def run_convergence_study(
@@ -480,8 +519,8 @@ def run_convergence_study(
 
     Coarse solutions are interpolated to the reference mesh and both norms
     are integrated over the reference cut geometry.  The monitored level
-    (the finest ladder level) also records its error at intermediate
-    iterations.
+    (the finest ladder level) also records its error and its interface
+    tractions at the monitored iterations.
     """
     if levels < 1:
         raise ConfigError("convergence study needs at least one level")
@@ -500,19 +539,19 @@ def run_convergence_study(
     jobs = []
     for lv in range(levels):
         is_monitor = lv == levels - 1
-        jobs.append((make(lv, base_params), monitors if is_monitor else (), False))
+        jobs.append((make(lv, base_params), monitors if is_monitor else (), is_monitor))
     jobs.append((make(levels, ref_params), (), False))
-    results = _run_jobs(jobs, workers)
+    results = _map_jobs(_solve_job, jobs, workers)
     level_results, ref_result = results[:levels], results[levels]
 
-    _, _, _, fine_spaces = problem_spaces(ref_result.pdef)
+    fine_spaces = ref_result.spaces
     h_list: list[float] = []
     h1_list: list[float] = []
     energy_list: list[float] = []
     its_list: list[int] = []
     iteration_rows: list[tuple[int, float, float]] = []
     for lv, res in enumerate(level_results):
-        _, _, _, coarse_spaces = problem_spaces(res.pdef)
+        coarse_spaces = res.spaces
         on_fine = [
             interpolate_to_fine(u, cs, fs)
             for u, cs, fs in zip(res.u, coarse_spaces, fine_spaces)
@@ -539,12 +578,6 @@ def run_convergence_study(
     )
 
 
-def _condition_job(args) -> tuple[float, float, float]:
-    eps_x, eps_y, n, gamma_g, nu = args
-    _, kappa = crack_condition_case(eps_x, eps_y, n, gamma_g, nu)
-    return kappa
-
-
 def run_condition_sweep(
     n: int = 24,
     mode: str = "simple",
@@ -558,22 +591,21 @@ def run_condition_sweep(
 
     mode "simple" keeps the vertical cuts at eps_x_fixed and sweeps the
     diagonal shift; mode "double" moves all three interfaces together.
+    Rows run over eps for each gamma_g in turn; each (eps_x, eps) geometry
+    is built once, and is one job for the worker pool.
     """
     if mode not in ("simple", "double"):
         raise ConfigError(f"unknown crack sweep mode {mode!r}")
-    points = []
-    for gamma_g in gamma_g_values:
-        for eps in eps_values:
-            eps_x = eps if mode == "double" else eps_x_fixed
-            points.append((eps_x, float(eps), n, float(gamma_g), nu))
-    if workers > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            kappas = list(pool.map(_condition_job, points))
-    else:
-        kappas = [_condition_job(p) for p in points]
-    return [
-        (pt[1], pt[3], kappa) for pt, kappa in zip(points, kappas)
-    ]
+    gammas = [float(g) for g in gamma_g_values]
+    if not gammas:
+        return []
+    shifts = [(eps if mode == "double" else eps_x_fixed, float(eps)) for eps in eps_values]
+    geometries = list(dict.fromkeys(shifts))
+    jobs = [(eps_x, eps, n, tuple(gammas), nu) for eps_x, eps in geometries]
+    kappa = {}
+    for shift, kappas in zip(geometries, _map_jobs(_crack_kappas, jobs, workers)):
+        kappa.update(((shift, g), k) for g, k in zip(gammas, kappas))
+    return [(shift[1], g, kappa[(shift, g)]) for g in gammas for shift in shifts]
 
 
 def run_condition_scaling(
@@ -587,14 +619,11 @@ def run_condition_scaling(
     """Kappa against mesh size at a fixed good cut: rows (h, eps, gamma_g, kappa)."""
     if levels < 2:
         raise ConfigError("condition scaling needs at least two levels")
-    points = [(eps, eps, base_n * 2**lv, gamma_g, nu) for lv in range(levels)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            kappas = list(pool.map(_condition_job, points))
-    else:
-        kappas = [_condition_job(p) for p in points]
+    jobs = [(eps, eps, base_n * 2**lv, (gamma_g,), nu) for lv in range(levels)]
+    kappas = _map_jobs(_crack_kappas, jobs, workers)
     return [
-        (1.0 / pt[2], eps, gamma_g, kappa) for pt, kappa in zip(points, kappas)
+        (1.0 / job[2], eps, gamma_g, kappa)
+        for job, (kappa,) in zip(jobs, kappas)
     ]
 
 
@@ -613,5 +642,5 @@ def run_p1p0_comparison(
     for scheme in ("p1", "p0"):
         pdef = ellipse_case(0, nu, base_nx, replace(base, interface_scheme=scheme))
         jobs.append((pdef, its, True))
-    results = _run_jobs(jobs, workers)
+    results = _map_jobs(_solve_job, jobs, workers)
     return {"p1": results[0], "p0": results[1]}

@@ -48,9 +48,7 @@ class LatinParams:
 
     The two search directions are conjugate (k_plus == k_minus); the Robin
     closure stiffness of the local stage is tied to k_plus, which is what
-    produces the factor 1/2 in the heart formula.  xi is a dimensionless
-    record of the scale k_minus = xi * E / L when a run derives k from the
-    material; the solver only ever reads k_plus/k_minus.
+    produces the factor 1/2 in the heart formula.
     """
 
     k_plus: float = 1.0
@@ -62,7 +60,6 @@ class LatinParams:
     it_max: int = 200
     quad_points_per_segment: int = 2
     interface_scheme: str = "p1"
-    xi: float | None = None
     nitsche_data_term: bool = True
 
     def __post_init__(self) -> None:
@@ -369,6 +366,7 @@ class LatinState:
     f_hat: dict[tuple[tuple[int, int], int], np.ndarray]
     it: int = 0
     history: list[IterationRecord] = field(default_factory=list)
+    previous: dict | None = None  # _snapshot of the last iteration, if any
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -456,7 +454,8 @@ def linear_stage(state: LatinState) -> None:
             load += ops.scatter[i] @ ops.scheme.load_vector(z)
         try:
             state.u[i] = system.solve(load)
-        except Exception as err:  # factorized solve should not fail; be explicit
+        except (np.linalg.LinAlgError, FloatingPointError) as err:
+            # only numerical failures; a shape or type error is a bug
             raise SolverFailure(f"linear stage failed on subdomain {i}") from err
 
 
@@ -554,25 +553,26 @@ def iterate(
     checkpoints: tuple[int, ...] = (),
     callback: Callable[[int, LatinState], None] | None = None,
 ) -> LatinState:
-    """Run it_max LaTIn iterations in place.
+    """Run LaTIn iterations in place until state.it reaches it_max.
 
+    A state that already ran some iterations resumes exactly: relaxation
+    and the indicator use the snapshot its last iteration left.
     ``callback(it, state)`` fires after every iteration listed in
     ``checkpoints`` (1-based count, i.e. after `it+1` iterations are done).
     """
     params = state.params
-    previous: dict | None = None
     for it in range(state.it, params.it_max):
         try:
             linear_stage(state)
             postprocess_interface(state)
-            relax(state, previous)
+            relax(state, state.previous)
             fraction = local_stage(state)
         except StabilizationConfigError:
             raise
         except SolverFailure as err:
             raise SolverFailure(f"iteration {it}: {err}") from err
-        indicator = error_indicator(state, previous)
-        previous = _snapshot(state)
+        indicator = error_indicator(state, state.previous)
+        state.previous = _snapshot(state)
         state.it = it + 1
         state.history.append(
             IterationRecord(it=state.it, indicator=indicator, contact_fraction=fraction)

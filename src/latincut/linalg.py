@@ -88,10 +88,6 @@ class SparseSym:
         return SparseSym.finalize(self.csr * c)
 
 
-def zero_matrix(n: int) -> SparseSym:
-    return SparseSym(csr=sp.csr_matrix((n, n)))
-
-
 @dataclass
 class SpdFactor:
     """Cholesky-type factorization handle with a solve method."""
@@ -120,10 +116,6 @@ def factorize(a: SparseSym) -> SpdFactor:
     if not np.all(np.isfinite(pivots)) or np.any(pivots <= 0.0):
         raise NotSpdError("matrix has a non-positive pivot; it is not SPD")
     return SpdFactor(n=a.n, _lu=lu)
-
-
-def solve(a: SparseSym, b: np.ndarray) -> np.ndarray:
-    return factorize(a).solve(b)
 
 
 @dataclass

@@ -89,38 +89,55 @@ def build_face_adjacency(
     """Derive the unique face list of a triangle soup.
 
     Faces are keyed by the sorted vertex pair and emitted in lexicographic
-    order, which makes mesh construction deterministic.  Raises
-    InvalidMeshError on non-manifold connectivity (an edge claimed by more
-    than two triangles, or twice with the same orientation).
+    order, which makes mesh construction deterministic.  The triangle that
+    traverses the edge from lower to higher vertex id is on the left; an
+    edge traversed only the other way is stored reversed, so its one
+    triangle is on the left.  Raises InvalidMeshError on non-manifold
+    connectivity (an edge claimed by more than two triangles, or twice with
+    the same orientation).
     """
-    directed: dict[tuple[int, int], tuple[int, int]] = {}
-    for t, (a, b, c) in enumerate(triangles):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (int(min(u, v)), int(max(u, v)))
-            fwd = int(u) < int(v)
-            rec = directed.get(key)
-            if rec is None:
-                directed[key] = (t, -2) if fwd else (-2, t)
-            else:
-                left, right = rec
-                slot = 0 if fwd else 1
-                if (left, right)[slot] != -2:
-                    raise InvalidMeshError(
-                        f"edge {key} is claimed twice in the same direction; "
-                        "mesh is non-manifold or mis-oriented"
-                    )
-                directed[key] = (t, right) if fwd else (left, t)
+    tri = np.asarray(triangles, dtype=np.int64)
+    u = tri.ravel()
+    v = tri[:, [1, 2, 0]].ravel()
+    owner = np.repeat(np.arange(tri.shape[0], dtype=np.int64), 3)
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v)
+    order = np.lexsort((hi, lo))
+    lo, hi, owner = lo[order], hi[order], owner[order]
+    fwd = (u < v)[order]
 
-    keys = sorted(directed)
-    faces = np.empty((len(keys), 4), dtype=np.int64)
-    for f, key in enumerate(keys):
-        left, right = directed[key]
-        if left == -2:
-            # Only the (b, a) direction was seen: store as (b, a) so the
-            # adjacent triangle is on the left.
-            faces[f] = (key[1], key[0], right, BOUNDARY)
-        else:
-            faces[f] = (key[0], key[1], left, BOUNDARY if right == -2 else right)
+    new_run = np.ones(lo.size, dtype=bool)
+    new_run[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    first = np.flatnonzero(new_run)
+    claims = np.diff(np.append(first, lo.size))
+    crowded = np.flatnonzero(claims > 2)
+    if crowded.size:
+        f = first[crowded[0]]
+        raise InvalidMeshError(
+            f"edge {(int(lo[f]), int(hi[f]))} is claimed by "
+            f"{int(claims[crowded[0]])} triangles; mesh is non-manifold"
+        )
+    shared = first[claims == 2]
+    same = fwd[shared] == fwd[shared + 1]
+    if np.any(same):
+        f = shared[np.argmax(same)]
+        raise InvalidMeshError(
+            f"edge {(int(lo[f]), int(hi[f]))} is claimed twice in the same "
+            "direction; mesh is non-manifold or mis-oriented"
+        )
+
+    faces = np.empty((first.size, 4), dtype=np.int64)
+    lone = claims == 1
+    flip = lone & ~fwd[first]
+    faces[:, 0] = np.where(flip, hi[first], lo[first])
+    faces[:, 1] = np.where(flip, lo[first], hi[first])
+    faces[:, 2] = owner[first]
+    faces[:, 3] = BOUNDARY
+    # the forward claim of a shared edge may sort first or second
+    fwd_first = fwd[shared]
+    a, b = owner[shared], owner[shared + 1]
+    faces[~lone, 2] = np.where(fwd_first, a, b)
+    faces[~lone, 3] = np.where(fwd_first, b, a)
 
     d = vertices[faces[:, 1]] - vertices[faces[:, 0]]
     lengths = np.hypot(d[:, 0], d[:, 1])

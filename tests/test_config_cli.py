@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import latincut
-from latincut import cli
+from latincut import analysis, cli, experiments
 from latincut.config import (
     build_run_config,
     env_overrides,
@@ -238,6 +238,48 @@ export.fields = true
     assert cli.main(["run", str(cfg)]) == 0
     for p, payload in before.items():
         assert p.read_bytes() == payload, p
+
+
+def test_exported_profiles_come_from_the_ladder_solve(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    cfg = run_cfg(
+        tmp_path,
+        f"""
+experiment = ellipse_convergence
+output.dir = {out}
+study.levels = 2
+study.base_nx = 12
+study.reference_it_max = 6
+latin.it_max = 6
+study.monitor_iterations = 2,4
+export.profiles = true
+""",
+    )
+    solve = experiments.solve_problem
+    calls = []
+
+    def counted(pdef, *args, **kwargs):
+        calls.append(pdef)
+        return solve(pdef, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_problem", counted)
+    assert cli.main(["run", str(cfg)]) == 0
+    # one solve per ladder level plus the reference; no re-solve for profiles
+    assert [p.nx for p in calls] == [12, 24, 48]
+
+    monitored = solve(calls[1], (2, 4, 6), capture_traction=True)
+    iface = experiments.interface_for_pair(monitored.pdef, monitored.profile_pair)
+    expect = tmp_path / "expect"
+    expect.mkdir()
+    for it, traction in monitored.checkpoint_traction.items():
+        prof = analysis.traction_profile(iface, traction)
+        cli.write_csv(
+            expect / f"profile_{it}.csv", ["theta", "traction"], [tuple(r) for r in prof]
+        )
+    written = sorted(p.name for p in out.glob("profile_*.csv"))
+    assert written == ["profile_2.csv", "profile_4.csv", "profile_6.csv"]
+    for name in written:
+        assert (out / name).read_bytes() == (expect / name).read_bytes(), name
 
 
 def test_run_condition_sweep_outputs(tmp_path):

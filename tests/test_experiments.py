@@ -253,6 +253,21 @@ def test_condition_sweep_shows_stabilization():
         run_condition_sweep(mode="triple")
 
 
+@pytest.mark.parametrize("mode", ["simple", "double"])
+def test_condition_sweep_matches_per_point_cases(mode):
+    eps_values = (0.25, 1e-8, 0.25)
+    gamma_g_values = (0.0, 1e-3, 0.1)
+    rows = run_condition_sweep(
+        n=12, mode=mode, eps_values=eps_values, gamma_g_values=gamma_g_values
+    )
+    expect = []
+    for gamma_g in gamma_g_values:
+        for eps in eps_values:
+            eps_x = eps if mode == "double" else 0.5
+            expect.append((eps, gamma_g, crack_condition_case(eps_x, eps, 12, gamma_g)[1]))
+    assert rows == expect
+
+
 def test_condition_sweep_worker_pool_matches_serial():
     kwargs = dict(n=12, eps_values=(0.25, 1e-8), gamma_g_values=(0.0,))
     assert run_condition_sweep(**kwargs) == run_condition_sweep(workers=2, **kwargs)

@@ -6,6 +6,8 @@ mode is checked against an independently assembled monolithic saddle
 system with the same stabilization.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,15 @@ from latincut.assembly import (
     scatter_band_to_space,
 )
 from latincut.cutgeom import Material, build_cut_domain, build_interface, decompose_mesh
-from latincut.errors import ConfigError
-from latincut.latin import ContactProblem, LatinParams, build_state, linear_stage, run
+from latincut.errors import ConfigError, SolverFailure
+from latincut.latin import (
+    ContactProblem,
+    LatinParams,
+    build_state,
+    iterate,
+    linear_stage,
+    run,
+)
 from latincut.levelset import HalfPlane, interpolate_levelset
 from latincut.mesh import build_structured_mesh
 
@@ -144,6 +153,24 @@ def test_first_linear_stage_matches_dense_solve():
         np.testing.assert_allclose(lift, sysm.lift, atol=1e-12)
 
 
+def test_linear_stage_reports_only_numerical_failures(monkeypatch):
+    state = build_state(two_block_problem(), LatinParams(it_max=1))
+    system = state.systems[0]
+    rhs0 = system.rhs0
+    # a load of the wrong length is a programming error, not a solver failure
+    system.rhs0 = rhs0[:-1]
+    with pytest.raises(ValueError):
+        linear_stage(state)
+    system.rhs0 = rhs0
+
+    def singular(b):
+        raise np.linalg.LinAlgError("singular factor")
+
+    monkeypatch.setattr(system.factor, "solve", singular)
+    with pytest.raises(SolverFailure, match="iteration 0: linear stage failed on subdomain 0"):
+        iterate(state)
+
+
 # --- two-block compression ---------------------------------------------------
 
 def test_two_block_compression_exact():
@@ -255,6 +282,17 @@ def test_run_is_deterministic():
         np.testing.assert_array_equal(ua, ub)
     assert [r.indicator for r in a.history[1:]] == [r.indicator for r in b.history[1:]]
     assert np.isinf(a.history[0].indicator) and np.isinf(b.history[0].indicator)
+
+
+def test_resumed_iteration_matches_a_straight_run():
+    straight = run(two_block_problem(), LatinParams(it_max=20))
+    state = run(two_block_problem(), LatinParams(it_max=10))
+    state.params = replace(state.params, it_max=20)
+    iterate(state)
+    assert state.it == 20
+    for ua, ub in zip(state.u, straight.u):
+        np.testing.assert_array_equal(ua, ub)
+    assert state.history == straight.history
 
 
 def test_history_and_checkpoints():

@@ -12,8 +12,6 @@ from latincut.linalg import (
     condition_number,
     factorize,
     factorize_dense,
-    solve,
-    zero_matrix,
 )
 
 
@@ -63,7 +61,7 @@ def test_add_and_scale():
     b = SparseSym.finalize(sp.csr_matrix(spd_from(2, 5)))
     np.testing.assert_allclose((a + b).toarray(), a.toarray() + b.toarray(), atol=1e-14)
     np.testing.assert_allclose(a.scaled(2.5).toarray(), 2.5 * a.toarray(), atol=1e-14)
-    z = zero_matrix(5)
+    z = SparseSym(csr=sp.csr_matrix((5, 5)))
     assert z.n == 5
     np.testing.assert_allclose((a + z).toarray(), a.toarray(), atol=1e-15)
 
@@ -84,11 +82,11 @@ def test_factorize_solves_spd_systems(n, seed):
     np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-8, atol=1e-10)
 
 
-def test_solve_helper_matches_factorize():
+def test_factorize_solve_is_repeatable():
     dense = spd_from(11, 7)
     a = SparseSym.finalize(sp.csr_matrix(dense))
     b = np.ones(7)
-    np.testing.assert_allclose(solve(a, b), factorize(a).solve(b), atol=1e-14)
+    np.testing.assert_allclose(factorize(a).solve(b), factorize(a).solve(b), atol=1e-14)
 
 
 def test_factorize_rejects_indefinite_and_singular():
@@ -100,7 +98,7 @@ def test_factorize_rejects_indefinite_and_singular():
     with pytest.raises(NotSpdError):
         factorize(SparseSym.finalize(sp.csr_matrix(singular)))
     with pytest.raises(SolverFailure):
-        factorize(zero_matrix(0))
+        factorize(SparseSym(csr=sp.csr_matrix((0, 0))))
 
 
 def test_factorize_dense_matches_numpy():

@@ -18,6 +18,45 @@ from latincut.mesh import (
 RECT = (-1.2, -1.2, 1.2, 1.2)
 
 
+def reference_face_adjacency(vertices, triangles):
+    """Dict-per-edge oracle for build_face_adjacency, one triangle at a time."""
+    directed = {}
+    for t, (a, b, c) in enumerate(triangles):
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (int(min(u, v)), int(max(u, v)))
+            fwd = int(u) < int(v)
+            rec = directed.get(key)
+            if rec is None:
+                directed[key] = (t, -2) if fwd else (-2, t)
+            else:
+                left, right = rec
+                if (left, right)[0 if fwd else 1] != -2:
+                    raise InvalidMeshError(f"edge {key} claimed twice in one direction")
+                directed[key] = (t, right) if fwd else (left, t)
+    keys = sorted(directed)
+    faces = np.empty((len(keys), 4), dtype=np.int64)
+    for f, key in enumerate(keys):
+        left, right = directed[key]
+        if left == -2:  # only seen backwards: store reversed, owner on the left
+            faces[f] = (key[1], key[0], right, BOUNDARY)
+        else:
+            faces[f] = (key[0], key[1], left, BOUNDARY if right == -2 else right)
+    d = vertices[faces[:, 1]] - vertices[faces[:, 0]]
+    lengths = np.hypot(d[:, 0], d[:, 1])
+    if np.any(lengths <= 0.0):
+        raise InvalidMeshError("zero-length face")
+    normals = np.column_stack((d[:, 1], -d[:, 0])) / lengths[:, None]
+    return faces, normals
+
+
+def assert_adjacency_matches_reference(vertices, triangles):
+    faces, normals = build_face_adjacency(vertices, triangles)
+    ref_faces, ref_normals = reference_face_adjacency(vertices, triangles)
+    assert faces.dtype == ref_faces.dtype
+    np.testing.assert_array_equal(faces, ref_faces)
+    np.testing.assert_array_equal(normals, ref_normals)
+
+
 def shoelace(vertices, triangles):
     """Independent signed-area oracle, one triangle at a time."""
     out = []
@@ -157,8 +196,48 @@ def test_non_manifold_soup_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     # edge (0, 1) traversed twice in the same direction
     tris = np.array([[0, 1, 2], [0, 1, 3]])
-    with pytest.raises(InvalidMeshError):
+    with pytest.raises(InvalidMeshError, match="same direction"):
         build_face_adjacency(verts, tris)
+    with pytest.raises(InvalidMeshError):
+        reference_face_adjacency(verts, tris)
+    # edge (0, 1) shared by three triangles, both directions present
+    verts = np.vstack((verts, [[0.5, -1.0]]))
+    tris = np.array([[0, 1, 2], [1, 0, 4], [0, 1, 3]])
+    with pytest.raises(InvalidMeshError, match="claimed by 3 triangles"):
+        build_face_adjacency(verts, tris)
+    with pytest.raises(InvalidMeshError):
+        reference_face_adjacency(verts, tris)
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 4), (5, 3), (12, 12)])
+def test_face_adjacency_matches_reference_on_lattices(nx, ny):
+    m = build_structured_mesh(RECT, nx, ny)
+    assert_adjacency_matches_reference(m.vertices, m.triangles)
+    fine = refine_uniform(refine_uniform(m))
+    assert_adjacency_matches_reference(fine.vertices, fine.triangles)
+
+
+@given(
+    nx=st.integers(1, 6),
+    ny=st.integers(1, 6),
+    refine=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_face_adjacency_matches_reference_on_permuted_soups(nx, ny, refine, seed):
+    m = build_structured_mesh(RECT, nx, ny)
+    if refine:
+        m = refine_uniform(m)
+    rng = np.random.default_rng(seed)
+    relabel = rng.permutation(m.n_vertices)
+    vertices = np.empty_like(m.vertices)
+    vertices[relabel] = m.vertices
+    triangles = relabel[m.triangles][rng.permutation(m.n_triangles)]
+    # rotating a triangle's vertex order keeps it counterclockwise
+    shift = rng.integers(0, 3, size=m.n_triangles)
+    cols = (np.arange(3)[None, :] + shift[:, None]) % 3
+    triangles = np.take_along_axis(triangles, cols, axis=1)
+    assert np.all(triangle_areas(vertices, triangles) > 0)
+    assert_adjacency_matches_reference(vertices, triangles)
 
 
 def test_zero_length_face_rejected():
