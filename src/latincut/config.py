@@ -96,6 +96,11 @@ def _positive_int(key: str, v) -> None:
         raise ConfigError(f"{key} must be at least 1, got {v}")
 
 
+def _nonempty(key: str, v) -> None:
+    if not v:
+        raise ConfigError(f"{key} needs at least one value")
+
+
 def _nonneg(key: str, v) -> None:
     if v < 0:
         raise ConfigError(f"{key} must be nonnegative, got {v}")
@@ -163,13 +168,13 @@ KNOWN_KEYS: dict[str, tuple[str, str | None, Callable | None]] = {
     "crack.n": ("int", "24", _positive_int),
     "crack.mode": ("str", "simple", _choice("simple", "double")),
     "crack.eps_x": ("float", "0.5", None),
-    "crack.eps_values": ("float_list", "0.25,0.01,0.0001,1e-06,1e-08,1e-11", None),
-    "crack.gamma_g_values": ("float_list", "0.0,0.001,0.1", None),
+    "crack.eps_values": ("float_list", "0.25,0.01,0.0001,1e-06,1e-08,1e-11", _nonempty),
+    "crack.gamma_g_values": ("float_list", "0.0,0.001,0.1", _nonempty),
     "scaling.base_n": ("int", "12", _positive_int),
     "scaling.levels": ("int", "4", _positive_int),
     "scaling.eps": ("float", "0.25", None),
     "scaling.gamma_g": ("float", "0.1", _nonneg),
-    "profile.iterations": ("int_list", "5,27,210", None),
+    "profile.iterations": ("int_list", "5,27,210", _nonempty),
     # problem-definition vocabulary (kept so ProblemDefs round-trip)
     "problem.name": ("str", None, None),
     "mesh.rect": ("float_list", None, _rect),

@@ -419,10 +419,6 @@ class SegmentSet:
         return self.p0.shape[0]
 
     @property
-    def total_length(self) -> float:
-        return float(self.length.sum())
-
-    @property
     def qnormals(self) -> np.ndarray:
         return self.normal[self.qseg]
 

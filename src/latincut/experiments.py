@@ -19,12 +19,22 @@ import numpy as np
 from . import analysis, assembly
 from .analysis import ConvergenceRecord, interpolate_to_fine, refinement_levels
 from .assembly import FESpace
-from .cutgeom import InterfaceMesh, Material, build_cut_domain, build_interface, decompose_mesh
+from .cutgeom import InterfaceMesh, Material
+# perfbench/study.py wraps these names here; latin.build_geometry calls them
+from .cutgeom import build_cut_domain, build_interface, decompose_mesh  # noqa: F401
 from .errors import ConfigError
-from .latin import ContactProblem, IterationRecord, LatinParams, LatinState, build_state, iterate
+from .latin import (
+    ContactProblem,
+    IterationRecord,
+    LatinParams,
+    LatinState,
+    build_geometry,
+    build_state,
+    iterate,
+)
 from .levelset import Circle, Ellipse, HalfPlane, interpolate_levelset
 from .linalg import condition_number
-from .mesh import TriMesh, build_structured_mesh
+from .mesh import build_structured_mesh
 
 EXPERIMENTS = (
     "ellipse_convergence",
@@ -90,12 +100,8 @@ def _levelset_function(entry: tuple):
     return HalfPlane(a=a, b=b, c=c)
 
 
-def build_mesh(pdef: ProblemDef) -> TriMesh:
-    return build_structured_mesh(pdef.rect, pdef.nx, pdef.ny)
-
-
 def build_problem(pdef: ProblemDef) -> ContactProblem:
-    mesh = build_mesh(pdef)
+    mesh = build_structured_mesh(pdef.rect, pdef.nx, pdef.ny)
     levelsets = [
         interpolate_levelset(_levelset_function(entry), mesh)
         for entry in pdef.levelsets
@@ -228,10 +234,6 @@ def problem_from_flat(flat: Mapping[str, str]) -> ProblemDef:
 
 # --- case builders ------------------------------------------------------
 
-def default_params(**overrides) -> LatinParams:
-    return LatinParams(**overrides)
-
-
 def ellipse_case(
     level: int = 0,
     nu: float = 0.3,
@@ -250,7 +252,7 @@ def ellipse_case(
         levelsets=(("ellipse", 1.0, 0.5, 0.654545, 0.0, 0.0),),
         e_moduli=(1.0, 1.0),
         nu=nu,
-        params=params if params is not None else default_params(),
+        params=params if params is not None else LatinParams(),
         dirichlet=((0, "top", 0.0, -1.0), (0, "bottom", 0.0, 0.0)),
     )
 
@@ -278,7 +280,7 @@ def two_inclusions_case(
         ),
         e_moduli=(1.0, contrast, contrast),
         nu=nu,
-        params=params if params is not None else default_params(),
+        params=params if params is not None else LatinParams(),
         dirichlet=((0, "top", 0.0, -1.0), (0, "bottom", 0.0, 0.0)),
     )
 
@@ -300,7 +302,7 @@ def crack_problem(
     if n % 3:
         raise ConfigError("crack case needs n divisible by 3")
     h = 1.0 / n
-    p = params if params is not None else default_params()
+    p = params if params is not None else LatinParams()
     p = replace(p, gamma_g=gamma_g)
     top = [(i, "top", 0.0, -1.0) for i in range(4)]
     bottom = [(i, "bottom", 0.0, 0.0) for i in range(4)]
@@ -337,30 +339,19 @@ def gamma_sweep_condition_numbers(
     """linear_stage_condition_numbers for each ghost-penalty weight in turn.
 
     Only the ghost penalty depends on gamma_g, so the geometry, elasticity,
-    augmentation and Dirichlet elimination are built once; each weight's
-    operator is summed as (elasticity + ghost penalty) + augmentation.
+    augmentation and Dirichlet elimination are built once.  Each weight's
+    operator is summed as (elasticity + ghost penalty) + augmentation, the
+    order `latin.build_subdomain_system` uses: floating-point sums depend on
+    it, and kappa must describe the matrix the linear stage factorizes.
     """
     gammas = [float(g) for g in gamma_g_values]
-    params = pdef.params
-    problem, deco, _, spaces = problem_spaces(pdef)
-    interfaces = {
-        pair: build_interface(
-            pair[0],
-            pair[1],
-            problem.mesh,
-            problem.levelsets,
-            problem.grouping,
-            deco,
-            params.quad_points_per_segment,
-        )
-        for pair in deco.pairs
-    }
+    _, _, _, spaces, interfaces = problem_spaces(pdef)
     out: list[dict[int, float]] = [{} for _ in gammas]
     for i, space in enumerate(spaces):
         elasticity = assembly.assemble_elasticity(space)
         touching = [ifc for pair, ifc in sorted(interfaces.items()) if i in pair]
         augmentation = assembly.assemble_latin_augmentation(
-            space, touching, params.k_minus
+            space, touching, pdef.params.k_minus
         )
         fixed, _ = assembly.dirichlet_constraints(
             space, {s: (ux, uy) for sub, s, ux, uy in pdef.dirichlet if sub == i}
@@ -448,33 +439,11 @@ def solve_problem(
     return result
 
 
-def interface_for_pair(pdef: ProblemDef, pair: tuple[int, int]):
-    """Rebuild one interface mesh (deterministic given the definition)."""
-    problem = build_problem(pdef)
-    return build_interface(
-        pair[0],
-        pair[1],
-        problem.mesh,
-        problem.levelsets,
-        problem.grouping,
-        None,
-        pdef.params.quad_points_per_segment,
-    )
-
-
 def problem_spaces(pdef: ProblemDef):
-    """Geometry pipeline without any solves: domains and dof spaces."""
+    """Geometry pipeline without any solves: the problem, its decomposition,
+    domains, dof spaces and interfaces."""
     problem = build_problem(pdef)
-    deco = decompose_mesh(problem.mesh, problem.levelsets, problem.grouping)
-    domains = [
-        build_cut_domain(
-            i, problem.mesh, problem.levelsets, problem.materials[i],
-            problem.grouping, deco,
-        )
-        for i in range(deco.n_subdomains)
-    ]
-    spaces = [assembly.build_space(d) for d in domains]
-    return problem, deco, domains, spaces
+    return (problem, *build_geometry(problem, pdef.params.quad_points_per_segment))
 
 
 # --- studies ------------------------------------------------------------
@@ -530,7 +499,7 @@ def run_convergence_study(
         make = lambda lv, p: two_inclusions_case(contrast, lv, nu, base_nx, p)
     else:
         raise ConfigError(f"unknown convergence case {case!r}")
-    base_params = params if params is not None else default_params()
+    base_params = params if params is not None else LatinParams()
     ref_params = base_params
     if reference_it_max is not None:
         ref_params = replace(base_params, it_max=reference_it_max)
@@ -636,7 +605,7 @@ def run_p1p0_comparison(
 ) -> dict[str, SolveResult]:
     """Ellipse contact under both interface schemes with traction snapshots."""
     its = tuple(sorted(set(int(i) for i in profile_iterations)))
-    base = params if params is not None else default_params()
+    base = params if params is not None else LatinParams()
     base = replace(base, it_max=max(its[-1], base.it_max))
     jobs = []
     for scheme in ("p1", "p0"):

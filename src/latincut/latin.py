@@ -203,7 +203,6 @@ class InterfaceOperators:
     iface: InterfaceMesh
     scheme: P1Scheme | P0Scheme
     scatter: dict[int, sp.csr_matrix]  # subdomain -> (n_dofs, 2 * n_band)
-    mass: SparseSym  # band-dof interface mass, drives the augmentation
     qnormals: np.ndarray  # (nq, 2), pointing from low to high subdomain
 
 
@@ -213,13 +212,7 @@ def build_interface_operators(
     spaces: dict[int, FESpace],
     params: LatinParams,
 ) -> InterfaceOperators:
-    if params.interface_scheme == "p0":
-        scheme: P1Scheme | P0Scheme = P0Scheme(mesh, iface, params.gamma_pi)
-        # a_k couples bulk traces, so the augmentation mass is P1 even here
-        mass = assembly.interface_mass(scheme.trace_op, iface.segments.qweights)
-    else:
-        scheme = P1Scheme(mesh, iface, params.gamma_pi)
-        mass = scheme.mass
+    scheme_type = P0Scheme if params.interface_scheme == "p0" else P1Scheme
     scatter = {
         s: assembly.scatter_band_to_space(spaces[s], iface.band_vertices)
         for s in iface.pair
@@ -227,9 +220,8 @@ def build_interface_operators(
     return InterfaceOperators(
         pair=iface.pair,
         iface=iface,
-        scheme=scheme,
+        scheme=scheme_type(mesh, iface, params.gamma_pi),
         scatter=scatter,
-        mass=mass,
         qnormals=iface.segments.qnormals,
     )
 
@@ -245,7 +237,6 @@ class SubdomainSystem:
     fixed: np.ndarray
     fixed_values: np.ndarray
     factor: SpdFactor
-    free_matrix: SparseSym
     lift: np.ndarray
 
     def solve(self, interface_load: np.ndarray) -> np.ndarray:
@@ -267,17 +258,22 @@ def build_subdomain_system(
 ) -> SubdomainSystem:
     """Assemble and factorize the iteration-independent operator.
 
-    The operator is elasticity + ghost penalty + the LaTIn augmentation of
+    The operator is (elasticity + ghost penalty) + the LaTIn augmentation of
     every interface this subdomain touches, plus Nitsche terms for any weak
-    Dirichlet sides.  Strong Dirichlet sides are eliminated.
+    Dirichlet sides.  Strong Dirichlet sides are eliminated.  The summation
+    order is fixed and shared with
+    `experiments.gamma_sweep_condition_numbers`: floating-point sums depend
+    on it, and the condition numbers that study reports must describe this
+    matrix bit for bit.  The augmentation couples bulk traces, so it always
+    uses the P1 interface mass, even under the P0 interface scheme.
     """
     index = space.domain.index
     a = assembly.assemble_elasticity(space)
     a = a + assembly.assemble_ghost_penalty(space, params.gamma_g)
+    a = a + assembly.assemble_latin_augmentation(
+        space, [ops.iface for ops in interface_ops], params.k_minus
+    )
     rhs = np.zeros(space.n_dofs)
-    for ops in interface_ops:
-        s = ops.scatter[index]
-        a = a + SparseSym.finalize(s @ (params.k_minus * ops.mass.csr) @ s.T)
     if body_force is not None:
         rhs += assembly.assemble_body_force(space, body_force)
     mesh = space.mesh
@@ -296,9 +292,8 @@ def build_subdomain_system(
     mask = np.ones(space.n_dofs, dtype=bool)
     mask[fixed] = False
     free = np.flatnonzero(mask)
-    free_matrix = a.submatrix(free)
     try:
-        factor = factorize(free_matrix)
+        factor = factorize(a.submatrix(free))
     except NotSpdError as err:
         raise SolverFailure(
             f"linear-stage operator of subdomain {index} is not positive definite"
@@ -315,7 +310,6 @@ def build_subdomain_system(
         fixed=fixed,
         fixed_values=fixed_values,
         factor=factor,
-        free_matrix=free_matrix,
         lift=lift,
     )
 
@@ -373,40 +367,46 @@ class LatinState:
         return sorted(self.operators)
 
 
-def build_state(problem: ContactProblem, params: LatinParams) -> LatinState:
-    """Decompose, assemble and factorize; no iterations are run yet."""
-    deco = decompose_mesh(problem.mesh, problem.levelsets, problem.grouping)
+def build_geometry(
+    problem: ContactProblem, quad_points_per_segment: int
+) -> tuple[
+    MeshDecomposition,
+    list[CutDomain],
+    list[FESpace],
+    dict[tuple[int, int], InterfaceMesh],
+]:
+    """Decompose the mesh; build every subdomain's cut domain and dof space
+    and every interface.  The one geometry path of the package."""
+    mesh, levelsets, grouping = problem.mesh, problem.levelsets, problem.grouping
+    deco = decompose_mesh(mesh, levelsets, grouping)
     if len(problem.materials) != deco.n_subdomains:
         raise ConfigError(
             f"{deco.n_subdomains} subdomains but {len(problem.materials)} materials"
         )
     domains = [
-        build_cut_domain(
-            i,
-            problem.mesh,
-            problem.levelsets,
-            problem.materials[i],
-            problem.grouping,
-            deco,
-        )
+        build_cut_domain(i, mesh, levelsets, problem.materials[i], grouping, deco)
         for i in range(deco.n_subdomains)
     ]
     spaces = [build_space(d) for d in domains]
-    space_of = {i: spaces[i] for i in range(len(spaces))}
-    operators: dict[tuple[int, int], InterfaceOperators] = {}
-    for pair in deco.pairs:
-        iface = build_interface(
-            pair[0],
-            pair[1],
-            problem.mesh,
-            problem.levelsets,
-            problem.grouping,
-            deco,
-            params.quad_points_per_segment,
+    interfaces = {
+        pair: build_interface(
+            pair[0], pair[1], mesh, levelsets, grouping, deco, quad_points_per_segment
         )
-        operators[pair] = build_interface_operators(
-            problem.mesh, iface, space_of, params
-        )
+        for pair in deco.pairs
+    }
+    return deco, domains, spaces, interfaces
+
+
+def build_state(problem: ContactProblem, params: LatinParams) -> LatinState:
+    """Decompose, assemble and factorize; no iterations are run yet."""
+    deco, domains, spaces, interfaces = build_geometry(
+        problem, params.quad_points_per_segment
+    )
+    space_of = dict(enumerate(spaces))
+    operators = {
+        pair: build_interface_operators(problem.mesh, iface, space_of, params)
+        for pair, iface in interfaces.items()
+    }
     systems = []
     for i, space in enumerate(spaces):
         touching = [ops for pair, ops in sorted(operators.items()) if i in pair]

@@ -84,9 +84,6 @@ class SparseSym:
     def __add__(self, other: "SparseSym") -> "SparseSym":
         return SparseSym.finalize(self.csr + other.csr)
 
-    def scaled(self, c: float) -> "SparseSym":
-        return SparseSym.finalize(self.csr * c)
-
 
 @dataclass
 class SpdFactor:

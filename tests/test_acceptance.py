@@ -31,9 +31,7 @@ from latincut.assembly import (
 from latincut.cutgeom import Material, build_cut_domain, build_interface, decompose_mesh
 from latincut.experiments import (
     build_problem,
-    default_params,
     ellipse_case,
-    interface_for_pair,
     problem_spaces,
     run_condition_scaling,
     run_condition_sweep,
@@ -41,7 +39,7 @@ from latincut.experiments import (
     run_p1p0_comparison,
     solve_problem,
 )
-from latincut.latin import run
+from latincut.latin import LatinParams, run
 from latincut.levelset import Ellipse, interpolate_levelset
 from latincut.mesh import build_structured_mesh
 
@@ -96,9 +94,9 @@ def test_criterion_1_ellipse_ladder_converges_at_rate_one(ladder):
 
 def test_criterion_2_interface_quadrature_insensitivity(ladder, reference_spaces):
     rec = ladder.record
-    pdef4 = ellipse_case(0, params=default_params(quad_points_per_segment=4))
+    pdef4 = ellipse_case(0, params=LatinParams(quad_points_per_segment=4))
     res = solve_problem(pdef4)
-    _, _, _, coarse_spaces = problem_spaces(pdef4)
+    coarse_spaces = problem_spaces(pdef4)[3]
     on_fine = [
         interpolate_to_fine(u, cs, fs)
         for u, cs, fs in zip(res.u, coarse_spaces, reference_spaces)
@@ -154,7 +152,7 @@ def test_criterion_5_error_plateau_after_thirty_iterations(ladder):
 def test_criterion_6_p0_tractions_oscillate_p1_tractions_settle(profile_runs):
     profiles = {}
     for scheme, res in profile_runs.items():
-        iface = interface_for_pair(res.pdef, res.profile_pair)
+        iface = problem_spaces(res.pdef)[4][res.profile_pair]
         profiles[scheme] = {
             it: traction_profile(iface, tr)
             for it, tr in res.checkpoint_traction.items()

@@ -268,7 +268,7 @@ export.profiles = true
     assert [p.nx for p in calls] == [12, 24, 48]
 
     monitored = solve(calls[1], (2, 4, 6), capture_traction=True)
-    iface = experiments.interface_for_pair(monitored.pdef, monitored.profile_pair)
+    iface = experiments.problem_spaces(monitored.pdef)[4][monitored.profile_pair]
     expect = tmp_path / "expect"
     expect.mkdir()
     for it, traction in monitored.checkpoint_traction.items():
@@ -300,6 +300,27 @@ crack.gamma_g_values = 0.0,0.001
     assert len(rows) == 5
     exemplar = problem_from_flat(parse_flat((out / "crack_problem.cfg").read_text()))
     assert exemplar.name == "crack" and exemplar.nx == 12
+
+
+@pytest.mark.parametrize(
+    "experiment, key",
+    [
+        ("crack_condition_sweep", "crack.gamma_g_values"),
+        ("crack_condition_sweep", "crack.eps_values"),
+        ("p1p0_comparison", "profile.iterations"),
+    ],
+)
+def test_run_rejects_empty_sweep_lists(tmp_path, capsys, experiment, key):
+    out = tmp_path / "out"
+    cfg = run_cfg(
+        tmp_path,
+        f"experiment = {experiment}\noutput.dir = {out}\ncrack.n = 12\n"
+        f"study.base_nx = 12\n{key} =\n",
+    )
+    assert cli.main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not out.exists()
 
 
 def test_run_condition_scaling_outputs(tmp_path):

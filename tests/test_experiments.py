@@ -19,10 +19,8 @@ from latincut.experiments import (
     build_problem,
     crack_condition_case,
     crack_problem,
-    default_params,
     ellipse_case,
     grid_spacing,
-    interface_for_pair,
     linear_stage_condition_numbers,
     problem_from_flat,
     problem_spaces,
@@ -34,7 +32,9 @@ from latincut.experiments import (
     solve_problem,
     two_inclusions_case,
 )
+from latincut.latin import LatinParams, build_state
 from latincut.levelset import Ellipse
+from latincut.linalg import condition_number
 
 
 # --- case builders ----------------------------------------------------------
@@ -60,10 +60,11 @@ def test_two_inclusions_case_topology():
     pdef = two_inclusions_case(contrast=5.0, base_nx=16)
     assert pdef.e_moduli == (1.0, 5.0, 5.0)
     assert pdef.levelsets == (("circle", -0.25, 0.0, 0.5), ("circle", 0.25, 0.0, 0.5))
-    _, deco, domains, spaces = problem_spaces(pdef)
+    _, deco, domains, spaces, interfaces = problem_spaces(pdef)
     assert deco.n_subdomains == 3
     assert set(deco.pairs) == {(0, 1), (0, 2), (1, 2)}
     assert len(domains) == len(spaces) == 3
+    assert sorted(interfaces) == deco.pairs
 
 
 def test_crack_problem_geometry():
@@ -72,7 +73,7 @@ def test_crack_problem_geometry():
     pdef = crack_problem(eps_x, eps_y, n, gamma_g=0.1)
     assert pdef.params.gamma_g == 0.1
     assert len(pdef.dirichlet) == 8  # top and bottom data on all four pieces
-    _, deco, domains, _ = problem_spaces(pdef)
+    _, deco, domains, _, _ = problem_spaces(pdef)
     assert deco.n_subdomains == 4
     assert set(deco.pairs) == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)}
     h = 1.0 / n
@@ -94,7 +95,7 @@ def test_problem_def_rejects_bad_boundary_rows():
         levelsets=(("halfplane", 0.0, -1.0, 0.5),),
         e_moduli=(1.0, 1.0),
         nu=0.3,
-        params=default_params(),
+        params=LatinParams(),
     )
     with pytest.raises(ConfigError):
         ProblemDef(**kw, dirichlet=((0, "north", 0.0, 0.0),))
@@ -114,7 +115,7 @@ def test_level_set_entries_validated_at_build():
 # --- serialization -----------------------------------------------------------
 
 def round_trip_cases():
-    custom = default_params(
+    custom = LatinParams(
         eta=0.8, alpha=12.5, it_max=77, quad_points_per_segment=4, interface_scheme="p0"
     )
     return [
@@ -162,7 +163,7 @@ def test_build_problem_collects_boundary_data():
 # --- single solves ------------------------------------------------------------
 
 def test_solve_problem_snapshots_and_profile_pair():
-    pdef = ellipse_case(0, base_nx=12, params=default_params(it_max=8))
+    pdef = ellipse_case(0, base_nx=12, params=LatinParams(it_max=8))
     res = solve_problem(pdef, monitor_iterations=(5, 3), capture_traction=True)
     assert res.h_grid == pytest.approx(0.2, rel=1e-15)
     assert sorted(res.checkpoint_u) == [3, 5]
@@ -170,14 +171,14 @@ def test_solve_problem_snapshots_and_profile_pair():
     assert res.profile_pair == (0, 1)
     assert len(res.history) == 8 and res.history[-1].it == 8
     assert len(res.u) == 2
-    nq = interface_for_pair(pdef, (0, 1)).segments.qcells.size
+    nq = problem_spaces(pdef)[4][(0, 1)].segments.qcells.size
     assert res.checkpoint_traction[3].shape == (nq, 2)
     assert not np.array_equal(res.checkpoint_u[3][0], res.checkpoint_u[5][0])
 
 
 def test_interface_quadrature_sits_on_the_ellipse():
     pdef = ellipse_case(0, base_nx=12)
-    iface = interface_for_pair(pdef, (0, 1))
+    iface = problem_spaces(pdef)[4][(0, 1)]
     phi = Ellipse(1.0, 0.5, 0.654545).evaluate(iface.segments.qpoints)
     assert np.max(np.abs(phi)) < grid_spacing(pdef)
 
@@ -188,6 +189,21 @@ def test_linear_stage_operators_are_spd():
     assert all(1.0 < k < 1e12 and math.isfinite(k) for k in kappas.values())
 
 
+@pytest.mark.parametrize(
+    "pdef",
+    [crack_problem(0.25, 1e-8, 12, 0.1), two_inclusions_case(base_nx=16)],
+    ids=lambda p: p.name,
+)
+def test_condition_numbers_describe_the_factorized_operators(pdef):
+    # subdomains touching two or more interfaces catch any difference in
+    # how the condition path and the solver sum the augmentation terms
+    state = build_state(build_problem(pdef), pdef.params)
+    kappas = linear_stage_condition_numbers(pdef)
+    assert sorted(kappas) == list(range(len(state.systems)))
+    for i, s in enumerate(state.systems):
+        assert condition_number(s.matrix.submatrix(s.free)) == kappas[i], i
+
+
 # --- study drivers -------------------------------------------------------------
 
 def small_study(workers=1):
@@ -195,7 +211,7 @@ def small_study(workers=1):
         case="ellipse",
         levels=2,
         base_nx=12,
-        params=default_params(it_max=10),
+        params=LatinParams(it_max=10),
         reference_it_max=12,
         monitor_iterations=(2, 10),
         workers=workers,
@@ -290,7 +306,7 @@ def test_crack_condition_case_reports_worst_subproblem():
 
 def test_p1p0_comparison_runs_both_schemes():
     res = run_p1p0_comparison(
-        base_nx=12, profile_iterations=(2, 5), params=default_params(it_max=5)
+        base_nx=12, profile_iterations=(2, 5), params=LatinParams(it_max=5)
     )
     assert set(res) == {"p1", "p0"}
     for scheme, r in res.items():

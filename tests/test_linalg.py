@@ -60,7 +60,6 @@ def test_add_and_scale():
     a = SparseSym.finalize(sp.csr_matrix(spd_from(1, 5)))
     b = SparseSym.finalize(sp.csr_matrix(spd_from(2, 5)))
     np.testing.assert_allclose((a + b).toarray(), a.toarray() + b.toarray(), atol=1e-14)
-    np.testing.assert_allclose(a.scaled(2.5).toarray(), 2.5 * a.toarray(), atol=1e-14)
     z = SparseSym(csr=sp.csr_matrix((5, 5)))
     assert z.n == 5
     np.testing.assert_allclose((a + z).toarray(), a.toarray(), atol=1e-15)
