@@ -5,4 +5,9 @@ stabilized P1 elasticity on fictitious subdomains, and a two-stage LaTIn
 iteration with a stabilized P1-P1 mixed interface discretization.
 """
 
+import logging
+
+# silent unless the application configures logging
+logging.getLogger(__name__).addHandler(logging.NullHandler())
+
 __version__ = "0.1.0"

@@ -5,10 +5,23 @@ elasticity solves per fictitious subdomain, matrices factorized once) with
 a local stage that enforces the frictionless contact law pointwise at the
 interface quadrature points and maps the result back to nodal interface
 fields through a stabilized L2 projection.
+
+Everything an iteration applies that does not change between iterations is
+built once, with the state: the subdomain factorizations, the interface
+projection factors, and the sparse operators of each interface pair in the
+orientation the loop applies them (the band-to-subdomain scatter and its
+transpose as separate CSR matrices, the quadrature-point evaluation and its
+transpose, the quadrature weights as a vector).  Rebuilding a transposed or
+diagonal scipy matrix costs several times the product it feeds, and each
+iteration's own work is only a few sparse products and triangular solves.
+A CSR copy of a transpose accumulates every output entry in the same order
+as the transposed view, so the cached operators give bit-identical results.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,6 +53,8 @@ from .linalg import (
 from .mesh import TriMesh
 
 INTERFACE_SCHEMES = ("p1", "p0")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -106,8 +121,8 @@ class P1Scheme:
         self.eval_op = assembly.interface_eval_operator(
             mesh, segs, iface.band_vertices
         )
-        self.qweights = segs.qweights
-        self._wdiag = sp.diags(np.repeat(segs.qweights, 2))
+        self._eval_t = self.eval_op.T.tocsr()
+        self._weights = np.repeat(segs.qweights, 2)
         self.mass = assembly.interface_mass(self.eval_op, segs.qweights)
         self.stab = assembly.gradient_jump_matrix(
             mesh, iface.interior_faces, iface.band_vertices, gamma_pi
@@ -129,21 +144,28 @@ class P1Scheme:
                 f"singular; increase gamma_pi (currently {gamma_pi:g})"
             )
         try:
-            return factorize_dense(a + lam_max * (kernel @ kernel.T))
+            factor = factorize_dense(a + lam_max * (kernel @ kernel.T))
         except NotSpdError as err:
             raise StabilizationConfigError(
                 f"interface projection for pair {iface.pair} is not positive "
                 f"definite; increase gamma_pi (currently {gamma_pi:g})"
             ) from err
+        log.warning(
+            "interface projection for pair %s is singular; solving it densely "
+            "with its %d-dimensional kernel deflated",
+            iface.pair,
+            kernel.shape[1],
+        )
+        return factor
 
     def at_quadrature(self, z: np.ndarray) -> np.ndarray:
         return self.eval_op @ z
 
     def from_bulk(self, band_trace: np.ndarray) -> np.ndarray:
-        return band_trace.copy()
+        return band_trace
 
     def project_qp(self, qp_values: np.ndarray) -> np.ndarray:
-        return self.proj.solve(self.eval_op.T @ (self._wdiag @ qp_values))
+        return self.proj.solve(self._eval_t @ (self._weights * qp_values))
 
     def load_vector(self, z: np.ndarray) -> np.ndarray:
         return self.mass.matvec(z)
@@ -165,7 +187,6 @@ class P0Scheme:
         self.trace_op = assembly.interface_eval_operator(
             mesh, segs, iface.band_vertices
         )
-        self.qweights = segs.qweights
         ns = segs.n_segments
         nq = segs.qcells.size
         qidx = np.arange(nq)
@@ -174,19 +195,23 @@ class P0Scheme:
         self.eval_op = sp.csr_matrix(
             (np.ones(2 * nq), (rows, cols)), shape=(2 * nq, 2 * ns)
         )
+        self._eval_t = self.eval_op.T.tocsr()
         self.n_unknowns = 2 * ns
-        self._wdiag = sp.diags(np.repeat(segs.qweights, 2))
+        self._weights = np.repeat(segs.qweights, 2)
         self._lengths = np.repeat(segs.length, 2)
-        self.load_map = sp.csr_matrix(self.trace_op.T @ self._wdiag @ self.eval_op)
+        self.load_map = sp.csr_matrix(
+            self.trace_op.T @ sp.diags(self._weights) @ self.eval_op
+        )
 
     def at_quadrature(self, z: np.ndarray) -> np.ndarray:
         return self.eval_op @ z
 
     def from_bulk(self, band_trace: np.ndarray) -> np.ndarray:
-        return (self.eval_op.T @ (self._wdiag @ (self.trace_op @ band_trace))) / self._lengths
+        qp_values = self.trace_op @ band_trace
+        return (self._eval_t @ (self._weights * qp_values)) / self._lengths
 
     def project_qp(self, qp_values: np.ndarray) -> np.ndarray:
-        return (self.eval_op.T @ (self._wdiag @ qp_values)) / self._lengths
+        return (self._eval_t @ (self._weights * qp_values)) / self._lengths
 
     def load_vector(self, z: np.ndarray) -> np.ndarray:
         return self.load_map @ z
@@ -197,12 +222,19 @@ class P0Scheme:
 
 @dataclass
 class InterfaceOperators:
-    """Precomputed per-pair interface machinery shared by both stages."""
+    """Precomputed per-pair interface machinery shared by both stages.
+
+    Built once per state.  ``scatter`` loads band fields into a subdomain
+    (linear stage); ``gather`` is its transpose stored as CSR, which reads
+    a subdomain's band trace (post-processing) without building a
+    transposed matrix on every iteration.
+    """
 
     pair: tuple[int, int]
     iface: InterfaceMesh
     scheme: P1Scheme | P0Scheme
     scatter: dict[int, sp.csr_matrix]  # subdomain -> (n_dofs, 2 * n_band)
+    gather: dict[int, sp.csr_matrix]  # subdomain -> (2 * n_band, n_dofs)
     qnormals: np.ndarray  # (nq, 2), pointing from low to high subdomain
 
 
@@ -222,6 +254,7 @@ def build_interface_operators(
         iface=iface,
         scheme=scheme_type(mesh, iface, params.gamma_pi),
         scatter=scatter,
+        gather={s: m.T.tocsr() for s, m in scatter.items()},
         qnormals=iface.segments.qnormals,
     )
 
@@ -464,7 +497,7 @@ def postprocess_interface(state: LatinState) -> None:
     k_minus = state.params.k_minus
     for pair, ops in state.operators.items():
         for side in pair:
-            trace = ops.scatter[side].T @ state.u[side]
+            trace = ops.gather[side] @ state.u[side]
             w_new = ops.scheme.from_bulk(trace)
             f_new = state.f_hat[(pair, side)] + k_minus * (
                 state.w_hat[(pair, side)] - w_new
@@ -528,15 +561,43 @@ def error_indicator(state: LatinState, previous: dict | None) -> float:
     den = 0.0
     for pair, ops in state.operators.items():
         norm = ops.scheme.norm_sq
+        # local_stage sets f_hat of the high side to exactly -f_hat of the
+        # low side, and norm_sq(-z) == norm_sq(z) bit for bit, so both sides'
+        # force terms are the low side's
+        low = (pair, pair[0])
+        df = norm(state.f_hat[low] - previous["f_hat"][low])
+        f = norm(state.f_hat[low])
         for side in pair:
             key = (pair, side)
-            num += norm(state.f_hat[key] - previous["f_hat"][key])
+            num += df
             num += k2 * norm(state.w_hat[key] - previous["w_hat"][key])
-            den += norm(state.f_hat[key])
+            den += f
             den += k2 * norm(state.w_hat[key])
     if den == 0.0:
         return 0.0
     return float(np.sqrt(num / den))
+
+
+def _divergence(state: LatinState) -> str | None:
+    """Name the first pair whose hat fields are not finite or, once there is
+    a previous iteration, whose indicator terms (squared norms of the hat
+    fields and of their changes) are not finite and nonnegative.  Diverging
+    fields can stay finite while such a norm, dominated by the near-kernel
+    of the interface mass, rounds negative."""
+    previous = state.previous
+    hat = (state.w_hat, state.f_hat)
+    for pair, ops in sorted(state.operators.items()):
+        keys = [(pair, side) for side in pair]
+        if not all(np.isfinite(f[key]).all() for f in hat for key in keys):
+            return f"non-finite interface fields on pair {pair}"
+        if previous is None:
+            continue
+        old = (previous["w_hat"], previous["f_hat"])
+        fields = [f[key] for f in hat for key in keys]
+        fields += [f[key] - g[key] for f, g in zip(hat, old) for key in keys]
+        if not all(0.0 <= ops.scheme.norm_sq(z) < math.inf for z in fields):
+            return f"non-finite error indicator on pair {pair}"
+    return None if previous is None else "non-finite error indicator"
 
 
 def _snapshot(state: LatinState) -> dict:
@@ -557,6 +618,10 @@ def iterate(
 
     A state that already ran some iterations resumes exactly: relaxation
     and the indicator use the snapshot its last iteration left.
+    Divergence raises SolverFailure naming the iteration and the pair: a
+    non-finite indicator, or, on the first iteration (whose indicator is
+    inf by definition), non-finite hat fields.  A finite indicator proves
+    the fields finite, so later iterations pay only for that one test.
     ``callback(it, state)`` fires after every iteration listed in
     ``checkpoints`` (1-based count, i.e. after `it+1` iterations are done).
     """
@@ -572,6 +637,10 @@ def iterate(
         except SolverFailure as err:
             raise SolverFailure(f"iteration {it}: {err}") from err
         indicator = error_indicator(state, state.previous)
+        if not math.isfinite(indicator):
+            failure = _divergence(state)
+            if failure is not None:
+                raise SolverFailure(f"iteration {it}: {failure}")
         state.previous = _snapshot(state)
         state.it = it + 1
         state.history.append(

@@ -123,7 +123,11 @@ class DenseFactor:
     _c: tuple
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve(self._c, np.asarray(b, dtype=float))
+        # like SpdFactor, a non-finite b gives a non-finite result instead of
+        # raising, so the LaTIn divergence check can say where it arose
+        return scipy.linalg.cho_solve(
+            self._c, np.asarray(b, dtype=float), check_finite=False
+        )
 
 
 def factorize_dense(a: np.ndarray) -> DenseFactor:

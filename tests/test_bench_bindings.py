@@ -3,7 +3,9 @@
 `perfbench/study.py --trace` rebinds each (module, attribute) site in its
 SPANS and COUNTED tables; a site renamed or deleted in `latincut` breaks the
 traced run only when it starts.  The tables are read from the file without
-importing it as a module, so nothing under `perfbench/` is written.
+importing it as a module, so nothing under `perfbench/` is written.  A
+traced solve checks that the LaTIn spans and counts land where the
+benchmark's per-layer breakdown expects them.
 """
 
 from pathlib import Path
@@ -39,9 +41,45 @@ def test_counted_site_resolves(name, path, attr):
     assert callable(getattr(study._owner(path), attr, None)), f"{name}: {path}.{attr}"
 
 
-def test_tracer_installs_on_every_site(monkeypatch):
+def install_tracer(monkeypatch):
     # monkeypatch restores every wrapped site when the test ends
     for _, path, attr in SPAN_SITES + list(study.COUNTED):
         owner = study._owner(path)
         monkeypatch.setattr(owner, attr, owner.__dict__[attr])
-    study.Tracer().install()
+    tracer = study.Tracer()
+    tracer.install()
+    return tracer
+
+
+def test_tracer_installs_on_every_site(monkeypatch):
+    install_tracer(monkeypatch)
+
+
+@pytest.mark.parametrize("scheme, solves", [("p1", 9), ("p0", 6)])
+def test_tracer_attributes_iteration_work(monkeypatch, scheme, solves):
+    # per iteration: one solve per subdomain, plus the P1 interface projection
+    tracer = install_tracer(monkeypatch)
+    from latincut import experiments
+    from latincut.latin import LatinParams
+
+    params = LatinParams(it_max=3, interface_scheme=scheme)
+    experiments.solve_problem(experiments.ellipse_case(base_nx=16, params=params))
+    record = tracer.record()
+    assert record["counts"]["latin.iterations"] == 3
+    assert record["counts"]["linalg.solve.calls"] == solves
+    spans = record["spans"]
+
+    def ancestors(index):
+        parent = spans[index][3]
+        while parent >= 0:
+            yield spans[parent][0]
+            parent = spans[parent][3]
+
+    stages = {
+        "latin.linear_stage", "latin.postprocess", "latin.local_stage",
+        "latin.projection", "latin.indicator", "latin.relax_snapshot",
+    }
+    latin = [i for i, span in enumerate(spans) if span[0].startswith("latin.")]
+    assert {spans[i][0] for i in latin} == stages | {"latin.build_state", "latin.iterate"}
+    inside = [i for i in latin if spans[i][0] in stages]
+    assert [spans[i][0] for i in inside if "latin.iterate" not in ancestors(i)] == []

@@ -6,10 +6,12 @@ mode is checked against an independently assembled monolithic saddle
 system with the same stabilization.
 """
 
+import logging
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from latincut import assembly
 from latincut.assembly import (
@@ -21,8 +23,10 @@ from latincut.assembly import (
 )
 from latincut.cutgeom import Material, build_cut_domain, build_interface, decompose_mesh
 from latincut.errors import ConfigError, SolverFailure
+from latincut.experiments import build_problem, ellipse_case, two_inclusions_case
 from latincut.latin import (
     ContactProblem,
+    IterationRecord,
     LatinParams,
     build_state,
     iterate,
@@ -309,6 +313,204 @@ def test_history_and_checkpoints():
     assert any(
         not np.array_equal(seen[3][i], seen[7][i]) for i in range(len(state.u))
     )
+
+
+# --- the iteration against its per-call reference -----------------------------
+
+def reference_project(ops, qp_values, scheme):
+    """The projection as written before caching: eval_op^T W qp with the
+    transpose and the diagonal weight matrix built on every call."""
+    segs = ops.iface.segments
+    w = sp.diags(np.repeat(segs.qweights, 2))
+    rhs = ops.scheme.eval_op.T @ (w @ qp_values)
+    if scheme == "p0":
+        return rhs / np.repeat(segs.length, 2)
+    return ops.scheme.proj.solve(rhs)
+
+
+def reference_iterate(state, n):
+    """n LaTIn iterations written with the per-iteration expressions the loop
+    used before its fixed operators were cached: every transpose and weight
+    matrix rebuilt on each call, every indicator norm evaluated."""
+    params = state.params
+    scheme = params.interface_scheme
+    k = params.k_plus
+    eta = params.eta
+    for _ in range(n):
+        for i, system in enumerate(state.systems):
+            load = np.zeros(system.space.n_dofs)
+            for pair, ops in state.operators.items():
+                if i in pair:
+                    z = state.f_hat[(pair, i)] + params.k_minus * state.w_hat[(pair, i)]
+                    load += ops.scatter[i] @ ops.scheme.load_vector(z)
+            state.u[i] = system.solve(load)
+
+        for pair, ops in state.operators.items():
+            for side in pair:
+                trace = ops.scatter[side].T @ state.u[side]
+                if scheme == "p0":
+                    w_new = reference_project(ops, ops.scheme.trace_op @ trace, scheme)
+                else:
+                    w_new = trace.copy()
+                key = (pair, side)
+                state.f_star[key] = state.f_hat[key] + params.k_minus * (
+                    state.w_hat[key] - w_new
+                )
+                state.w_star[key] = w_new
+
+        previous = state.previous
+        if previous is not None:
+            for key in state.w_star:
+                w_old, f_old = previous["w_star"][key], previous["f_star"][key]
+                state.w_star[key] = eta * state.w_star[key] + (1.0 - eta) * w_old
+                state.f_star[key] = eta * state.f_star[key] + (1.0 - eta) * f_old
+
+        n_active = n_total = 0
+        for pair, ops in state.operators.items():
+            i, j = pair
+            at = ops.scheme.at_quadrature
+            fi = at(state.f_star[(pair, i)]).reshape(-1, 2)
+            fj = at(state.f_star[(pair, j)]).reshape(-1, 2)
+            wi = at(state.w_star[(pair, i)]).reshape(-1, 2)
+            wj = at(state.w_star[(pair, j)]).reshape(-1, 2)
+            force = 0.5 * (fi - fj + k * (wj - wi))
+            if state.problem.contact:
+                heart = np.einsum("qi,qi->q", force, ops.qnormals)
+                n_active += int(np.count_nonzero(heart <= 0.0))
+                n_total += heart.size
+                force = np.minimum(heart, 0.0)[:, None] * ops.qnormals
+            f_hat_i = reference_project(ops, force.ravel(), scheme)
+            state.f_hat[(pair, i)] = f_hat_i
+            state.f_hat[(pair, j)] = -f_hat_i
+            for side in pair:
+                key = (pair, side)
+                state.w_hat[key] = state.w_star[key] + (
+                    state.f_hat[key] - state.f_star[key]
+                ) / k
+
+        if previous is None:
+            indicator = float("inf")
+        else:
+            num = den = 0.0
+            for pair, ops in state.operators.items():
+                norm = ops.scheme.norm_sq
+                for side in pair:
+                    key = (pair, side)
+                    num += norm(state.f_hat[key] - previous["f_hat"][key])
+                    num += k**2 * norm(state.w_hat[key] - previous["w_hat"][key])
+                    den += norm(state.f_hat[key])
+                    den += k**2 * norm(state.w_hat[key])
+            indicator = 0.0 if den == 0.0 else float(np.sqrt(num / den))
+        state.previous = {
+            name: {key: v.copy() for key, v in getattr(state, name).items()}
+            for name in ("w_star", "f_star", "w_hat", "f_hat")
+        }
+        state.it += 1
+        fraction = n_active / n_total if n_total else 0.0
+        state.history.append(IterationRecord(state.it, indicator, fraction))
+    return state
+
+
+def assert_bitwise(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_states_bitwise(state, ref):
+    assert state.it == ref.it
+    for ua, ub in zip(state.u, ref.u, strict=True):
+        assert_bitwise(ua, ub)
+    for name in ("w_star", "f_star", "w_hat", "f_hat"):
+        fields, ref_fields = getattr(state, name), getattr(ref, name)
+        assert fields.keys() == ref_fields.keys()
+        for key in fields:
+            assert_bitwise(fields[key], ref_fields[key])
+    assert state.history == ref.history
+
+
+ORACLE_CASES = {
+    "ellipse_p1": ellipse_case(base_nx=16, params=LatinParams(it_max=10)),
+    "ellipse_p0": ellipse_case(
+        base_nx=16, params=LatinParams(it_max=10, interface_scheme="p0")
+    ),
+    "two_inclusions": two_inclusions_case(base_nx=20, params=LatinParams(it_max=10)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_iteration_matches_reference_loop(case):
+    pdef = ORACLE_CASES[case]
+    state = iterate(build_state(build_problem(pdef), pdef.params))
+    ref = reference_iterate(build_state(build_problem(pdef), pdef.params), 10)
+    assert_states_bitwise(state, ref)
+    assert np.isinf(state.history[0].indicator)
+    assert all(0.0 < r.indicator < np.inf for r in state.history[1:])
+
+
+def test_resumed_iteration_matches_reference_loop():
+    pdef = ORACLE_CASES["ellipse_p1"]
+    state = build_state(build_problem(pdef), replace(pdef.params, it_max=5))
+    iterate(state)
+    state.params = pdef.params
+    iterate(state)
+    ref = reference_iterate(build_state(build_problem(pdef), pdef.params), 10)
+    assert_states_bitwise(state, ref)
+
+
+# --- divergence guard and fallback logging -------------------------------------
+
+def nan_solve(b):
+    return np.full(np.shape(b), np.nan)
+
+
+def test_nonfinite_fields_on_first_iteration_fail(monkeypatch):
+    state = build_state(two_block_problem(), LatinParams(it_max=5))
+    monkeypatch.setattr(state.systems[1].factor, "solve", nan_solve)
+    with pytest.raises(
+        SolverFailure, match=r"^iteration 0: non-finite interface fields on pair \(0, 1\)$"
+    ):
+        iterate(state)
+    assert state.it == 0 and state.history == []
+
+
+def test_nonfinite_indicator_after_first_iteration_fails(monkeypatch):
+    state = run(two_block_problem(), LatinParams(it_max=2))
+    state.params = replace(state.params, it_max=5)
+    monkeypatch.setattr(state.systems[0].factor, "solve", nan_solve)
+    with pytest.raises(
+        SolverFailure, match=r"^iteration 2: non-finite interface fields on pair \(0, 1\)$"
+    ):
+        iterate(state)
+    assert state.it == 2 and len(state.history) == 2
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+def test_diverging_lens_interface_fails_with_its_pair():
+    # at base_nx=16 the lens interface (1, 2) of the two inclusions diverges:
+    # its hat fields stay finite while their norms round negative; left
+    # running, the displacements pass 1e48 within 200 iterations
+    pdef = two_inclusions_case(base_nx=16, params=LatinParams(it_max=20))
+    state = build_state(build_problem(pdef), pdef.params)
+    with pytest.raises(
+        SolverFailure, match=r"^iteration 9: non-finite error indicator on pair \(1, 2\)$"
+    ):
+        iterate(state)
+
+
+def test_deflated_projection_logs_a_warning(caplog):
+    caplog.set_level(logging.WARNING, logger="latincut")
+    build_state(two_block_problem(n=7, cut=4.0 / 7.0), LatinParams(it_max=1))
+    records = [r for r in caplog.records if r.name == "latincut.latin"]
+    assert len(records) == 1
+    assert records[0].levelname == "WARNING"
+    assert "pair (0, 1)" in records[0].getMessage()
+
+
+def test_regular_projection_logs_nothing(caplog):
+    caplog.set_level(logging.DEBUG, logger="latincut")
+    pdef = ellipse_case(base_nx=40)
+    build_state(build_problem(pdef), pdef.params)
+    assert [r for r in caplog.records if r.name.startswith("latincut")] == []
 
 
 # --- bonded mode against the monolithic saddle --------------------------------
