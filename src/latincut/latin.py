@@ -7,15 +7,21 @@ interface quadrature points and maps the result back to nodal interface
 fields through a stabilized L2 projection.
 
 Everything an iteration applies that does not change between iterations is
-built once, with the state: the subdomain factorizations, the interface
-projection factors, and the sparse operators of each interface pair in the
-orientation the loop applies them (the band-to-subdomain scatter and its
-transpose as separate CSR matrices, the quadrature-point evaluation and its
-transpose, the quadrature weights as a vector).  Rebuilding a transposed or
-diagonal scipy matrix costs several times the product it feeds, and each
-iteration's own work is only a few sparse products and triangular solves.
-A CSR copy of a transpose accumulates every output entry in the same order
-as the transposed view, so the cached operators give bit-identical results.
+built once, with the state: the subdomain factorizations, each subdomain's
+right-hand side on its free dofs and a displacement template holding its
+Dirichlet values, the interface projection factors, and every sparse
+operator in the orientation the loop applies it (the band-to-subdomain
+scatter on a subdomain's free rows, its transpose, the quadrature-point
+evaluation and its transpose, the interface mass), each a
+`linalg.CsrOperator`.  An iteration is then a few small products, one
+triangular solve per subdomain and projection, and pointwise arithmetic.
+A CSR copy of a transpose or of a row subset sums every output entry in the
+same order as the matrix it came from, so results are bit-identical to the
+plain scipy expressions.
+
+No stage writes into a hat or starred field array in place; every stage
+assigns fresh arrays.  So the snapshot each iteration leaves for relaxation
+and the indicator shares its arrays with the state instead of copying them.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .cutgeom import (
 from .errors import ConfigError, SolverFailure, StabilizationConfigError
 from .levelset import DiscreteLevelSet
 from .linalg import (
+    CsrOperator,
     DenseFactor,
     NotSpdError,
     SparseSym,
@@ -53,6 +60,9 @@ from .linalg import (
 from .mesh import TriMesh
 
 INTERFACE_SCHEMES = ("p1", "p0")
+# eigenvalues below this fraction of the largest count as an interface
+# projection's kernel, and so does a pivot ratio below it
+DEFLATION_TOL = 1e-10
 
 log = logging.getLogger(__name__)
 
@@ -114,30 +124,35 @@ class P1Scheme:
     kernel vectors have zero trace E z), and all downstream uses of the
     result only read its trace, so the kernel is deflated explicitly and
     the solve returns the representative with zero component along it.
+    A kernel that rounding hides can still factor with positive pivots;
+    a pivot ratio below DEFLATION_TOL shows it, and takes the same path.
     """
 
     def __init__(self, mesh: TriMesh, iface: InterfaceMesh, gamma_pi: float):
         segs = iface.segments
-        self.eval_op = assembly.interface_eval_operator(
-            mesh, segs, iface.band_vertices
-        )
-        self._eval_t = self.eval_op.T.tocsr()
+        eval_op = assembly.interface_eval_operator(mesh, segs, iface.band_vertices)
+        self.eval_op = CsrOperator(eval_op)
+        self._eval_t = CsrOperator(eval_op.T)
         self._weights = np.repeat(segs.qweights, 2)
-        self.mass = assembly.interface_mass(self.eval_op, segs.qweights)
+        self.mass = assembly.interface_mass(eval_op, segs.qweights)
+        self._mass = CsrOperator(self.mass.csr)
         self.stab = assembly.gradient_jump_matrix(
             mesh, iface.interior_faces, iface.band_vertices, gamma_pi
         )
         self.n_unknowns = 2 * iface.band_vertices.size
         try:
-            self.proj: SpdFactor | DenseFactor = factorize(self.mass + self.stab)
+            proj = factorize(self.mass + self.stab)
         except NotSpdError:
-            self.proj = self._deflated_factor(iface, gamma_pi)
+            proj = None
+        if proj is None or proj.pivot_ratio < DEFLATION_TOL:
+            proj = self._deflated_factor(iface, gamma_pi)
+        self.proj: SpdFactor | DenseFactor = proj
 
     def _deflated_factor(self, iface: InterfaceMesh, gamma_pi: float) -> DenseFactor:
         a = (self.mass + self.stab).toarray()
         lam, vec = np.linalg.eigh(a)
         lam_max = lam[-1]
-        kernel = vec[:, lam <= 1e-10 * lam_max] if lam_max > 0.0 else vec
+        kernel = vec[:, lam <= DEFLATION_TOL * lam_max] if lam_max > 0.0 else vec
         if lam_max <= 0.0 or kernel.shape[1] == kernel.shape[0]:
             raise StabilizationConfigError(
                 f"interface projection for pair {iface.pair} is identically "
@@ -168,10 +183,10 @@ class P1Scheme:
         return self.proj.solve(self._eval_t @ (self._weights * qp_values))
 
     def load_vector(self, z: np.ndarray) -> np.ndarray:
-        return self.mass.matvec(z)
+        return self._mass @ z
 
     def norm_sq(self, z: np.ndarray) -> float:
-        return float(z @ self.mass.matvec(z))
+        return float(z @ (self._mass @ z))
 
 
 class P0Scheme:
@@ -184,24 +199,20 @@ class P0Scheme:
 
     def __init__(self, mesh: TriMesh, iface: InterfaceMesh, gamma_pi: float):
         segs = iface.segments
-        self.trace_op = assembly.interface_eval_operator(
-            mesh, segs, iface.band_vertices
-        )
+        trace_op = assembly.interface_eval_operator(mesh, segs, iface.band_vertices)
         ns = segs.n_segments
         nq = segs.qcells.size
         qidx = np.arange(nq)
         rows = np.concatenate((2 * qidx, 2 * qidx + 1))
         cols = np.concatenate((2 * segs.qseg, 2 * segs.qseg + 1))
-        self.eval_op = sp.csr_matrix(
-            (np.ones(2 * nq), (rows, cols)), shape=(2 * nq, 2 * ns)
-        )
-        self._eval_t = self.eval_op.T.tocsr()
+        eval_op = sp.csr_matrix((np.ones(2 * nq), (rows, cols)), shape=(2 * nq, 2 * ns))
+        self.trace_op = CsrOperator(trace_op)
+        self.eval_op = CsrOperator(eval_op)
+        self._eval_t = CsrOperator(eval_op.T)
         self.n_unknowns = 2 * ns
         self._weights = np.repeat(segs.qweights, 2)
         self._lengths = np.repeat(segs.length, 2)
-        self.load_map = sp.csr_matrix(
-            self.trace_op.T @ sp.diags(self._weights) @ self.eval_op
-        )
+        self.load_map = CsrOperator(trace_op.T @ sp.diags(self._weights) @ eval_op)
 
     def at_quadrature(self, z: np.ndarray) -> np.ndarray:
         return self.eval_op @ z
@@ -224,17 +235,17 @@ class P0Scheme:
 class InterfaceOperators:
     """Precomputed per-pair interface machinery shared by both stages.
 
-    Built once per state.  ``scatter`` loads band fields into a subdomain
-    (linear stage); ``gather`` is its transpose stored as CSR, which reads
-    a subdomain's band trace (post-processing) without building a
-    transposed matrix on every iteration.
+    Built once per state.  ``scatter`` loads band fields into a subdomain;
+    the linear stage applies its rows on the subdomain's free dofs, kept by
+    `SubdomainSystem`.  ``gather`` is its transpose, which reads a
+    subdomain's band trace (post-processing).
     """
 
     pair: tuple[int, int]
     iface: InterfaceMesh
     scheme: P1Scheme | P0Scheme
     scatter: dict[int, sp.csr_matrix]  # subdomain -> (n_dofs, 2 * n_band)
-    gather: dict[int, sp.csr_matrix]  # subdomain -> (2 * n_band, n_dofs)
+    gather: dict[int, CsrOperator]  # subdomain -> (2 * n_band, n_dofs)
     qnormals: np.ndarray  # (nq, 2), pointing from low to high subdomain
 
 
@@ -254,14 +265,20 @@ def build_interface_operators(
         iface=iface,
         scheme=scheme_type(mesh, iface, params.gamma_pi),
         scatter=scatter,
-        gather={s: m.T.tocsr() for s, m in scatter.items()},
+        gather={s: CsrOperator(m.T) for s, m in scatter.items()},
         qnormals=iface.segments.qnormals,
     )
 
 
 @dataclass
 class SubdomainSystem:
-    """One factorized linear-stage system; only the interface load changes."""
+    """One factorized linear-stage system; only the interface load changes.
+
+    ``scatter`` maps each interface pair the subdomain touches to the rows
+    of its band-to-subdomain scatter on the free dofs.  ``rhs_free`` (the
+    fixed load on the free dofs) and ``u_fixed`` (zero but for the
+    Dirichlet values) are derived from the other fields.
+    """
 
     space: FESpace
     matrix: SparseSym
@@ -271,12 +288,23 @@ class SubdomainSystem:
     fixed_values: np.ndarray
     factor: SpdFactor
     lift: np.ndarray
+    scatter: dict[tuple[int, int], CsrOperator]
+    rhs_free: np.ndarray = field(init=False)
+    u_fixed: np.ndarray = field(init=False)
 
-    def solve(self, interface_load: np.ndarray) -> np.ndarray:
-        b = (self.rhs0 + interface_load)[self.free] - self.lift
-        u = np.zeros(self.space.n_dofs)
-        u[self.fixed] = self.fixed_values
-        u[self.free] = self.factor.solve(b)
+    def __post_init__(self) -> None:
+        self.rhs_free = self.rhs0[self.free]
+        self.u_fixed = np.zeros(self.space.n_dofs)
+        self.u_fixed[self.fixed] = self.fixed_values
+
+    def solve(self, interface_load: np.ndarray | None) -> np.ndarray:
+        """Displacements for an interface load on the free dofs (None when
+        the subdomain touches no interface).  rhs0 holds no -0.0, so adding
+        it erases the only difference between a load summed from zero and
+        one summed from its first term."""
+        b = self.rhs_free if interface_load is None else self.rhs_free + interface_load
+        u = self.u_fixed.copy()
+        u[self.free] = self.factor.solve(b - self.lift)
         return u
 
 
@@ -344,6 +372,7 @@ def build_subdomain_system(
         fixed_values=fixed_values,
         factor=factor,
         lift=lift,
+        scatter={ops.pair: CsrOperator(ops.scatter[index][free]) for ops in interface_ops},
     )
 
 
@@ -477,14 +506,16 @@ def build_state(problem: ContactProblem, params: LatinParams) -> LatinState:
 
 def linear_stage(state: LatinState) -> None:
     """Solve every subdomain against the current hat fields."""
-    params = state.params
+    k_minus = state.params.k_minus
     for i, system in enumerate(state.systems):
-        load = np.zeros(system.space.n_dofs)
-        for pair, ops in state.operators.items():
-            if i not in pair:
-                continue
-            z = state.f_hat[(pair, i)] + params.k_minus * state.w_hat[(pair, i)]
-            load += ops.scatter[i] @ ops.scheme.load_vector(z)
+        load = None
+        for pair, scatter in system.scatter.items():
+            z = state.f_hat[(pair, i)] + k_minus * state.w_hat[(pair, i)]
+            part = scatter @ state.operators[pair].scheme.load_vector(z)
+            if load is None:
+                load = part
+            else:
+                load += part
         try:
             state.u[i] = system.solve(load)
         except (np.linalg.LinAlgError, FloatingPointError) as err:
@@ -511,10 +542,13 @@ def relax(state: LatinState, previous: dict | None) -> None:
     if previous is None:
         return
     eta = state.params.eta
-    w_old, f_old = previous["w_star"], previous["f_star"]
-    for key in state.w_star:
-        state.w_star[key] = eta * state.w_star[key] + (1.0 - eta) * w_old[key]
-        state.f_star[key] = eta * state.f_star[key] + (1.0 - eta) * f_old[key]
+    keep = 1.0 - eta
+    for name in ("w_star", "f_star"):
+        fields, old = getattr(state, name), previous[name]
+        for key, new in fields.items():
+            blended = eta * new
+            blended += keep * old[key]
+            fields[key] = blended
 
 
 def local_stage(state: LatinState) -> float:
@@ -601,11 +635,13 @@ def _divergence(state: LatinState) -> str | None:
 
 
 def _snapshot(state: LatinState) -> dict:
+    """The fields of the iteration just done.  The arrays are shared, not
+    copied: no stage writes into them (module docstring)."""
     return {
-        "w_star": {k: v.copy() for k, v in state.w_star.items()},
-        "f_star": {k: v.copy() for k, v in state.f_star.items()},
-        "w_hat": {k: v.copy() for k, v in state.w_hat.items()},
-        "f_hat": {k: v.copy() for k, v in state.f_hat.items()},
+        "w_star": dict(state.w_star),
+        "f_star": dict(state.f_star),
+        "w_hat": dict(state.w_hat),
+        "f_hat": dict(state.f_hat),
     }
 
 

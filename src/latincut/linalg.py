@@ -8,6 +8,14 @@ the operator and inverse iteration through its factorization.  Each stops
 when its residual certifies that the Rayleigh quotient is close to *an*
 eigenvalue; that need not be the extreme one, and since Rayleigh quotients
 never exceed the largest eigenvalue, the condition number is a lower bound.
+
+`CsrOperator` applies a fixed CSR matrix through scipy's compiled kernel
+`_sparsetools.csr_matvec`, the routine `csr_matrix @ vector` ends in after
+its dispatch and dtype checks.  The LaTIn loop applies a handful of small
+fixed operators thousands of times, and on matrices of a few hundred rows
+those checks cost about as much as the product.  The kernel is private to
+scipy, but calling it directly keeps every sum in the same order, so the
+results are bit-identical to the public product.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import splu
 
 from .errors import NotSpdError, SolverFailure
@@ -85,12 +94,39 @@ class SparseSym:
         return SparseSym.finalize(self.csr + other.csr)
 
 
+class CsrOperator:
+    """A fixed sparse matrix applied to float vectors by `op @ x`, bit for
+    bit like `csr_matrix @ x`.  A float CSR matrix is held without copying
+    its arrays; any other is converted once."""
+
+    __slots__ = ("shape", "indptr", "indices", "data")
+
+    def __init__(self, a: sp.spmatrix):
+        a = a.tocsr().astype(float, copy=False)
+        self.shape = a.shape
+        self.indptr, self.indices, self.data = a.indptr, a.indices, a.data
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        n_row, n_col = self.shape
+        if x.shape != (n_col,):
+            raise ValueError(f"cannot apply a {self.shape} operator to shape {x.shape}")
+        y = np.zeros(n_row)
+        csr_matvec(n_row, n_col, self.indptr, self.indices, self.data, x, y)
+        return y
+
+
 @dataclass
 class SpdFactor:
-    """Cholesky-type factorization handle with a solve method."""
+    """Cholesky-type factorization handle with a solve method.
+
+    ``pivot_ratio`` is min/max of the (positive) pivots: a factorization
+    can succeed with positive pivots on a matrix that is singular to
+    working precision, and a tiny ratio is what shows it.
+    """
 
     n: int
     _lu: object
+    pivot_ratio: float
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._lu.solve(np.asarray(b, dtype=float))
@@ -112,7 +148,7 @@ def factorize(a: SparseSym) -> SpdFactor:
     pivots = lu.U.diagonal()
     if not np.all(np.isfinite(pivots)) or np.any(pivots <= 0.0):
         raise NotSpdError("matrix has a non-positive pivot; it is not SPD")
-    return SpdFactor(n=a.n, _lu=lu)
+    return SpdFactor(n=a.n, _lu=lu, pivot_ratio=float(pivots.min() / pivots.max()))
 
 
 @dataclass

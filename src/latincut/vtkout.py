@@ -5,7 +5,8 @@ points (uncut elements whole, cut elements as their material sub-triangles)
 so no connectivity bookkeeping is needed.  Displacement is interpolated to
 the corners; the constant per-element stress is replicated onto the
 sub-triangles.  All numbers are written with repr so identical runs produce
-identical bytes.
+identical bytes; they are converted to Python floats in bulk with
+`tolist()`, which gives the same floats as converting one value at a time.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ def element_stresses(space: FESpace, u: np.ndarray) -> np.ndarray:
     return strain @ d.T
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _xy0_lines(pairs: np.ndarray) -> list[str]:
+    """One "x y 0.0" line per row of pairs, shape (..., 2)."""
+    return [f"{x!r} {y!r} 0.0" for x, y in pairs.reshape(-1, 2).tolist()]
 
 
 def write_subdomain_vtk(path, space: FESpace, u: np.ndarray, title: str) -> None:
@@ -81,9 +83,7 @@ def write_subdomain_vtk(path, space: FESpace, u: np.ndarray, title: str) -> None
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {n_pts} double",
     ]
-    for tri in coords:
-        for x, y in tri:
-            lines.append(f"{_fmt(x)} {_fmt(y)} 0.0")
+    lines.extend(_xy0_lines(coords))
     lines.append(f"CELLS {m} {4 * m}")
     for k in range(m):
         lines.append(f"3 {3 * k} {3 * k + 1} {3 * k + 2}")
@@ -91,13 +91,11 @@ def write_subdomain_vtk(path, space: FESpace, u: np.ndarray, title: str) -> None
     lines.extend(["5"] * m)
     lines.append(f"POINT_DATA {n_pts}")
     lines.append("VECTORS displacement double")
-    for tri in disp:
-        for ux, uy in tri:
-            lines.append(f"{_fmt(ux)} {_fmt(uy)} 0.0")
+    lines.extend(_xy0_lines(disp))
     lines.append(f"CELL_DATA {m}")
     for name, col in (("stress_xx", 0), ("stress_yy", 1), ("stress_xy", 2)):
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
-        lines.extend(_fmt(v) for v in stress[:, col])
+        lines.extend(map(repr, stress[:, col].tolist()))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")

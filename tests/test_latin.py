@@ -34,6 +34,7 @@ from latincut.latin import (
     run,
 )
 from latincut.levelset import HalfPlane, interpolate_levelset
+from latincut.linalg import DenseFactor
 from latincut.mesh import build_structured_mesh
 
 MAT = Material(e=1.0, nu=0.3)
@@ -160,12 +161,12 @@ def test_first_linear_stage_matches_dense_solve():
 def test_linear_stage_reports_only_numerical_failures(monkeypatch):
     state = build_state(two_block_problem(), LatinParams(it_max=1))
     system = state.systems[0]
-    rhs0 = system.rhs0
+    rhs_free = system.rhs_free
     # a load of the wrong length is a programming error, not a solver failure
-    system.rhs0 = rhs0[:-1]
+    system.rhs_free = rhs_free[:-1]
     with pytest.raises(ValueError):
         linear_stage(state)
-    system.rhs0 = rhs0
+    system.rhs_free = rhs_free
 
     def singular(b):
         raise np.linalg.LinAlgError("singular factor")
@@ -317,39 +318,65 @@ def test_history_and_checkpoints():
 
 # --- the iteration against its per-call reference -----------------------------
 
+def as_scipy(op):
+    """The scipy CSR matrix a `linalg.CsrOperator` holds, so the reference
+    applies it through scipy's own product."""
+    return sp.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape)
+
+
 def reference_project(ops, qp_values, scheme):
     """The projection as written before caching: eval_op^T W qp with the
     transpose and the diagonal weight matrix built on every call."""
     segs = ops.iface.segments
     w = sp.diags(np.repeat(segs.qweights, 2))
-    rhs = ops.scheme.eval_op.T @ (w @ qp_values)
+    rhs = as_scipy(ops.scheme.eval_op).T @ (w @ qp_values)
     if scheme == "p0":
         return rhs / np.repeat(segs.length, 2)
     return ops.scheme.proj.solve(rhs)
 
 
 def reference_iterate(state, n):
-    """n LaTIn iterations written with the per-iteration expressions the loop
-    used before its fixed operators were cached: every transpose and weight
-    matrix rebuilt on each call, every indicator norm evaluated."""
+    """n LaTIn iterations written as plain scipy expressions, the way the
+    loop read before its fixed operators were cached: every transpose,
+    weight matrix and full-length load rebuilt on each call, every indicator
+    norm evaluated.  Only the factorizations are the state's."""
     params = state.params
     scheme = params.interface_scheme
     k = params.k_plus
     eta = params.eta
+
+    def load_vector(ops, z):
+        if scheme == "p0":
+            return as_scipy(ops.scheme.load_map) @ z
+        return ops.scheme.mass.csr @ z
+
+    def at_quadrature(ops, z):
+        return as_scipy(ops.scheme.eval_op) @ z
+
+    def norm_sq(ops, z):
+        if scheme == "p0":
+            return float((z * z) @ np.repeat(ops.iface.segments.length, 2))
+        return float(z @ (ops.scheme.mass.csr @ z))
+
     for _ in range(n):
         for i, system in enumerate(state.systems):
             load = np.zeros(system.space.n_dofs)
             for pair, ops in state.operators.items():
                 if i in pair:
                     z = state.f_hat[(pair, i)] + params.k_minus * state.w_hat[(pair, i)]
-                    load += ops.scatter[i] @ ops.scheme.load_vector(z)
-            state.u[i] = system.solve(load)
+                    load += ops.scatter[i] @ load_vector(ops, z)
+            b = (system.rhs0 + load)[system.free] - system.lift
+            u = np.zeros(system.space.n_dofs)
+            u[system.fixed] = system.fixed_values
+            u[system.free] = system.factor.solve(b)
+            state.u[i] = u
 
         for pair, ops in state.operators.items():
             for side in pair:
                 trace = ops.scatter[side].T @ state.u[side]
                 if scheme == "p0":
-                    w_new = reference_project(ops, ops.scheme.trace_op @ trace, scheme)
+                    qp_trace = as_scipy(ops.scheme.trace_op) @ trace
+                    w_new = reference_project(ops, qp_trace, scheme)
                 else:
                     w_new = trace.copy()
                 key = (pair, side)
@@ -368,11 +395,10 @@ def reference_iterate(state, n):
         n_active = n_total = 0
         for pair, ops in state.operators.items():
             i, j = pair
-            at = ops.scheme.at_quadrature
-            fi = at(state.f_star[(pair, i)]).reshape(-1, 2)
-            fj = at(state.f_star[(pair, j)]).reshape(-1, 2)
-            wi = at(state.w_star[(pair, i)]).reshape(-1, 2)
-            wj = at(state.w_star[(pair, j)]).reshape(-1, 2)
+            fi = at_quadrature(ops, state.f_star[(pair, i)]).reshape(-1, 2)
+            fj = at_quadrature(ops, state.f_star[(pair, j)]).reshape(-1, 2)
+            wi = at_quadrature(ops, state.w_star[(pair, i)]).reshape(-1, 2)
+            wj = at_quadrature(ops, state.w_star[(pair, j)]).reshape(-1, 2)
             force = 0.5 * (fi - fj + k * (wj - wi))
             if state.problem.contact:
                 heart = np.einsum("qi,qi->q", force, ops.qnormals)
@@ -393,13 +419,12 @@ def reference_iterate(state, n):
         else:
             num = den = 0.0
             for pair, ops in state.operators.items():
-                norm = ops.scheme.norm_sq
                 for side in pair:
                     key = (pair, side)
-                    num += norm(state.f_hat[key] - previous["f_hat"][key])
-                    num += k**2 * norm(state.w_hat[key] - previous["w_hat"][key])
-                    den += norm(state.f_hat[key])
-                    den += k**2 * norm(state.w_hat[key])
+                    num += norm_sq(ops, state.f_hat[key] - previous["f_hat"][key])
+                    num += k**2 * norm_sq(ops, state.w_hat[key] - previous["w_hat"][key])
+                    den += norm_sq(ops, state.f_hat[key])
+                    den += k**2 * norm_sq(ops, state.w_hat[key])
             indicator = 0.0 if den == 0.0 else float(np.sqrt(num / den))
         state.previous = {
             name: {key: v.copy() for key, v in getattr(state, name).items()}
@@ -433,6 +458,8 @@ ORACLE_CASES = {
     "ellipse_p0": ellipse_case(
         base_nx=16, params=LatinParams(it_max=10, interface_scheme="p0")
     ),
+    # long enough for the contact set to move and settle
+    "ellipse_contact": ellipse_case(base_nx=16, params=LatinParams(it_max=40)),
     "two_inclusions": two_inclusions_case(base_nx=20, params=LatinParams(it_max=10)),
 }
 
@@ -441,10 +468,45 @@ ORACLE_CASES = {
 def test_iteration_matches_reference_loop(case):
     pdef = ORACLE_CASES[case]
     state = iterate(build_state(build_problem(pdef), pdef.params))
-    ref = reference_iterate(build_state(build_problem(pdef), pdef.params), 10)
+    ref = reference_iterate(build_state(build_problem(pdef), pdef.params), pdef.params.it_max)
     assert_states_bitwise(state, ref)
     assert np.isinf(state.history[0].indicator)
     assert all(0.0 < r.indicator < np.inf for r in state.history[1:])
+    if case == "ellipse_contact":
+        fractions = [r.contact_fraction for r in state.history]
+        assert all(0.0 < f < 1.0 for f in fractions)
+        assert len(set(fractions)) > 1
+
+
+def test_subdomain_without_interfaces_matches_reference_loop():
+    # grouping every region into one body leaves a subdomain with no
+    # interface load at all
+    pdef = replace(
+        two_inclusions_case(base_nx=12, params=LatinParams(it_max=2)),
+        grouping=(0, 0, 0),
+        e_moduli=(1.0,),
+    )
+    state = iterate(build_state(build_problem(pdef), pdef.params))
+    assert state.pairs == [] and len(state.systems) == 1
+    ref = reference_iterate(build_state(build_problem(pdef), pdef.params), 2)
+    assert_states_bitwise(state, ref)
+
+
+def test_snapshot_arrays_are_not_written_in_place():
+    # the snapshot an iteration leaves shares its arrays with the state, so
+    # the next iteration must leave every one of them as it was
+    pdef = ORACLE_CASES["ellipse_p1"]
+    state = build_state(build_problem(pdef), replace(pdef.params, it_max=3))
+    iterate(state)
+    previous = state.previous
+    saved = {
+        (name, key): v.tobytes() for name, fields in previous.items() for key, v in fields.items()
+    }
+    state.params = replace(state.params, it_max=4)
+    iterate(state)
+    assert state.previous is not previous
+    for (name, key), data in saved.items():
+        assert previous[name][key].tobytes() == data, (name, key)
 
 
 def test_resumed_iteration_matches_reference_loop():
@@ -484,17 +546,20 @@ def test_nonfinite_indicator_after_first_iteration_fails(monkeypatch):
     assert state.it == 2 and len(state.history) == 2
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
-def test_diverging_lens_interface_fails_with_its_pair():
-    # at base_nx=16 the lens interface (1, 2) of the two inclusions diverges:
-    # its hat fields stay finite while their norms round negative; left
-    # running, the displacements pass 1e48 within 200 iterations
-    pdef = two_inclusions_case(base_nx=16, params=LatinParams(it_max=20))
+def test_nearly_singular_lens_projection_is_deflated(caplog):
+    # at base_nx=16 the lens interface (1, 2) of the two inclusions has a
+    # projection matrix singular to working precision that still factors
+    # with positive pivots (pivot ratio about 5e-13); undetected, its
+    # near-kernel blew the hat fields up within ten iterations
+    caplog.set_level(logging.WARNING, logger="latincut")
+    pdef = two_inclusions_case(base_nx=16, params=LatinParams(it_max=200))
     state = build_state(build_problem(pdef), pdef.params)
-    with pytest.raises(
-        SolverFailure, match=r"^iteration 9: non-finite error indicator on pair \(1, 2\)$"
-    ):
-        iterate(state)
+    records = [r for r in caplog.records if r.name == "latincut.latin"]
+    assert [r.levelname for r in records] == ["WARNING"]
+    assert "pair (1, 2)" in records[0].getMessage()
+    assert isinstance(state.operators[(1, 2)].scheme.proj, DenseFactor)
+    iterate(state)
+    assert state.history[-1].indicator < 1e-3
 
 
 def test_deflated_projection_logs_a_warning(caplog):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from latincut.errors import NotSpdError, SolverFailure
 from latincut.linalg import (
+    CsrOperator,
     DenseFactor,
     SparseSym,
     condition_number,
@@ -69,6 +71,53 @@ def test_matvec():
     a = SparseSym.finalize(sp.csr_matrix(spd_from(3, 6)))
     x = np.arange(6.0)
     np.testing.assert_allclose(a.matvec(x), a.toarray() @ x, rtol=1e-14)
+
+
+# signed zeros and ordinary floats, so a result differing only in the sign
+# of a zero shows in its bytes
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def csr_and_vector(draw):
+    """A CSR matrix with empty rows and stored (signed) zeros likely, its
+    indices in int32 or int64, and a vector to apply it to."""
+    n_row, n_col = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    dense = draw(arrays(np.float64, (n_row, n_col), elements=ENTRIES))
+    stored = draw(arrays(np.bool_, (n_row, n_col)))
+    rows, cols = np.nonzero(stored)
+    index = draw(st.sampled_from([np.int32, np.int64]))
+    a = sp.csr_matrix((n_row, n_col))
+    a.data = dense[rows, cols]
+    a.indices = cols.astype(index)
+    a.indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1)))).astype(index)
+    x = draw(arrays(np.float64, n_col, elements=ENTRIES))
+    return a, x
+
+
+@given(case=csr_and_vector())
+def test_csr_operator_matches_scipy_byte_for_byte(case):
+    a, x = case
+    op = CsrOperator(a)
+    assert op.indices.dtype == a.indices.dtype and op.data is a.data
+    assert (op @ x).tobytes() == (a @ x).tobytes()
+
+
+def test_csr_operator_rejects_a_wrong_length():
+    op = CsrOperator(sp.csr_matrix(np.ones((2, 3))))
+    with pytest.raises(ValueError):
+        op @ np.ones(2)
+
+
+def test_pivot_ratio():
+    a = SparseSym.finalize(sp.csr_matrix(np.diag([4.0, 1.0, 2.0])))
+    assert factorize(a).pivot_ratio == 0.25
+    # singular to working precision, yet every pivot is positive
+    tiny = SparseSym.finalize(sp.csr_matrix(np.diag([1.0, 1e-14])))
+    assert factorize(tiny).pivot_ratio == 1e-14
 
 
 @given(n=st.integers(2, 12), seed=st.integers(0, 1000))
