@@ -3,16 +3,11 @@
 Assembled operators are kept in CSR form, finalized to an exactly symmetric
 pattern.  Factorization is a sparse direct solve with a fill-reducing
 symmetric ordering and diagonal pivoting, so a non-positive pivot reliably
-flags a non-SPD operator.  Condition numbers of operators of order up to
-`DENSE_CONDITION_MAX_N` come from the dense symmetric eigensolver, which
-there costs no more than the iterations and gives the extreme eigenvalues
-exactly.  Larger ones come from power iteration on the operator and inverse
-iteration through its factorization.  Each stops when its residual
-certifies that the Rayleigh quotient is close to *an* eigenvalue; that need
-not be the extreme one (it is not when the start vector has little weight
-on the extreme eigenvector and the next eigenvalue is close), and since
-Rayleigh quotients never exceed the largest eigenvalue, the condition
-number is a lower bound.
+flags a non-SPD operator.  Condition numbers come from power iteration on
+the operator and inverse iteration through its factorization.  Each stops
+when its residual certifies that the Rayleigh quotient is close to *an*
+eigenvalue; that need not be the extreme one, and since Rayleigh quotients
+never exceed the largest eigenvalue, the condition number is a lower bound.
 
 `CsrOperator` applies a fixed CSR matrix through scipy's compiled kernel
 `_sparsetools.csr_matvec`, the routine `csr_matrix @ vector` ends in after
@@ -20,7 +15,10 @@ its dispatch and dtype checks.  The LaTIn loop applies a handful of small
 fixed operators thousands of times, and on matrices of a few hundred rows
 those checks cost about as much as the product.  The kernel is private to
 scipy, but calling it directly keeps every sum in the same order, so the
-results are bit-identical to the public product.
+results are bit-identical to the public product.  Because a scipy release
+may rename or drop it, and this module is imported by every command,
+`pyproject.toml` caps scipy below 1.18 (the kernel was checked against
+the public product on scipy 1.17).
 """
 
 from __future__ import annotations
@@ -181,12 +179,6 @@ def factorize_dense(a: np.ndarray) -> DenseFactor:
     return DenseFactor(n=a.shape[0], _c=c)
 
 
-# Order up to which condition numbers are computed from all eigenvalues of
-# the dense matrix: on assembled operators of this size that costs no more
-# than the power iterations (about 7 ms each at n = 256).
-DENSE_CONDITION_MAX_N = 256
-
-
 def _extreme_eigenvalue(apply_op, n: int, rng, tol: float, max_iter: int):
     """Estimate of the largest eigenvalue of a symmetric positive operator by
     power iteration.
@@ -220,13 +212,12 @@ def condition_number(
 ) -> float:
     """2-norm condition number estimate of an SPD matrix.
 
-    Exact, from the dense eigenvalues, up to order `DENSE_CONDITION_MAX_N`.
-    Above it, the product of power-iteration estimates of the largest
-    eigenvalues of the matrix and of its inverse.  Each is a Rayleigh
-    quotient, so the result is a lower bound on the true condition number.
-    Convergence only certifies eigenvalues, not the extreme ones, so even a
-    converged estimate can fall short by more than ``tol`` when an iteration
-    stops at a lower eigenvalue.
+    The product of power-iteration estimates of the largest eigenvalues of
+    the matrix and of its inverse.  Each is a Rayleigh quotient, so the
+    result is a lower bound on the true condition number.  Convergence only
+    certifies eigenvalues, not the extreme ones, so even a converged estimate
+    can fall short by more than ``tol`` when an iteration stops at a lower
+    eigenvalue.
 
     Deterministic for a fixed seed.  Returns inf if the matrix is not SPD.
     If an iteration hits the cap the current estimate is returned and a
@@ -239,12 +230,6 @@ def condition_number(
     except NotSpdError as exc:
         log.warning("condition number reported as inf: %s", exc)
         return np.inf
-    if a.n <= DENSE_CONDITION_MAX_N:
-        eig = np.linalg.eigvalsh(a.toarray())
-        if eig[0] <= 0.0:
-            log.warning("condition number reported as inf: smallest eigenvalue %g", eig[0])
-            return np.inf
-        return float(eig[-1] / eig[0])
     rng = np.random.default_rng(seed)
     lam_max, ok_max = _extreme_eigenvalue(a.matvec, a.n, rng, tol, max_iter)
     inv_max, ok_min = _extreme_eigenvalue(factor.solve, a.n, rng, tol, max_iter)
