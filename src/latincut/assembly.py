@@ -128,6 +128,17 @@ def _traction_maps(space: FESpace, cells: np.ndarray, normals: np.ndarray) -> np
     return np.einsum("mia,ab,mbj->mij", nmat, d, b, optimize=True)
 
 
+def _larger_neighbor_diameter(
+    mesh: TriMesh, left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """Per face, the diameter of the larger of its two cells; computed for
+    those cells only, not for the whole mesh."""
+    return np.maximum(
+        triangle_diameters(mesh.vertices, mesh.triangles[left]),
+        triangle_diameters(mesh.vertices, mesh.triangles[right]),
+    )
+
+
 def assemble_ghost_penalty(space: FESpace, gamma_g: float) -> SparseSym:
     """Normal-stress jump penalty over the fictitious ghost faces.
 
@@ -146,8 +157,7 @@ def assemble_ghost_penalty(space: FESpace, gamma_g: float) -> SparseSym:
     t_right = _traction_maps(space, right, normals)
     tjump = np.concatenate((t_left, -t_right), axis=2)  # (m, 2, 12)
 
-    diam = triangle_diameters(mesh.vertices, mesh.triangles)
-    h_face = np.maximum(diam[left], diam[right])
+    h_face = _larger_neighbor_diameter(mesh, left, right)
     d = mesh.vertices[faces[:, 1]] - mesh.vertices[faces[:, 0]]
     flen = np.hypot(d[:, 0], d[:, 1])
     scale = gamma_g * h_face * flen / domain.material.e
@@ -332,8 +342,7 @@ def gradient_jump_matrix(
         return gx * normals[:, 0:1] + gy * normals[:, 1:2]
 
     g = np.concatenate((normal_gradient_rows(left), -normal_gradient_rows(right)), axis=1)
-    diam = triangle_diameters(mesh.vertices, mesh.triangles)
-    h_face = np.maximum(diam[left], diam[right])
+    h_face = _larger_neighbor_diameter(mesh, left, right)
     d = mesh.vertices[faces[:, 1]] - mesh.vertices[faces[:, 0]]
     flen = np.hypot(d[:, 0], d[:, 1])
     scale = gamma_pi * h_face**2 * flen

@@ -127,9 +127,10 @@ def _run_condition_sweep(cfg: RunConfig, outdir: Path) -> None:
         workers=cfg.workers,
     )
     write_csv(outdir / "condition.csv", ["eps", "gamma_g", "kappa"], rows)
-    # record the boundary conditions the sweep assumes
+    # record the first swept problem, with the boundary conditions it assumes
+    eps = v["crack.eps_values"][0]
     exemplar = experiments.crack_problem(
-        v["crack.eps_x"], v["crack.eps_values"][0], v["crack.n"],
+        eps if v["crack.mode"] == "double" else v["crack.eps_x"], eps, v["crack.n"],
         v["crack.gamma_g_values"][0], v["study.nu"],
     )
     (outdir / "crack_problem.cfg").write_text(

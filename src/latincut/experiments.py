@@ -9,6 +9,7 @@ writer.
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -33,7 +34,7 @@ from .latin import (
     iterate,
 )
 from .levelset import Circle, Ellipse, HalfPlane, interpolate_levelset
-from .linalg import condition_number
+from .linalg import SparseSym, condition_number
 from .mesh import build_structured_mesh
 
 EXPERIMENTS = (
@@ -333,8 +334,21 @@ def linear_stage_condition_numbers(pdef: ProblemDef) -> dict[int, float]:
     return gamma_sweep_condition_numbers(pdef, (pdef.params.gamma_g,))[0]
 
 
+def _operator_key(a: SparseSym) -> bytes:
+    """SHA-256 of an operator's shape, dtypes and CSR arrays: equal keys mean
+    bit-identical storage, hence bit-identical condition numbers."""
+    h = hashlib.sha256(
+        repr((a.csr.shape, a.indptr.dtype.str, a.indices.dtype.str, a.data.dtype.str)).encode()
+    )
+    for arr in (a.indptr, a.indices, a.data):
+        h.update(arr)
+    return h.digest()
+
+
 def gamma_sweep_condition_numbers(
-    pdef: ProblemDef, gamma_g_values: Iterable[float]
+    pdef: ProblemDef,
+    gamma_g_values: Iterable[float],
+    memo: dict[bytes, float] | None = None,
 ) -> list[dict[int, float]]:
     """linear_stage_condition_numbers for each ghost-penalty weight in turn.
 
@@ -343,6 +357,10 @@ def gamma_sweep_condition_numbers(
     operator is summed as (elasticity + ghost penalty) + augmentation, the
     order `latin.build_subdomain_system` uses: floating-point sums depend on
     it, and kappa must describe the matrix the linear stage factorizes.
+
+    With a memo ({`_operator_key`: kappa}), an operator bit-identical to
+    one already estimated reuses its kappa instead of being factorized
+    again; `condition_number` is deterministic, so the result is the same.
     """
     gammas = [float(g) for g in gamma_g_values]
     _, _, _, spaces, interfaces = problem_spaces(pdef)
@@ -362,7 +380,14 @@ def gamma_sweep_condition_numbers(
         for kappas, gamma_g in zip(out, gammas):
             a = elasticity + assembly.assemble_ghost_penalty(space, gamma_g)
             a = a + augmentation
-            kappas[i] = condition_number(a.submatrix(free))
+            a = a.submatrix(free)
+            if memo is None:
+                kappas[i] = condition_number(a)
+            else:
+                key = _operator_key(a)
+                if key not in memo:
+                    memo[key] = condition_number(a)
+                kappas[i] = memo[key]
     return out
 
 
@@ -377,11 +402,11 @@ def crack_condition_case(
 
 def _crack_kappas(args) -> list[float]:
     """Worst-subproblem kappa of one crack geometry for each gamma_g."""
-    eps_x, eps_y, n, gamma_g_values, nu = args
+    eps_x, eps_y, n, gamma_g_values, nu, memo = args
     pdef = crack_problem(eps_x, eps_y, n, gamma_g_values[0], nu)
     return [
         max(kappas.values())
-        for kappas in gamma_sweep_condition_numbers(pdef, gamma_g_values)
+        for kappas in gamma_sweep_condition_numbers(pdef, gamma_g_values, memo)
     ]
 
 
@@ -562,6 +587,12 @@ def run_condition_sweep(
     diagonal shift; mode "double" moves all three interfaces together.
     Rows run over eps for each gamma_g in turn; each (eps_x, eps) geometry
     is built once, and is one job for the worker pool.
+
+    Kappa is estimated once per distinct operator: a memo keyed by the
+    SHA-256 of the operator's storage lives for this call and holds floats
+    only.  Subdomains the moving cut leaves unchanged, and a ghost penalty
+    with no ghost faces to act on, repeat an operator bit for bit.  Serial
+    jobs share the memo; each pooled job gets its own (empty) copy.
     """
     if mode not in ("simple", "double"):
         raise ConfigError(f"unknown crack sweep mode {mode!r}")
@@ -570,7 +601,8 @@ def run_condition_sweep(
         return []
     shifts = [(eps if mode == "double" else eps_x_fixed, float(eps)) for eps in eps_values]
     geometries = list(dict.fromkeys(shifts))
-    jobs = [(eps_x, eps, n, tuple(gammas), nu) for eps_x, eps in geometries]
+    memo: dict[bytes, float] = {}
+    jobs = [(eps_x, eps, n, tuple(gammas), nu, memo) for eps_x, eps in geometries]
     kappa = {}
     for shift, kappas in zip(geometries, _map_jobs(_crack_kappas, jobs, workers)):
         kappa.update(((shift, g), k) for g, k in zip(gammas, kappas))
@@ -585,10 +617,13 @@ def run_condition_scaling(
     nu: float = 0.3,
     workers: int = 1,
 ) -> list[tuple[float, float, float, float]]:
-    """Kappa against mesh size at a fixed good cut: rows (h, eps, gamma_g, kappa)."""
+    """Kappa against mesh size at a fixed good cut: rows (h, eps, gamma_g, kappa).
+
+    Memoized per distinct operator as in `run_condition_sweep`."""
     if levels < 2:
         raise ConfigError("condition scaling needs at least two levels")
-    jobs = [(eps, eps, base_n * 2**lv, (gamma_g,), nu) for lv in range(levels)]
+    memo: dict[bytes, float] = {}
+    jobs = [(eps, eps, base_n * 2**lv, (gamma_g,), nu, memo) for lv in range(levels)]
     kappas = _map_jobs(_crack_kappas, jobs, workers)
     return [
         (1.0 / job[2], eps, gamma_g, kappa)

@@ -52,7 +52,6 @@ from .linalg import (
     CsrOperator,
     DenseFactor,
     NotSpdError,
-    SparseSym,
     SpdFactor,
     factorize,
     factorize_dense,
@@ -281,7 +280,6 @@ class SubdomainSystem:
     """
 
     space: FESpace
-    matrix: SparseSym
     rhs0: np.ndarray
     free: np.ndarray
     fixed: np.ndarray
@@ -365,7 +363,6 @@ def build_subdomain_system(
         lift = np.zeros(free.size)
     return SubdomainSystem(
         space=space,
-        matrix=a,
         rhs0=rhs,
         free=free,
         fixed=fixed,

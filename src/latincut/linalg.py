@@ -1,7 +1,10 @@
 """Symmetric sparse matrices, SPD factorization, condition number estimation.
 
-Assembled operators are kept in CSR form, finalized to an exactly symmetric
-pattern.  Factorization is a sparse direct solve with a fill-reducing
+Assembled operators are kept as `SparseSym`: CSR storage that is exactly
+symmetric and canonical (sorted column indices, no duplicates, no stored
+zeros).  Only `SparseSym.from_coo` and `SparseSym.finalize` establish that
+invariant; sums and principal submatrices keep it without re-finalizing.
+Factorization is a sparse direct solve with a fill-reducing
 symmetric ordering and diagonal pivoting, so a non-positive pivot reliably
 flags a non-SPD operator.  Condition numbers come from power iteration on
 the operator and inverse iteration through its factorization.  Each stops
@@ -24,6 +27,7 @@ the public product on scipy 1.17).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +45,15 @@ log = logging.getLogger(__name__)
 class SparseSym:
     """CSR-stored symmetric matrix.
 
-    Finalization symmetrizes exactly ((A + A^T)/2), sums duplicates, drops
-    explicit zeros and sorts column indices, so equal assemblies produce
-    bit-identical storage.
+    Invariant: the storage is exactly symmetric and canonical (sorted column
+    indices, no duplicates, no stored zeros of either sign).  Finalization
+    establishes it: it symmetrizes exactly ((A + A^T)/2), sums duplicates,
+    drops explicit zeros and sorts column indices, so equal assemblies
+    produce bit-identical storage.  Sums and principal submatrices keep it
+    without finalizing again, bit for bit as if they had been finalized:
+    on an exactly symmetric matrix (A + A^T)/2 is A itself.  Only a matrix
+    that already holds the invariant (an empty one, say) may be passed to
+    the constructor directly.
     """
 
     csr: sp.csr_matrix
@@ -90,11 +100,22 @@ class SparseSym:
         return self.csr.toarray()
 
     def submatrix(self, keep: np.ndarray) -> "SparseSym":
-        """Principal submatrix on the given index set."""
-        return SparseSym.finalize(self.csr[np.ix_(keep, keep)])
+        """Principal submatrix on a strictly increasing index set.
+
+        Slicing keeps the order of each row's columns, and a principal
+        submatrix of a symmetric matrix is symmetric, so the invariant holds
+        without finalizing.
+        """
+        keep = np.asarray(keep)
+        if keep.ndim != 1 or np.any(keep[1:] <= keep[:-1]):
+            raise ValueError("submatrix needs a strictly increasing index set")
+        return SparseSym(csr=self.csr[np.ix_(keep, keep)])
 
     def __add__(self, other: "SparseSym") -> "SparseSym":
-        return SparseSym.finalize(self.csr + other.csr)
+        # scipy adds two canonical CSR matrices into a canonical one and drops
+        # entries that cancel to zero; elementwise sums of exactly symmetric
+        # matrices are exactly symmetric
+        return SparseSym(csr=self.csr + other.csr)
 
 
 class CsrOperator:
@@ -140,8 +161,10 @@ def factorize(a: SparseSym) -> SpdFactor:
     if a.n == 0:
         raise SolverFailure("cannot factor an empty matrix")
     try:
+        # the CSR arrays of an exactly symmetric matrix with sorted indices
+        # are its CSC arrays, so no transposed copy is needed
         lu = splu(
-            a.csr.tocsc(),
+            sp.csc_matrix((a.data, a.indices, a.indptr), shape=a.csr.shape),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
@@ -179,6 +202,11 @@ def factorize_dense(a: np.ndarray) -> DenseFactor:
     return DenseFactor(n=a.shape[0], _c=c)
 
 
+def _norm(x: np.ndarray) -> float:
+    """2-norm of a float vector, bit for bit what np.linalg.norm computes."""
+    return math.sqrt(x.dot(x))
+
+
 def _extreme_eigenvalue(apply_op, n: int, rng, tol: float, max_iter: int):
     """Estimate of the largest eigenvalue of a symmetric positive operator by
     power iteration.
@@ -189,15 +217,15 @@ def _extreme_eigenvalue(apply_op, n: int, rng, tol: float, max_iter: int):
     the estimate is a lower bound.  Returns (estimate, converged).
     """
     v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    v /= _norm(v)
     theta = 0.0
     for _ in range(max_iter):
         av = apply_op(v)
         theta = float(v @ av)
-        resid = np.linalg.norm(av - theta * v)
+        resid = _norm(av - theta * v)
         if theta > 0.0 and resid <= tol * theta:
             return theta, True
-        nrm = np.linalg.norm(av)
+        nrm = _norm(av)
         if nrm == 0.0:
             raise SolverFailure("power iteration hit a zero vector")
         v = av / nrm
@@ -231,7 +259,9 @@ def condition_number(
         log.warning("condition number reported as inf: %s", exc)
         return np.inf
     rng = np.random.default_rng(seed)
-    lam_max, ok_max = _extreme_eigenvalue(a.matvec, a.n, rng, tol, max_iter)
+    lam_max, ok_max = _extreme_eigenvalue(
+        CsrOperator(a.csr).__matmul__, a.n, rng, tol, max_iter
+    )
     inv_max, ok_min = _extreme_eigenvalue(factor.solve, a.n, rng, tol, max_iter)
     if lam_max <= 0.0 or inv_max <= 0.0:
         raise SolverFailure("eigenvalue estimates must be positive for SPD input")

@@ -302,6 +302,30 @@ crack.gamma_g_values = 0.0,0.001
     assert exemplar.name == "crack" and exemplar.nx == 12
 
 
+@pytest.mark.parametrize("mode", ["simple", "double"])
+def test_condition_sweep_records_its_first_problem(tmp_path, monkeypatch, mode):
+    make, built = experiments.crack_problem, []
+
+    def recording(*args, **kwargs):
+        built.append(make(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(experiments, "crack_problem", recording)
+    out = tmp_path / "out"
+    cfg = run_cfg(
+        tmp_path,
+        f"experiment = crack_condition_sweep\noutput.dir = {out}\ncrack.n = 12\n"
+        f"crack.mode = {mode}\ncrack.eps_x = 0.375\ncrack.eps_values = 0.25,1e-8\n"
+        "crack.gamma_g_values = 0.001,0.1\n",
+    )
+    assert cli.main(["run", str(cfg)]) == 0
+    exemplar = problem_from_flat(parse_flat((out / "crack_problem.cfg").read_text()))
+    first = built[0]  # the sweep's first problem, built before the exemplar
+    assert exemplar == first
+    eps_x = 0.25 if mode == "double" else 0.375
+    assert first == make(eps_x, 0.25, 12, 0.001)
+
+
 @pytest.mark.parametrize(
     "experiment, key",
     [

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from latincut import experiments, latin
 from latincut.analysis import fit_rate
 from latincut.config import parse_flat, render_flat
 from latincut.errors import ConfigError
@@ -34,7 +35,7 @@ from latincut.experiments import (
 )
 from latincut.latin import LatinParams, build_state
 from latincut.levelset import Ellipse
-from latincut.linalg import condition_number
+from latincut.linalg import condition_number, factorize
 
 
 # --- case builders ----------------------------------------------------------
@@ -194,14 +195,22 @@ def test_linear_stage_operators_are_spd():
     [crack_problem(0.25, 1e-8, 12, 0.1), two_inclusions_case(base_nx=16)],
     ids=lambda p: p.name,
 )
-def test_condition_numbers_describe_the_factorized_operators(pdef):
+def test_condition_numbers_describe_the_factorized_operators(pdef, monkeypatch):
     # subdomains touching two or more interfaces catch any difference in
     # how the condition path and the solver sum the augmentation terms
+    factorized = {}  # id of each factor -> the matrix it factors
+
+    def capture(a):
+        factor = factorize(a)
+        factorized[id(factor)] = a
+        return factor
+
+    monkeypatch.setattr(latin, "factorize", capture)
     state = build_state(build_problem(pdef), pdef.params)
     kappas = linear_stage_condition_numbers(pdef)
     assert sorted(kappas) == list(range(len(state.systems)))
     for i, s in enumerate(state.systems):
-        assert condition_number(s.matrix.submatrix(s.free)) == kappas[i], i
+        assert condition_number(factorized[id(s.factor)]) == kappas[i], i
 
 
 # --- study drivers -------------------------------------------------------------
@@ -287,6 +296,32 @@ def test_condition_sweep_matches_per_point_cases(mode):
 def test_condition_sweep_worker_pool_matches_serial():
     kwargs = dict(n=12, eps_values=(0.25, 1e-8), gamma_g_values=(0.0,))
     assert run_condition_sweep(**kwargs) == run_condition_sweep(workers=2, **kwargs)
+
+
+def test_condition_sweep_estimates_each_distinct_operator_once(monkeypatch):
+    # at n = 12 the default sweep builds 72 operators and 18 of them repeat
+    # one already built, bit for bit
+    estimated = []
+
+    def recording(a):
+        estimated.append((a.indptr.tobytes(), a.indices.tobytes(), a.data.tobytes()))
+        return condition_number(a)
+
+    monkeypatch.setattr(experiments, "condition_number", recording)
+    rows = run_condition_sweep(n=12)
+    memoized = list(estimated)
+    estimated.clear()
+    # the same points one at a time, with no memo: every operator estimated
+    expect = [
+        (eps, gamma_g, crack_condition_case(0.5, eps, 12, gamma_g)[1])
+        for gamma_g in (0.0, 1e-3, 0.1)
+        for eps in (0.25, 1e-2, 1e-4, 1e-6, 1e-8, 1e-11)
+    ]
+    assert len(estimated) == 72 and len(set(estimated)) == 54
+    assert len(memoized) == 54 and set(memoized) == set(estimated)
+    hexed = lambda rs: [tuple(float(v).hex() for v in r) for r in rs]
+    assert hexed(rows) == hexed(expect)
+    assert hexed(run_condition_sweep(n=12, workers=2)) == hexed(rows)
 
 
 def test_condition_scaling_near_inverse_square():

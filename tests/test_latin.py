@@ -142,17 +142,23 @@ def test_build_state_material_count_checked():
 
 def test_first_linear_stage_matches_dense_solve():
     problem = two_block_problem()
-    state = build_state(problem, LatinParams(it_max=1))
+    params = LatinParams(it_max=1)
+    state = build_state(problem, params)
     linear_stage(state)  # hat fields start at zero, so the load is rhs0 only
-    for sysm, u in zip(state.systems, state.u):
-        a = sysm.matrix.csr
-        lift = np.asarray(
-            a[np.ix_(sysm.free, sysm.fixed)] @ sysm.fixed_values
-        ).ravel()
+    for i, (sysm, u) in enumerate(zip(state.systems, state.u)):
+        # the operator, reassembled term by term and summed densely
+        space = sysm.space
+        ifaces = [ops.iface for pair, ops in sorted(state.operators.items()) if i in pair]
+        a = (
+            assemble_elasticity(space).toarray()
+            + assemble_ghost_penalty(space, params.gamma_g).toarray()
+            + assembly.assemble_latin_augmentation(space, ifaces, params.k_minus).toarray()
+        )
+        lift = a[np.ix_(sysm.free, sysm.fixed)] @ sysm.fixed_values
         expect = np.zeros(a.shape[0])
         expect[sysm.fixed] = sysm.fixed_values
         expect[sysm.free] = np.linalg.solve(
-            a[np.ix_(sysm.free, sysm.free)].toarray(), sysm.rhs0[sysm.free] - lift
+            a[np.ix_(sysm.free, sysm.free)], sysm.rhs0[sysm.free] - lift
         )
         np.testing.assert_allclose(u, expect, atol=1e-9)
         np.testing.assert_allclose(lift, sysm.lift, atol=1e-12)

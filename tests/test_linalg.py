@@ -98,6 +98,49 @@ def csr_and_vector(draw):
     return a, x
 
 
+def storage(a: SparseSym) -> tuple:
+    c = a.csr
+    parts = (c.indptr, c.indices, c.data)
+    return (c.shape, *(x.dtype.str for x in parts), *(x.tobytes() for x in parts))
+
+
+@st.composite
+def assembled(draw, n):
+    """An n x n operator as assembly builds it: from random (mostly
+    unsymmetric, duplicate-laden) COO triplets, whose entries may cancel to
+    +0 or -0, or an empty matrix."""
+    k = draw(st.integers(0, 4 * n))
+    if k == 0 and draw(st.booleans()):
+        return SparseSym(csr=sp.csr_matrix((n, n)))
+    index = arrays(np.int64, k, elements=st.integers(0, n - 1))
+    rows, cols = draw(index), draw(index)
+    vals = draw(arrays(np.float64, k, elements=ENTRIES))
+    return SparseSym.from_coo(rows, cols, vals, n)
+
+
+@given(data=st.data())
+def test_sums_and_submatrices_are_stored_as_if_finalized(data):
+    n = data.draw(st.integers(1, 7))
+    a, b = data.draw(assembled(n)), data.draw(assembled(n))
+    assert storage(a) == storage(SparseSym.finalize(a.csr))
+    total = a + b
+    assert storage(total) == storage(SparseSym.finalize(a.csr + b.csr))
+    keep = np.array(
+        data.draw(st.lists(st.integers(0, n - 1), unique=True).map(sorted)), dtype=np.int64
+    )
+    for m in (a, total):
+        sub = m.submatrix(keep)
+        assert storage(sub) == storage(SparseSym.finalize(m.csr[np.ix_(keep, keep)]))
+        np.testing.assert_array_equal(sub.toarray(), m.toarray()[np.ix_(keep, keep)])
+
+
+def test_submatrix_needs_a_strictly_increasing_index_set():
+    a = SparseSym.finalize(sp.csr_matrix(spd_from(0, 4)))
+    for keep in ([2, 0], [1, 1], [[0, 1]]):
+        with pytest.raises(ValueError):
+            a.submatrix(np.array(keep))
+
+
 @given(case=csr_and_vector())
 def test_csr_operator_matches_scipy_byte_for_byte(case):
     a, x = case
