@@ -128,10 +128,11 @@ def _run_condition_sweep(cfg: RunConfig, outdir: Path) -> None:
     )
     write_csv(outdir / "condition.csv", ["eps", "gamma_g", "kappa"], rows)
     # record the first swept problem, with the boundary conditions it assumes
-    eps = v["crack.eps_values"][0]
+    eps_x, eps_y = experiments.crack_sweep_shifts(
+        v["crack.mode"], v["crack.eps_values"], v["crack.eps_x"]
+    )[0]
     exemplar = experiments.crack_problem(
-        eps if v["crack.mode"] == "double" else v["crack.eps_x"], eps, v["crack.n"],
-        v["crack.gamma_g_values"][0], v["study.nu"],
+        eps_x, eps_y, v["crack.n"], v["crack.gamma_g_values"][0], v["study.nu"]
     )
     (outdir / "crack_problem.cfg").write_text(
         render_flat(experiments.problem_to_flat(exemplar)), encoding="ascii"

@@ -358,10 +358,12 @@ def gamma_sweep_condition_numbers(
     order `latin.build_subdomain_system` uses: floating-point sums depend on
     it, and kappa must describe the matrix the linear stage factorizes.
 
-    With a memo ({`_operator_key`: kappa}), an operator bit-identical to
-    one already estimated reuses its kappa instead of being factorized
-    again; `condition_number` is deterministic, so the result is the same.
+    Kappa is kept in a memo ({`_operator_key`: kappa}; a new one unless
+    given), so an operator bit-identical to one already estimated reuses
+    its kappa instead of being factorized again; `condition_number` is
+    deterministic, so the result is the same.
     """
+    memo = {} if memo is None else memo
     gammas = [float(g) for g in gamma_g_values]
     _, _, _, spaces, interfaces = problem_spaces(pdef)
     out: list[dict[int, float]] = [{} for _ in gammas]
@@ -381,13 +383,10 @@ def gamma_sweep_condition_numbers(
             a = elasticity + assembly.assemble_ghost_penalty(space, gamma_g)
             a = a + augmentation
             a = a.submatrix(free)
-            if memo is None:
-                kappas[i] = condition_number(a)
-            else:
-                key = _operator_key(a)
-                if key not in memo:
-                    memo[key] = condition_number(a)
-                kappas[i] = memo[key]
+            key = _operator_key(a)
+            if key not in memo:
+                memo[key] = condition_number(a)
+            kappas[i] = memo[key]
     return out
 
 
@@ -572,6 +571,19 @@ def run_convergence_study(
     )
 
 
+def crack_sweep_shifts(
+    mode: str, eps_values: Iterable[float], eps_x_fixed: float
+) -> list[tuple[float, float]]:
+    """The (eps_x, eps_y) shift of each crack-sweep point, in sweep order.
+
+    Mode "simple" keeps the vertical cuts at eps_x_fixed; mode "double"
+    moves them with the diagonal shift eps.
+    """
+    if mode not in ("simple", "double"):
+        raise ConfigError(f"unknown crack sweep mode {mode!r}")
+    return [(eps if mode == "double" else eps_x_fixed, float(eps)) for eps in eps_values]
+
+
 def run_condition_sweep(
     n: int = 24,
     mode: str = "simple",
@@ -583,9 +595,9 @@ def run_condition_sweep(
 ) -> list[tuple[float, float, float]]:
     """Worst-subproblem kappa over the (eps, gamma_g) grid.
 
-    mode "simple" keeps the vertical cuts at eps_x_fixed and sweeps the
-    diagonal shift; mode "double" moves all three interfaces together.
-    Rows run over eps for each gamma_g in turn; each (eps_x, eps) geometry
+    The shifts of each point come from `crack_sweep_shifts`: mode "simple"
+    sweeps the diagonal shift alone, mode "double" moves all three
+    interfaces together.  Rows run over eps for each gamma_g in turn; each (eps_x, eps) geometry
     is built once, and is one job for the worker pool.
 
     Kappa is estimated once per distinct operator: a memo keyed by the
@@ -594,12 +606,10 @@ def run_condition_sweep(
     with no ghost faces to act on, repeat an operator bit for bit.  Serial
     jobs share the memo; each pooled job gets its own (empty) copy.
     """
-    if mode not in ("simple", "double"):
-        raise ConfigError(f"unknown crack sweep mode {mode!r}")
+    shifts = crack_sweep_shifts(mode, eps_values, eps_x_fixed)
     gammas = [float(g) for g in gamma_g_values]
     if not gammas:
         return []
-    shifts = [(eps if mode == "double" else eps_x_fixed, float(eps)) for eps in eps_values]
     geometries = list(dict.fromkeys(shifts))
     memo: dict[bytes, float] = {}
     jobs = [(eps_x, eps, n, tuple(gammas), nu, memo) for eps_x, eps in geometries]
@@ -617,13 +627,10 @@ def run_condition_scaling(
     nu: float = 0.3,
     workers: int = 1,
 ) -> list[tuple[float, float, float, float]]:
-    """Kappa against mesh size at a fixed good cut: rows (h, eps, gamma_g, kappa).
-
-    Memoized per distinct operator as in `run_condition_sweep`."""
+    """Kappa against mesh size at a fixed good cut: rows (h, eps, gamma_g, kappa)."""
     if levels < 2:
         raise ConfigError("condition scaling needs at least two levels")
-    memo: dict[bytes, float] = {}
-    jobs = [(eps, eps, base_n * 2**lv, (gamma_g,), nu, memo) for lv in range(levels)]
+    jobs = [(eps, eps, base_n * 2**lv, (gamma_g,), nu, None) for lv in range(levels)]
     kappas = _map_jobs(_crack_kappas, jobs, workers)
     return [
         (1.0 / job[2], eps, gamma_g, kappa)

@@ -259,9 +259,7 @@ def condition_number(
         log.warning("condition number reported as inf: %s", exc)
         return np.inf
     rng = np.random.default_rng(seed)
-    lam_max, ok_max = _extreme_eigenvalue(
-        CsrOperator(a.csr).__matmul__, a.n, rng, tol, max_iter
-    )
+    lam_max, ok_max = _extreme_eigenvalue(a.matvec, a.n, rng, tol, max_iter)
     inv_max, ok_min = _extreme_eigenvalue(factor.solve, a.n, rng, tol, max_iter)
     if lam_max <= 0.0 or inv_max <= 0.0:
         raise SolverFailure("eigenvalue estimates must be positive for SPD input")
