@@ -41,6 +41,10 @@ def interpolate_to_fine(
 ) -> np.ndarray:
     """Evaluate a coarse subdomain field at the fine space's vertices.
 
+    u_coarse may also be a (t, n) stack of fields: the fine vertices are
+    located once and every row is evaluated exactly as on its own, giving a
+    (t, n_fine) stack.
+
     Every fine vertex must be covered by the coarse fictitious cell set;
     vertices in fine cells that poke past it (interface resolved more
     sharply on the fine mesh) take the linear extension of the nearest
@@ -87,12 +91,12 @@ def interpolate_to_fine(
         )[0]
 
     dofs = coarse_space.element_dofs(cells)  # (m, 6)
-    ux = np.einsum("mk,mk->m", bary, u_coarse[dofs[:, 0::2]])
-    uy = np.einsum("mk,mk->m", bary, u_coarse[dofs[:, 1::2]])
-    out = np.empty(fine_space.n_dofs)
-    out[0::2] = ux
-    out[1::2] = uy
-    return out
+    fields = np.atleast_2d(u_coarse)
+    out = np.empty((fields.shape[0], fine_space.n_dofs))
+    for u, row in zip(fields, out):
+        row[0::2] = np.einsum("mk,mk->m", bary, u[dofs[:, 0::2]])
+        row[1::2] = np.einsum("mk,mk->m", bary, u[dofs[:, 1::2]])
+    return out if np.ndim(u_coarse) == 2 else out[0]
 
 
 def _physical_cell_areas(space: FESpace) -> np.ndarray:

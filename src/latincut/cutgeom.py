@@ -6,11 +6,17 @@ that subdomain wins wherever its level set is negative).  The zero-set
 pieces produced while clipping are attributed to subdomain pairs by
 evaluating the remaining level sets at piece midpoints, which resolves
 triple junctions.
+
+Clipping is one array pass per level set over the pieces of all cut cells,
+with the arithmetic of clipping one triangle at a time.  Children are taken
+in (parent, slot) order and a stable sort by cell restores each cell's own
+order, so every float the decomposition holds, and every sum over it
+(region areas included), matches a cell-by-cell loop bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,14 +68,6 @@ class Material:
 
 
 @dataclass
-class _PairSegments:
-    p0: list = field(default_factory=list)
-    p1: list = field(default_factory=list)
-    cell: list = field(default_factory=list)
-    normal: list = field(default_factory=list)
-
-
-@dataclass
 class MeshDecomposition:
     """Partition of every element into per-subdomain regions plus interfaces."""
 
@@ -90,94 +88,106 @@ class MeshDecomposition:
         return sorted(self.seg_p0)
 
 
-def _clip(coords: np.ndarray, vals: np.ndarray, k: int):
-    """Split a triangle by the linear level set in row k of vals.
+def _split_segments(p0, p1, v0, v1, k: int):
+    """Split zero-line pieces (p0, p1 (s, 2), level-set values v0, v1
+    (s, n_ls)) of level set k where lower-priority level sets cross them.
 
-    coords : (3, 2); vals : (n_ls, 3) values of all level sets at corners.
-    Returns (negative, positive, segment) where negative/positive are lists
-    of (coords, vals) sub-triangles and segment is (p0, p1, vals0, vals1)
-    or None.  Corner values must be nonzero in row k.
+    Returns the sub-pieces (seg, q0, q1, adj) by parent segment seg, then
+    along it; adj is 1 + the highest lower-priority level set negative at
+    the sub-piece midpoint (0 if none), the subdomain across the line.
     """
-    vk = vals[k]
-    pos_mask = vk > 0.0
-    if pos_mask.all():
-        return [], [(coords, vals)], None
-    if not pos_mask.any():
-        return [(coords, vals)], [], None
-
-    # one corner on its own side of the zero line
-    lone_positive = pos_mask.sum() == 1
-    a = int(np.flatnonzero(pos_mask if lone_positive else ~pos_mask)[0])
-    b, c = (a + 1) % 3, (a + 2) % 3
-    ta = vk[a] / (vk[a] - vk[b])
-    tc = vk[a] / (vk[a] - vk[c])
-    p_ab = coords[a] + ta * (coords[b] - coords[a])
-    p_ac = coords[a] + tc * (coords[c] - coords[a])
-    v_ab = vals[:, a] + ta * (vals[:, b] - vals[:, a])
-    v_ac = vals[:, a] + tc * (vals[:, c] - vals[:, a])
-
-    lone = [(np.array([coords[a], p_ab, p_ac]), np.column_stack([vals[:, a], v_ab, v_ac]))]
-    rest = [
-        (np.array([p_ab, coords[b], coords[c]]), np.column_stack([v_ab, vals[:, b], vals[:, c]])),
-        (np.array([p_ab, coords[c], p_ac]), np.column_stack([v_ab, vals[:, c], v_ac])),
-    ]
-    segment = (p_ab, p_ac, v_ab, v_ac)
-    if lone_positive:
-        return rest, lone, segment
-    return lone, rest, segment
+    a, b = v0[:, :k], v1[:, :k]
+    t = np.full((p0.shape[0], k + 2), np.inf)
+    t[:, 0], t[:, 1] = 0.0, 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # adding 0.0 turns a crossing at -0.0 into the 0.0 already present
+        t[:, 2:] = np.where((a > 0.0) != (b > 0.0), a / (a - b) + 0.0, np.inf)
+    t.sort(axis=1)
+    # consecutive distinct break points in [0, 1] bound the sub-pieces
+    seg, j = np.nonzero((t[:, 1:] > t[:, :-1]) & (t[:, 1:] <= 1.0))
+    t0, t1 = t[seg, j, None], t[seg, j + 1, None]
+    tm = 0.5 * (t0 + t1)
+    vm = v0[seg, :k] + tm * (v1[seg, :k] - v0[seg, :k])
+    adj = ((vm < 0.0) * np.arange(1, k + 1)).max(axis=1, initial=0)
+    d = p1[seg] - p0[seg]
+    return seg, p0[seg] + t0 * d, p0[seg] + t1 * d, adj
 
 
-def _decompose_element(
-    coords: np.ndarray, vals: np.ndarray, shift: float
-) -> tuple[dict, list]:
-    """Partition one element.
+def _split_cells(coords: np.ndarray, vals: np.ndarray, shift: float):
+    """Partition triangles by linear level sets, all triangles at once.
 
-    Returns (regions, segments): regions maps auxiliary subdomain index to a
-    list of sub-triangle coords; segments is a list of
-    (aux_lo, aux_hi, governing_ls, p0, p1) pieces.
+    coords : (m, 3, 2); vals : (m, n_ls, 3) values of every level set at the
+    corners.  Pieces are clipped against the level sets in priority order
+    (highest index first): a piece cut by a zero line splits into the
+    triangle at its lone corner a and two on the other side, at
+    ta = v_a / (v_a - v_b) and tc = v_a / (v_a - v_c) along its edges.
+    Returns the pieces (cell, coords (q, 3, 2), auxiliary subdomain) and
+    the zero-line pieces (cell, p0, p1, adj, k), a segment of level set k
+    separating subdomain k + 1 from adj; cell indexes the m triangles.
+    Both come cell by cell, each in the order clipping that cell produces.
     """
-    n_ls = vals.shape[0]
-    if np.any(np.all(np.abs(vals) <= shift, axis=1)):
+    if np.any(np.all(np.abs(vals) <= shift, axis=2)):
         raise DegenerateCutError("a level set vanishes identically on an element")
-    # nudge interpolated values off zero exactly like nodal classification
-    vals = vals.copy()
-    vals[np.abs(vals) < shift] = shift
+    # nudge values off zero exactly like nodal classification
+    vals = np.where(np.abs(vals) < shift, shift, vals)
+    # the pieces no subdomain has claimed yet, in (triangle, clipping) order
+    pc, pv, pcell = coords, vals, np.arange(coords.shape[0])
+    tris, segs = [], []
+    for k in range(vals.shape[1] - 1, -1, -1):
+        pos = pv[:, k] > 0.0
+        n_pos = pos.sum(axis=1)
+        cut = np.flatnonzero((n_pos == 1) | (n_pos == 2))
+        # the first corner alone on its side of the zero line
+        a = np.argmax(pos[cut] == (n_pos[cut] == 1)[:, None], axis=1)
+        b, c = (a + 1) % 3, (a + 2) % 3
+        ca, cb, cc = pc[cut, a], pc[cut, b], pc[cut, c]
+        va, vb, vc = pv[cut, :, a], pv[cut, :, b], pv[cut, :, c]
+        ta = (va[:, k] / (va[:, k] - vb[:, k]))[:, None]
+        tc = (va[:, k] / (va[:, k] - vc[:, k]))[:, None]
+        p_ab, p_ac = ca + ta * (cb - ca), ca + tc * (cc - ca)
+        v_ab, v_ac = va + ta * (vb - va), va + tc * (vc - va)
+        # child slot 0 is an uncut piece itself or the lone-corner triangle,
+        # slots 1 and 2 the triangles on the other side; taking each side's
+        # children in (parent, slot) order is the clipping order
+        n = pc.shape[0]
+        kids = np.empty((n, 3, 3, 2))
+        kid_vals = np.empty((n, 3) + vals.shape[1:])
+        kids[:, 0], kid_vals[:, 0] = pc, pv
+        slots = ((ca, p_ab, p_ac), (p_ab, cb, cc), (p_ab, cc, p_ac))
+        kids[cut] = np.stack([np.stack(s, axis=1) for s in slots], axis=1)
+        slots = ((va, v_ab, v_ac), (v_ab, vb, vc), (v_ab, vc, v_ac))
+        kid_vals[cut] = np.stack([np.stack(s, axis=2) for s in slots], axis=1)
+        kid_vals[np.abs(kid_vals) < shift] = shift
+        kid_cell = np.repeat(pcell, 3).reshape(n, 3)
+        # the side of each child: slot 0 is on the lone corner's side (or the
+        # whole piece's), slots 1 and 2 on the other side of a cut piece
+        one, two = n_pos == 1, n_pos == 2
+        positive = np.stack((one | (n_pos == 3), two, two), axis=1)
+        claimed = np.stack(((n_pos == 0) | two, one, one), axis=1)
+        tris.append((kid_cell[claimed], kids[claimed], np.full(claimed.sum(), k + 1)))
+        seg, q0, q1, adj = _split_segments(p_ab, p_ac, v_ab, v_ac, k)
+        segs.append((pcell[cut][seg], q0, q1, adj, np.full(seg.size, k)))
+        pc, pv, pcell = kids[positive], kid_vals[positive], kid_cell[positive]
+    tris.append((pcell, pc, np.zeros(pcell.size, dtype=np.int64)))
 
-    regions: dict[int, list] = {}
-    raw_segments: list = []
-    pending = [(coords, vals)]
-    for k in range(n_ls - 1, -1, -1):
-        still = []
-        for c, v in pending:
-            neg, pos, seg = _clip(c, v, k)
-            for cn, vn in neg:
-                vn[np.abs(vn) < shift] = shift
-                regions.setdefault(k + 1, []).append(cn)
-            for cp, vp in pos:
-                vp[np.abs(vp) < shift] = shift
-                still.append((cp, vp))
-            if seg is not None:
-                raw_segments.append((k, seg))
-        pending = still
-    if pending:
-        regions[0] = [c for c, _ in pending]
+    def by_cell(parts):
+        columns = [np.concatenate(c) for c in zip(*parts)]
+        order = np.argsort(columns[0], kind="stable")
+        return [c[order] for c in columns]
 
-    segments = []
-    for k, (p0, p1, v0, v1) in raw_segments:
-        # split where lower-priority level sets cross this piece
-        ts = {0.0, 1.0}
-        for kk in range(k):
-            a, b = v0[kk], v1[kk]
-            if (a > 0.0) != (b > 0.0):
-                ts.add(float(a / (a - b)))
-        ts = sorted(ts)
-        for t0, t1 in zip(ts[:-1], ts[1:]):
-            tm = 0.5 * (t0 + t1)
-            vm = v0 + tm * (v1 - v0)
-            lower_neg = [kk for kk in range(k) if vm[kk] < 0.0]
-            adj = (max(lower_neg) + 1) if lower_neg else 0
-            segments.append((adj, k + 1, k, p0 + t0 * (p1 - p0), p0 + t1 * (p1 - p0)))
-    return regions, segments
+    return by_cell(tris), by_cell(segs)
+
+
+def _run_sums(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """x[s:s + n].sum() for every run, bit for bit: numpy adds fewer than 8
+    terms left to right and 8 or more pairwise."""
+    out = np.zeros(starts.size)
+    for j in range(min(int(lengths.max(initial=0)), 7)):
+        live = lengths > j
+        out[live] += x[starts[live] + j]
+    for r in np.flatnonzero(lengths >= 8):
+        out[r] = x[starts[r] : starts[r] + lengths[r]].sum()
+    return out
 
 
 def _validate_grouping(grouping, n_aux: int) -> np.ndarray:
@@ -213,9 +223,6 @@ def decompose_mesh(
 
     nt = mesh.n_triangles
     status = np.zeros((n_sub, nt), dtype=np.uint8)
-    sub_cells: list[list] = [[] for _ in range(n_sub)]
-    sub_coords: list[list] = [[] for _ in range(n_sub)]
-    pair_segs: dict[tuple[int, int], _PairSegments] = {}
 
     if n_ls == 0:
         status[0, :] = INSIDE
@@ -240,70 +247,71 @@ def decompose_mesh(
     labels = g[classify_values(corner_vals[:, uniform, 0])]
     status[labels, uniform] = INSIDE
 
-    gradients = np.stack([ls.cell_gradients() for ls in levelsets])  # (n_ls, nt, 2)
-    areas = triangle_areas(mesh.vertices, mesh.triangles)
-    all_coords = mesh.triangle_coords()
-    shift = ZERO_SHIFT * mesh.h
-    min_len = MIN_SEGMENT * mesh.h
+    cells = np.flatnonzero(mixed)
+    (tri_cell, tris, aux), (seg_cell, p0, p1, adj, seg_k) = _split_cells(
+        mesh.triangle_coords(cells),
+        corner_vals[:, cells].transpose(1, 0, 2),
+        ZERO_SHIFT * mesh.h,
+    )
 
-    for cell in np.flatnonzero(mixed):
-        regions, segments = _decompose_element(
-            all_coords[cell], corner_vals[:, cell, :], shift
-        )
-        # merge auxiliary regions into physical subdomains
-        merged: dict[int, list] = {}
-        for aux, tris in regions.items():
-            merged.setdefault(int(g[aux]), []).extend(tris)
-        cell_area = areas[cell]
-        for phys, tris in merged.items():
-            tri_arr = np.asarray(tris)
-            e1 = tri_arr[:, 1] - tri_arr[:, 0]
-            e2 = tri_arr[:, 2] - tri_arr[:, 0]
-            part = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]).sum()
-            if part <= MIN_REGION_AREA * cell_area:
-                continue
-            if part >= (1.0 - 1e-12) * cell_area:
-                status[phys, cell] = INSIDE
-            else:
-                status[phys, cell] = CUT
-                sub_cells[phys].extend([cell] * len(tris))
-                sub_coords[phys].extend(tris)
-        for adj, owner, k, p0, p1 in segments:
-            pi, pj = int(g[adj]), int(g[owner])
-            if pi == pj:
-                continue
-            if np.hypot(*(p1 - p0)) <= min_len:
-                continue
-            # a segment only makes sense where both sides hold material;
-            # the area filter above may have discarded a sliver partner
-            if status[pi, cell] == OUTSIDE or status[pj, cell] == OUTSIDE:
-                continue
-            grad = gradients[k, cell]
-            norm = np.linalg.norm(grad)
-            if norm == 0.0:
-                raise DegenerateCutError("level set gradient vanishes on a cut cell")
-            normal = -grad / norm  # points into the governing (owner) side
-            if pi > pj:
-                pi, pj = pj, pi
-                normal = -normal
-            rec = pair_segs.setdefault((pi, pj), _PairSegments())
-            rec.p0.append(p0)
-            rec.p1.append(p1)
-            rec.cell.append(cell)
-            rec.normal.append(normal)
+    # merge auxiliary regions into physical subdomains: one run of pieces
+    # per (subdomain, cell), each in its cell's clipping order
+    phys = g[aux]
+    order = np.argsort(phys, kind="stable")
+    tris, tri_cell, phys = tris[order], tri_cell[order], phys[order]
+    e1 = tris[:, 1] - tris[:, 0]
+    e2 = tris[:, 2] - tris[:, 0]
+    new_run = np.ones(phys.size, dtype=bool)
+    new_run[1:] = (phys[1:] != phys[:-1]) | (tri_cell[1:] != tri_cell[:-1])
+    starts = np.flatnonzero(new_run)
+    lengths = np.diff(np.append(starts, phys.size))
+    doubled = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    part = 0.5 * _run_sums(doubled, starts, lengths)
+    run_cell, run_phys = tri_cell[starts], phys[starts]
+    cell_area = triangle_areas(mesh.vertices, mesh.triangles[cells])[run_cell]
+    kept = part > MIN_REGION_AREA * cell_area
+    full = part >= (1.0 - 1e-12) * cell_area
+    status[run_phys[kept], cells[run_cell[kept]]] = np.where(full[kept], INSIDE, CUT)
+    in_cut = np.repeat(kept & ~full, lengths)
 
+    lo, hi = g[adj], g[seg_k + 1]
+    d = p1 - p0
+    at = cells[seg_cell]
+    # a segment only makes sense where both sides hold material; the area
+    # filter above may have discarded a sliver partner
+    live = (
+        (lo != hi)
+        & (np.hypot(d[:, 0], d[:, 1]) > MIN_SEGMENT * mesh.h)
+        & (status[lo, at] != OUTSIDE)
+        & (status[hi, at] != OUTSIDE)
+    )
+    p0, p1, lo, hi, at = p0[live], p1[live], lo[live], hi[live], at[live]
+    grads = np.stack([ls.cell_gradients(cells) for ls in levelsets])
+    grad = grads[seg_k[live], seg_cell[live]]
+    # np.linalg.norm of each vector: a BLAS dot, which rounds differently
+    # from an elementwise sqrt(x*x + y*y)
+    norm = np.array([np.linalg.norm(v) for v in grad]).reshape(-1, 1)
+    if np.any(norm == 0.0):
+        raise DegenerateCutError("level set gradient vanishes on a cut cell")
+    normal = -grad / norm  # points into the governing (owner) side
+    swap = lo > hi
+    normal[swap] = -normal[swap]
+    pair = np.minimum(lo, hi) * n_sub + np.maximum(lo, hi)
+    codes, first = np.unique(pair, return_index=True)
+    by_pair = {
+        (int(code // n_sub), int(code % n_sub)): pair == code
+        for code in codes[np.argsort(first)]
+    }
     return MeshDecomposition(
         mesh=mesh,
         n_subdomains=n_sub,
         status=status,
-        subtri_cells=[np.asarray(c, dtype=np.int64) for c in sub_cells],
-        subtri_coords=[
-            np.asarray(c) if c else np.empty((0, 3, 2)) for c in sub_coords
-        ],
-        seg_p0={k: np.asarray(v.p0) for k, v in pair_segs.items()},
-        seg_p1={k: np.asarray(v.p1) for k, v in pair_segs.items()},
-        seg_cell={k: np.asarray(v.cell, dtype=np.int64) for k, v in pair_segs.items()},
-        seg_normal={k: np.asarray(v.normal) for k, v in pair_segs.items()},
+        subtri_cells=[cells[tri_cell[in_cut & (phys == s)]] for s in range(n_sub)],
+        subtri_coords=[tris[in_cut & (phys == s)] for s in range(n_sub)],
+        seg_p0={k: p0[m] for k, m in by_pair.items()},
+        seg_p1={k: p1[m] for k, m in by_pair.items()},
+        seg_cell={k: at[m] for k, m in by_pair.items()},
+        seg_normal={k: normal[m] for k, m in by_pair.items()},
     )
 
 
@@ -340,15 +348,11 @@ class CutDomain:
 def build_cut_domain(
     index: int,
     mesh: TriMesh,
-    levelsets: list[DiscreteLevelSet],
     material: Material,
-    grouping=None,
-    decomposition: MeshDecomposition | None = None,
+    decomposition: MeshDecomposition,
     quad_degree: int = 2,
 ) -> CutDomain:
     """Assemble the fictitious domain record of one subdomain."""
-    if decomposition is None:
-        decomposition = decompose_mesh(mesh, levelsets, grouping)
     if not (0 <= index < decomposition.n_subdomains):
         raise InvalidGeometryError(f"subdomain {index} does not exist")
     status = decomposition.status[index]
@@ -466,16 +470,12 @@ def build_interface(
     i: int,
     j: int,
     mesh: TriMesh,
-    levelsets: list[DiscreteLevelSet],
-    grouping=None,
-    decomposition: MeshDecomposition | None = None,
+    decomposition: MeshDecomposition,
     n_quad: int = 2,
 ) -> InterfaceMesh:
     """Assemble the interface record of a subdomain pair (i < j)."""
     if not i < j:
         raise InvalidGeometryError("interface pairs are keyed with i < j")
-    if decomposition is None:
-        decomposition = decompose_mesh(mesh, levelsets, grouping)
     key = (i, j)
     if key not in decomposition.seg_p0 or decomposition.seg_p0[key].size == 0:
         raise EmptyInterfaceError(f"subdomains {i} and {j} share no interface")

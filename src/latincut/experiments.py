@@ -544,22 +544,23 @@ def run_convergence_study(
     its_list: list[int] = []
     iteration_rows: list[tuple[int, float, float]] = []
     for lv, res in enumerate(level_results):
-        coarse_spaces = res.spaces
-        on_fine = [
-            interpolate_to_fine(u, cs, fs)
-            for u, cs, fs in zip(res.u, coarse_spaces, fine_spaces)
+        checkpoints = sorted(res.checkpoint_u) if lv == levels - 1 else []
+        # each subdomain's final and checkpoint fields share one vertex location
+        stacks = [
+            interpolate_to_fine(
+                np.stack([u] + [res.checkpoint_u[it][s] for it in checkpoints]), cs, fs
+            )
+            for s, (u, cs, fs) in enumerate(zip(res.u, res.spaces, fine_spaces))
         ]
+        on_fine = [rows[0] for rows in stacks]
         h_list.append(res.h_grid)
         h1_list.append(analysis.h1_error(on_fine, ref_result.u, fine_spaces))
         energy_list.append(analysis.energy_error(on_fine, ref_result.u, fine_spaces))
         its_list.append(res.history[-1].it if res.history else 0)
-        if lv == levels - 1 and res.checkpoint_u:
+        if checkpoints:
             indicator_by_it = {rec.it: rec.indicator for rec in res.history}
-            for it in sorted(res.checkpoint_u):
-                chk = [
-                    interpolate_to_fine(u, cs, fs)
-                    for u, cs, fs in zip(res.checkpoint_u[it], coarse_spaces, fine_spaces)
-                ]
+            for row, it in enumerate(checkpoints, start=1):
+                chk = [rows[row] for rows in stacks]
                 err = analysis.energy_error(chk, ref_result.u, fine_spaces)
                 iteration_rows.append((it, err, indicator_by_it.get(it, float("nan"))))
     record = ConvergenceRecord(h=h_list, h1=h1_list, energy=energy_list, iterations=its_list)

@@ -10,14 +10,14 @@ Everything an iteration applies that does not change between iterations is
 built once, with the state: the subdomain factorizations, each subdomain's
 right-hand side on its free dofs and a displacement template holding its
 Dirichlet values, the interface projection factors, and every sparse
-operator in the orientation the loop applies it (the band-to-subdomain
-scatter on a subdomain's free rows, its transpose, the quadrature-point
-evaluation and its transpose, the interface mass), each a
-`linalg.CsrOperator`.  An iteration is then a few small products, one
-triangular solve per subdomain and projection, and pointwise arithmetic.
-A CSR copy of a transpose or of a row subset sums every output entry in the
-same order as the matrix it came from, so results are bit-identical to the
-plain scipy expressions.
+operator in the orientation the loop applies it (each pair's interface
+load on a subdomain's free rows, the transpose of the band-to-subdomain
+scatter, the quadrature-point evaluation and its transpose, the interface
+mass), each a `linalg.CsrOperator`.  An iteration is then a few small
+products, one triangular solve per subdomain and projection, and pointwise
+arithmetic.  A CSR copy of a transpose, of a row subset or of gathered rows
+sums every output entry in the same order as the matrix it came from, so
+results are bit-identical to the plain scipy expressions.
 
 No stage writes into a hat or starred field array in place; every stage
 assigns fresh arrays.  So the snapshot each iteration leaves for relaxation
@@ -134,7 +134,7 @@ class P1Scheme:
         self._eval_t = CsrOperator(eval_op.T)
         self._weights = np.repeat(segs.qweights, 2)
         self.mass = assembly.interface_mass(eval_op, segs.qweights)
-        self._mass = CsrOperator(self.mass.csr)
+        self.load_map = CsrOperator(self.mass.csr)  # field -> band load
         self.stab = assembly.gradient_jump_matrix(
             mesh, iface.interior_faces, iface.band_vertices, gamma_pi
         )
@@ -181,11 +181,8 @@ class P1Scheme:
     def project_qp(self, qp_values: np.ndarray) -> np.ndarray:
         return self.proj.solve(self._eval_t @ (self._weights * qp_values))
 
-    def load_vector(self, z: np.ndarray) -> np.ndarray:
-        return self._mass @ z
-
     def norm_sq(self, z: np.ndarray) -> float:
-        return float(z @ (self._mass @ z))
+        return float(z @ (self.load_map @ z))
 
 
 class P0Scheme:
@@ -223,9 +220,6 @@ class P0Scheme:
     def project_qp(self, qp_values: np.ndarray) -> np.ndarray:
         return (self._eval_t @ (self._weights * qp_values)) / self._lengths
 
-    def load_vector(self, z: np.ndarray) -> np.ndarray:
-        return self.load_map @ z
-
     def norm_sq(self, z: np.ndarray) -> float:
         return float((z * z) @ self._lengths)
 
@@ -234,10 +228,11 @@ class P0Scheme:
 class InterfaceOperators:
     """Precomputed per-pair interface machinery shared by both stages.
 
-    Built once per state.  ``scatter`` loads band fields into a subdomain;
-    the linear stage applies its rows on the subdomain's free dofs, kept by
-    `SubdomainSystem`.  ``gather`` is its transpose, which reads a
-    subdomain's band trace (post-processing).
+    Built once per state.  ``scatter`` injects band fields into a
+    subdomain; the linear stage applies it fused with the scheme's
+    ``load_map``, on the subdomain's free dofs, kept by `SubdomainSystem`.
+    ``gather`` is its transpose, which reads a subdomain's band trace
+    (post-processing).
     """
 
     pair: tuple[int, int]
@@ -273,10 +268,10 @@ def build_interface_operators(
 class SubdomainSystem:
     """One factorized linear-stage system; only the interface load changes.
 
-    ``scatter`` maps each interface pair the subdomain touches to the rows
-    of its band-to-subdomain scatter on the free dofs.  ``rhs_free`` (the
-    fixed load on the free dofs) and ``u_fixed`` (zero but for the
-    Dirichlet values) are derived from the other fields.
+    ``load`` maps each interface pair the subdomain touches to the operator
+    taking that pair's interface unknowns to its load on the free dofs.
+    ``rhs_free`` (the fixed load on the free dofs) and ``u_fixed`` (zero but
+    for the Dirichlet values) are derived from the other fields.
     """
 
     space: FESpace
@@ -286,7 +281,7 @@ class SubdomainSystem:
     fixed_values: np.ndarray
     factor: SpdFactor
     lift: np.ndarray
-    scatter: dict[tuple[int, int], CsrOperator]
+    load: dict[tuple[int, int], CsrOperator]
     rhs_free: np.ndarray = field(init=False)
     u_fixed: np.ndarray = field(init=False)
 
@@ -304,6 +299,16 @@ class SubdomainSystem:
         u = self.u_fixed.copy()
         u[self.free] = self.factor.solve(b - self.lift)
         return u
+
+
+def _free_load(ops: InterfaceOperators, index: int, free: np.ndarray) -> CsrOperator:
+    """``scatter[free] @ load_map`` as one operator, bit for bit: the scatter
+    gives each free dof at most one band dof, with weight 1, so the rows of
+    the product are rows of ``load_map``, gathered in their own order."""
+    s = ops.scatter[index][free]
+    rows = np.full(free.size, -1)
+    rows[np.diff(s.indptr) > 0] = s.indices
+    return ops.scheme.load_map.take_rows(rows)
 
 
 def build_subdomain_system(
@@ -369,7 +374,7 @@ def build_subdomain_system(
         fixed_values=fixed_values,
         factor=factor,
         lift=lift,
-        scatter={ops.pair: CsrOperator(ops.scatter[index][free]) for ops in interface_ops},
+        load={ops.pair: _free_load(ops, index, free) for ops in interface_ops},
     )
 
 
@@ -436,21 +441,19 @@ def build_geometry(
 ]:
     """Decompose the mesh; build every subdomain's cut domain and dof space
     and every interface.  The one geometry path of the package."""
-    mesh, levelsets, grouping = problem.mesh, problem.levelsets, problem.grouping
-    deco = decompose_mesh(mesh, levelsets, grouping)
+    mesh = problem.mesh
+    deco = decompose_mesh(mesh, problem.levelsets, problem.grouping)
     if len(problem.materials) != deco.n_subdomains:
         raise ConfigError(
             f"{deco.n_subdomains} subdomains but {len(problem.materials)} materials"
         )
     domains = [
-        build_cut_domain(i, mesh, levelsets, problem.materials[i], grouping, deco)
+        build_cut_domain(i, mesh, problem.materials[i], deco)
         for i in range(deco.n_subdomains)
     ]
     spaces = [build_space(d) for d in domains]
     interfaces = {
-        pair: build_interface(
-            pair[0], pair[1], mesh, levelsets, grouping, deco, quad_points_per_segment
-        )
+        pair: build_interface(pair[0], pair[1], mesh, deco, quad_points_per_segment)
         for pair in deco.pairs
     }
     return deco, domains, spaces, interfaces
@@ -506,9 +509,9 @@ def linear_stage(state: LatinState) -> None:
     k_minus = state.params.k_minus
     for i, system in enumerate(state.systems):
         load = None
-        for pair, scatter in system.scatter.items():
+        for pair, pair_load in system.load.items():
             z = state.f_hat[(pair, i)] + k_minus * state.w_hat[(pair, i)]
-            part = scatter @ state.operators[pair].scheme.load_vector(z)
+            part = pair_load @ z
             if load is None:
                 load = part
             else:

@@ -122,10 +122,10 @@ class DiscreteLevelSet:
         idx = self.mesh.triangles if tris is None else self.mesh.triangles[tris]
         return self.classification_values[idx]
 
-    def cell_gradients(self) -> np.ndarray:
-        """Constant P1 gradient per triangle, shape (nt, 2)."""
-        p = self.mesh.triangle_coords()
-        v = self.cell_values()
+    def cell_gradients(self, tris: np.ndarray | None = None) -> np.ndarray:
+        """Constant P1 gradient per triangle, shape (m, 2)."""
+        p = self.mesh.triangle_coords(tris)
+        v = self.cell_values(tris)
         e1 = p[:, 1] - p[:, 0]
         e2 = p[:, 2] - p[:, 0]
         det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]

@@ -138,6 +138,20 @@ class CsrOperator:
         csr_matvec(n_row, n_col, self.indptr, self.indices, self.data, x, y)
         return y
 
+    def take_rows(self, rows: np.ndarray) -> CsrOperator:
+        """The operator whose row r is row rows[r] of this one, or empty
+        where rows[r] < 0.  Each row keeps its entries in order, so every
+        output entry is summed exactly as here."""
+        taken = rows >= 0
+        counts = np.zeros(rows.size, dtype=self.indptr.dtype)
+        counts[taken] = np.diff(self.indptr)[rows[taken]]
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        # entry e of output row r is entry e - indptr[r] + self.indptr[rows[r]]
+        shift = self.indptr[np.maximum(rows, 0)] - indptr[:-1]
+        pick = np.arange(indptr[-1]) + np.repeat(shift, counts)
+        out = (self.data[pick], self.indices[pick], indptr)
+        return CsrOperator(sp.csr_matrix(out, shape=(rows.size, self.shape[1])))
+
 
 @dataclass
 class SpdFactor:

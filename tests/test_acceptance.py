@@ -188,11 +188,11 @@ def test_criterion_7_property_suite(ellipse_state):
     mesh = build_structured_mesh((-1.2, -1.2, 1.2, 1.2), 20, 20)
     ls = [interpolate_levelset(Ellipse(1.0, 0.5, 0.654545), mesh)]
     deco = decompose_mesh(mesh, ls)
-    space = build_space(build_cut_domain(0, mesh, ls, MAT, decomposition=deco))
+    space = build_space(build_cut_domain(0, mesh, MAT, deco))
     u = test_assembly.linear_field(space.mesh.vertices[space.vertices]).ravel()
     g = assemble_ghost_penalty(space, 0.1)
     assert abs(u @ g.matvec(u)) <= 1e-12 * max(1.0, u @ u)
-    iface = build_interface(0, 1, mesh, ls, decomposition=deco)
+    iface = build_interface(0, 1, mesh, deco)
     j = gradient_jump_matrix(mesh, iface.interior_faces, iface.band_vertices, 0.1)
     z = test_assembly.linear_field(mesh.vertices[iface.band_vertices]).ravel()
     assert abs(z @ j.matvec(z)) <= 1e-12 * max(1.0, z @ z)
@@ -221,8 +221,8 @@ def test_criterion_8_cut_geometry_is_second_order():
         mesh = build_structured_mesh((-1.2, -1.2, 1.2, 1.2), n, n)
         ls = [interpolate_levelset(Ellipse(a, b, r), mesh)]
         deco = decompose_mesh(mesh, ls)
-        dom = build_cut_domain(1, mesh, ls, MAT, decomposition=deco)
-        iface = build_interface(0, 1, mesh, ls, decomposition=deco)
+        dom = build_cut_domain(1, mesh, MAT, deco)
+        iface = build_interface(0, 1, mesh, deco)
         hs.append(2.4 / n)
         area_errs.append(abs(dom.qweights.sum() - area_exact))
         len_errs.append(abs(iface.segments.length.sum() - per_exact))

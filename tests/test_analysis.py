@@ -41,7 +41,7 @@ def split_spaces(n, cut=0.5):
     ls = [interpolate_levelset(HalfPlane(0.0, -1.0, cut), mesh)]
     deco = decompose_mesh(mesh, ls)
     spaces = [
-        build_space(build_cut_domain(i, mesh, ls, MAT, decomposition=deco))
+        build_space(build_cut_domain(i, mesh, MAT, deco))
         for i in (0, 1)
     ]
     return mesh, spaces
@@ -52,7 +52,7 @@ def ellipse_spaces(n):
     ls = [interpolate_levelset(Ellipse(1.0, 0.5, 0.654545), mesh)]
     deco = decompose_mesh(mesh, ls)
     spaces = [
-        build_space(build_cut_domain(i, mesh, ls, MAT, decomposition=deco))
+        build_space(build_cut_domain(i, mesh, MAT, deco))
         for i in (0, 1)
     ]
     return mesh, spaces
@@ -127,6 +127,20 @@ def test_interpolation_reproduces_affine_fields_curved_band():
     for cs, fs in zip(coarse, fine):
         out = interpolate_to_fine(sample(cs, fx, fy), cs, fs)
         np.testing.assert_allclose(out, sample(fs, fx, fy), atol=1e-11)
+
+
+def test_stacked_interpolation_matches_per_field_calls():
+    # a (t, n) stack locates the fine vertices once and gives every field
+    # its own call's result byte for byte, fallback vertices included
+    _, coarse = ellipse_spaces(8)
+    _, fine = ellipse_spaces(16)
+    rng = np.random.default_rng(0)
+    for cs, fs in zip(coarse, fine):
+        fields = rng.standard_normal((3, cs.n_dofs))
+        stacked = interpolate_to_fine(fields, cs, fs)
+        assert stacked.shape == (3, fs.n_dofs)
+        for u, row in zip(fields, stacked):
+            assert row.tobytes() == interpolate_to_fine(u, cs, fs).tobytes()
 
 
 # --- broken norms -----------------------------------------------------------
@@ -246,7 +260,7 @@ def test_fit_rate_validation(h, errors):
 def ellipse_interface(n=12):
     mesh = build_structured_mesh((-1.2, -1.2, 1.2, 1.2), n, n)
     ls = [interpolate_levelset(Ellipse(1.0, 0.5, 0.654545), mesh)]
-    return build_interface(0, 1, mesh, ls, decomposition=decompose_mesh(mesh, ls))
+    return build_interface(0, 1, mesh, decompose_mesh(mesh, ls))
 
 
 def test_traction_profile_sorts_by_angle():
@@ -269,7 +283,7 @@ def test_traction_profile_center_shift():
     center = (0.3, 0.1)
     mesh = build_structured_mesh((-1.2, -1.2, 1.2, 1.2), 14, 14)
     ls = [interpolate_levelset(Circle(center, 0.6), mesh)]
-    iface = build_interface(0, 1, mesh, ls, decomposition=decompose_mesh(mesh, ls))
+    iface = build_interface(0, 1, mesh, decompose_mesh(mesh, ls))
     prof = traction_profile(iface, iface.segments.qnormals, center=center)
     # outward unit data dotted with the normals gives 1 all around
     np.testing.assert_allclose(prof[:, 1], 1.0, rtol=1e-12)

@@ -81,7 +81,7 @@ def ellipse_setup(n=10):
     mesh = build_structured_mesh((-1.2, -1.2, 1.2, 1.2), n, n)
     ls = [interpolate_levelset(Ellipse(1.0, 0.5, 0.654545), mesh)]
     deco = decompose_mesh(mesh, ls)
-    dom = build_cut_domain(1, mesh, ls, MAT, decomposition=deco)
+    dom = build_cut_domain(1, mesh, MAT, deco)
     return mesh, ls, deco, dom, build_space(dom)
 
 
@@ -162,7 +162,7 @@ def test_linear_field_energy_identity(a1, a2, b1, b2):
 def uncut_square(n=6):
     mesh = build_structured_mesh((0.0, 0.0, 1.0, 1.0), n, n)
     ls = [interpolate_levelset(HalfPlane(0.0, 1.0, 2.0), mesh)]  # never cuts
-    dom = build_cut_domain(0, mesh, ls, MAT)
+    dom = build_cut_domain(0, mesh, MAT, decompose_mesh(mesh, ls))
     return mesh, dom, build_space(dom)
 
 
@@ -276,7 +276,7 @@ def band_pieces(n=10):
     mesh = build_structured_mesh((-1.2, -1.2, 1.2, 1.2), n, n)
     ls = [interpolate_levelset(Ellipse(1.0, 0.5, 0.654545), mesh)]
     deco = decompose_mesh(mesh, ls)
-    iface = build_interface(0, 1, mesh, ls, decomposition=deco)
+    iface = build_interface(0, 1, mesh, deco)
     return mesh, ls, deco, iface
 
 
@@ -353,7 +353,7 @@ def test_gradient_jump_matches_oracle_and_kills_linears():
 
 def test_latin_augmentation_energy_for_constants():
     mesh, ls, deco, iface = band_pieces()
-    dom = build_cut_domain(0, mesh, ls, MAT, decomposition=deco)
+    dom = build_cut_domain(0, mesh, MAT, deco)
     space = build_space(dom)
     k_minus = 2.5
     aug = assemble_latin_augmentation(space, [iface], k_minus)
@@ -365,7 +365,7 @@ def test_latin_augmentation_energy_for_constants():
 
 def test_scatter_band_roundtrip():
     mesh, ls, deco, iface = band_pieces()
-    dom = build_cut_domain(0, mesh, ls, MAT, decomposition=deco)
+    dom = build_cut_domain(0, mesh, MAT, deco)
     space = build_space(dom)
     s = scatter_band_to_space(space, iface.band_vertices)
     z = np.arange(2.0 * iface.band_vertices.size)

@@ -597,9 +597,9 @@ def monolithic_bonded(n, dirichlet, k, gamma_g, gamma_pi):
     mesh = build_structured_mesh((0.0, 0.0, 1.0, 1.0), n, n)
     cut = interpolate_levelset(HalfPlane(0.0, -1.0, 0.5), mesh)
     deco = decompose_mesh(mesh, [cut])
-    doms = [build_cut_domain(i, mesh, [cut], MAT, decomposition=deco) for i in (0, 1)]
+    doms = [build_cut_domain(i, mesh, MAT, deco) for i in (0, 1)]
     spaces = [build_space(d) for d in doms]
-    iface = build_interface(0, 1, mesh, [cut], decomposition=deco)
+    iface = build_interface(0, 1, mesh, deco)
     e_op = assembly.interface_eval_operator(mesh, iface.segments, iface.band_vertices)
     m_band = assembly.interface_mass(e_op, iface.segments.qweights).toarray()
     j_band = assembly.gradient_jump_matrix(

@@ -68,6 +68,9 @@ def test_interpolation_exact_for_linear_function():
     grads = ls.cell_gradients()
     np.testing.assert_allclose(grads[:, 0], 0.3, atol=1e-13)
     np.testing.assert_allclose(grads[:, 1], -0.7, atol=1e-13)
+    # on a subset of cells, the same rows bit for bit
+    tris = np.array([5, 0, 7])
+    assert ls.cell_gradients(tris).tobytes() == grads[tris].tobytes()
     # cell_values gathers the right corners
     cv = ls.cell_values()
     np.testing.assert_array_equal(cv, ls.nodal_values[m.triangles])

@@ -223,3 +223,17 @@ def test_condition_number_edge_cases():
     # deterministic across calls
     a = SparseSym.finalize(sp.csr_matrix(spd_from(42, 15)))
     assert condition_number(a) == condition_number(a)
+
+
+@given(case=csr_and_vector(), seed=st.integers(0, 1000))
+def test_take_rows_matches_an_injection_applied_after(case, seed):
+    # row r of the gathered operator is row rows[r] (or empty), so applying
+    # it is bit for bit the 0/1 injection applied to the operator's result
+    a, x = case
+    rows = np.random.default_rng(seed).integers(-1, a.shape[0], 7)
+    inject = sp.csr_matrix(
+        (np.ones((rows >= 0).sum()), (np.flatnonzero(rows >= 0), rows[rows >= 0])),
+        shape=(rows.size, a.shape[0]),
+    )
+    got = CsrOperator(a).take_rows(rows) @ x
+    assert got.tobytes() == (inject @ (a @ x)).tobytes()
