@@ -364,9 +364,9 @@ def gradient_jump_matrix(
 
 
 def assemble_latin_augmentation(
-    space: FESpace, interfaces: list, k_minus: float
+    space: FESpace, interfaces: list, k: float
 ) -> SparseSym:
-    """Interface mass term k^- int u.v over every interface of one subdomain.
+    """Interface mass term k int u.v over every interface of one subdomain.
 
     Positive semidefinite with support on band dofs only; this is the Robin
     regularization that keeps floating subdomains solvable.
@@ -376,7 +376,7 @@ def assemble_latin_augmentation(
         e = interface_eval_operator(space.mesh, iface.segments, iface.band_vertices)
         m = interface_mass(e, iface.segments.qweights)
         s = scatter_band_to_space(space, iface.band_vertices)
-        total = total + s @ (k_minus * m.csr) @ s.T
+        total = total + s @ (k * m.csr) @ s.T
     return SparseSym.finalize(total)
 
 

@@ -125,6 +125,7 @@ def _run_condition_sweep(cfg: RunConfig, outdir: Path) -> None:
         eps_x_fixed=v["crack.eps_x"],
         nu=v["study.nu"],
         workers=cfg.workers,
+        params=cfg.latin_params(),
     )
     write_csv(outdir / "condition.csv", ["eps", "gamma_g", "kappa"], rows)
     # record the first swept problem, with the boundary conditions it assumes
@@ -132,7 +133,8 @@ def _run_condition_sweep(cfg: RunConfig, outdir: Path) -> None:
         v["crack.mode"], v["crack.eps_values"], v["crack.eps_x"]
     )[0]
     exemplar = experiments.crack_problem(
-        eps_x, eps_y, v["crack.n"], v["crack.gamma_g_values"][0], v["study.nu"]
+        eps_x, eps_y, v["crack.n"], v["crack.gamma_g_values"][0], v["study.nu"],
+        cfg.latin_params(),
     )
     (outdir / "crack_problem.cfg").write_text(
         render_flat(experiments.problem_to_flat(exemplar)), encoding="ascii"
@@ -148,6 +150,7 @@ def _run_condition_scaling(cfg: RunConfig, outdir: Path) -> None:
         gamma_g=v["scaling.gamma_g"],
         nu=v["study.nu"],
         workers=cfg.workers,
+        params=cfg.latin_params(),
     )
     write_csv(
         outdir / "condition_scaling.csv", ["h", "eps", "gamma_g", "kappa"], rows

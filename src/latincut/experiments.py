@@ -32,6 +32,7 @@ from .latin import (
     build_geometry,
     build_state,
     iterate,
+    merge_legacy_k,
 )
 from .levelset import Circle, Ellipse, HalfPlane, interpolate_levelset
 from .linalg import SparseSym, condition_number
@@ -53,7 +54,8 @@ class ProblemDef:
     """Complete, serializable description of one solve.
 
     Boundary data is restricted to constant vectors so definitions
-    round-trip exactly through the flat config format.
+    round-trip exactly through their flat form (`problem_to_flat`,
+    `problem_from_flat`).
     """
 
     name: str
@@ -152,51 +154,49 @@ def problem_to_flat(pdef: ProblemDef) -> dict[str, str]:
         flat[f"bc.dirichlet.{sub}.{side}"] = f"{ux!r},{uy!r}"
     for sub, side, tx, ty in pdef.neumann:
         flat[f"bc.neumann.{sub}.{side}"] = f"{tx!r},{ty!r}"
-    p = pdef.params
-    flat.update(
-        {
-            "latin.k_plus": repr(p.k_plus),
-            "latin.k_minus": repr(p.k_minus),
-            "latin.eta": repr(p.eta),
-            "latin.gamma_g": repr(p.gamma_g),
-            "latin.gamma_pi": repr(p.gamma_pi),
-            "latin.alpha": repr(p.alpha),
-            "latin.it_max": str(p.it_max),
-            "latin.quad_points_per_segment": str(p.quad_points_per_segment),
-            "latin.interface_scheme": p.interface_scheme,
-        }
-    )
+    flat.update(pdef.params.to_flat())
     return flat
 
 
-def _floats(text: str) -> list[float]:
+def _floats(text: str, kind: type = float) -> list:
+    """Comma-separated numbers, each read with ``kind`` (float or int)."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as err:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from err
 
 
 def problem_from_flat(flat: Mapping[str, str]) -> ProblemDef:
-    def need(key: str) -> str:
+    def need(key: str, kind: type = str):
         if key not in flat:
             raise ConfigError(f"problem definition is missing {key!r}")
-        return flat[key]
+        try:
+            return kind(flat[key])
+        except ValueError as err:
+            raise ConfigError(f"{key} must be {kind.__name__}, got {flat[key]!r}") from err
 
+    nx, ny = need("mesh.nx", int), need("mesh.ny", int)
+    if nx < 1 or ny < 1:
+        raise ConfigError("mesh.nx and mesh.ny must be at least 1")
     rect_vals = _floats(need("mesh.rect"))
     if len(rect_vals) != 4:
         raise ConfigError("mesh.rect takes four numbers")
+    if rect_vals[2] <= rect_vals[0] or rect_vals[3] <= rect_vals[1]:
+        raise ConfigError("mesh.rect must describe a nonempty rectangle")
     levelsets = []
     for i in range(len(flat)):
         key = f"geometry.levelset.{i}"
         if key not in flat:
             break
-        kind, *rest = [tok.strip() for tok in flat[key].split(",")]
-        levelsets.append((kind, *[float(v) for v in rest]))
+        kind, _, numbers = flat[key].partition(",")
+        entry = (kind.strip(), *_floats(numbers))
+        _levelset_function(entry)  # checks the kind and its parameter count
+        levelsets.append(entry)
     if not levelsets:
         raise ConfigError("problem definition needs at least one level set")
     grouping = None
     if "geometry.grouping" in flat:
-        grouping = tuple(int(v) for v in _floats(flat["geometry.grouping"]))
+        grouping = tuple(_floats(flat["geometry.grouping"], int))
     dirichlet = []
     neumann = []
     for key in sorted(flat):
@@ -207,26 +207,15 @@ def problem_from_flat(flat: Mapping[str, str]) -> ProblemDef:
                 raise ConfigError(f"{key} takes two numbers")
             row = (int(parts[2]), parts[3], vec[0], vec[1])
             (dirichlet if parts[1] == "dirichlet" else neumann).append(row)
-    params = LatinParams(
-        k_plus=float(need("latin.k_plus")),
-        k_minus=float(need("latin.k_minus")),
-        eta=float(need("latin.eta")),
-        gamma_g=float(need("latin.gamma_g")),
-        gamma_pi=float(need("latin.gamma_pi")),
-        alpha=float(need("latin.alpha")),
-        it_max=int(need("latin.it_max")),
-        quad_points_per_segment=int(need("latin.quad_points_per_segment")),
-        interface_scheme=need("latin.interface_scheme"),
-    )
     return ProblemDef(
         name=need("problem.name"),
         rect=tuple(rect_vals),
-        nx=int(need("mesh.nx")),
-        ny=int(need("mesh.ny")),
+        nx=nx,
+        ny=ny,
         levelsets=tuple(levelsets),
         e_moduli=tuple(_floats(need("material.e"))),
-        nu=float(need("material.nu")),
-        params=params,
+        nu=need("material.nu", float),
+        params=LatinParams.from_flat(merge_legacy_k(flat)),
         grouping=grouping,
         dirichlet=tuple(dirichlet),
         neumann=tuple(neumann),
@@ -371,7 +360,7 @@ def gamma_sweep_condition_numbers(
         elasticity = assembly.assemble_elasticity(space)
         touching = [ifc for pair, ifc in sorted(interfaces.items()) if i in pair]
         augmentation = assembly.assemble_latin_augmentation(
-            space, touching, pdef.params.k_minus
+            space, touching, pdef.params.k
         )
         fixed, _ = assembly.dirichlet_constraints(
             space, {s: (ux, uy) for sub, s, ux, uy in pdef.dirichlet if sub == i}
@@ -401,8 +390,8 @@ def crack_condition_case(
 
 def _crack_kappas(args) -> list[float]:
     """Worst-subproblem kappa of one crack geometry for each gamma_g."""
-    eps_x, eps_y, n, gamma_g_values, nu, memo = args
-    pdef = crack_problem(eps_x, eps_y, n, gamma_g_values[0], nu)
+    eps_x, eps_y, n, gamma_g_values, nu, params, memo = args
+    pdef = crack_problem(eps_x, eps_y, n, gamma_g_values[0], nu, params)
     return [
         max(kappas.values())
         for kappas in gamma_sweep_condition_numbers(pdef, gamma_g_values, memo)
@@ -593,13 +582,16 @@ def run_condition_sweep(
     eps_x_fixed: float = 0.5,
     nu: float = 0.3,
     workers: int = 1,
+    params: LatinParams | None = None,
 ) -> list[tuple[float, float, float]]:
     """Worst-subproblem kappa over the (eps, gamma_g) grid.
 
     The shifts of each point come from `crack_sweep_shifts`: mode "simple"
     sweeps the diagonal shift alone, mode "double" moves all three
-    interfaces together.  Rows run over eps for each gamma_g in turn; each (eps_x, eps) geometry
-    is built once, and is one job for the worker pool.
+    interfaces together.  Rows run over eps for each gamma_g in turn; each
+    (eps_x, eps) geometry is built once, and is one job for the worker pool.
+    ``params`` (default `LatinParams()`) supplies every solver parameter but
+    gamma_g, which the grid sets.
 
     Kappa is estimated once per distinct operator: a memo keyed by the
     SHA-256 of the operator's storage lives for this call and holds floats
@@ -613,7 +605,9 @@ def run_condition_sweep(
         return []
     geometries = list(dict.fromkeys(shifts))
     memo: dict[bytes, float] = {}
-    jobs = [(eps_x, eps, n, tuple(gammas), nu, memo) for eps_x, eps in geometries]
+    jobs = [
+        (eps_x, eps, n, tuple(gammas), nu, params, memo) for eps_x, eps in geometries
+    ]
     kappa = {}
     for shift, kappas in zip(geometries, _map_jobs(_crack_kappas, jobs, workers)):
         kappa.update(((shift, g), k) for g, k in zip(gammas, kappas))
@@ -627,11 +621,17 @@ def run_condition_scaling(
     gamma_g: float = 0.1,
     nu: float = 0.3,
     workers: int = 1,
+    params: LatinParams | None = None,
 ) -> list[tuple[float, float, float, float]]:
-    """Kappa against mesh size at a fixed good cut: rows (h, eps, gamma_g, kappa)."""
+    """Kappa against mesh size at a fixed good cut: rows (h, eps, gamma_g, kappa).
+
+    ``params`` (default `LatinParams()`) supplies every solver parameter but
+    gamma_g."""
     if levels < 2:
         raise ConfigError("condition scaling needs at least two levels")
-    jobs = [(eps, eps, base_n * 2**lv, (gamma_g,), nu, None) for lv in range(levels)]
+    jobs = [
+        (eps, eps, base_n * 2**lv, (gamma_g,), nu, params, None) for lv in range(levels)
+    ]
     kappas = _map_jobs(_crack_kappas, jobs, workers)
     return [
         (1.0 / job[2], eps, gamma_g, kappa)

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, fields
+from typing import Callable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,13 +70,13 @@ log = logging.getLogger(__name__)
 class LatinParams:
     """Search-direction, stabilization and iteration parameters.
 
-    The two search directions are conjugate (k_plus == k_minus); the Robin
-    closure stiffness of the local stage is tied to k_plus, which is what
-    produces the factor 1/2 in the heart formula.
+    The two search directions are conjugate, so one stiffness ``k`` serves
+    both; the Robin closure of the local stage uses it too, which is what
+    produces the factor 1/2 in the heart formula.  In configs and problem
+    files each field is the `latin.<field>` entry (`to_flat`, `from_flat`).
     """
 
-    k_plus: float = 1.0
-    k_minus: float = 1.0
+    k: float = 1.0
     eta: float = 0.85
     gamma_g: float = 0.1
     gamma_pi: float = 0.1
@@ -84,13 +84,10 @@ class LatinParams:
     it_max: int = 200
     quad_points_per_segment: int = 2
     interface_scheme: str = "p1"
-    nitsche_data_term: bool = True
 
     def __post_init__(self) -> None:
-        if not (self.k_plus > 0.0 and self.k_minus > 0.0):
-            raise ConfigError("search-direction stiffnesses must be positive")
-        if self.k_plus != self.k_minus:
-            raise ConfigError("conjugate search directions require k_plus == k_minus")
+        if not self.k > 0.0:
+            raise ConfigError("search-direction stiffness k must be positive")
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigError("relaxation eta must lie in [0, 1]")
         if self.gamma_g < 0.0 or self.gamma_pi < 0.0:
@@ -106,9 +103,44 @@ class LatinParams:
                 f"interface_scheme must be one of {INTERFACE_SCHEMES}"
             )
 
-    @property
-    def k(self) -> float:
-        return self.k_plus
+    def to_flat(self) -> dict[str, str]:
+        """`latin.<field>` texts: repr for floats (bit-exact), str otherwise.
+        A value `from_flat` cannot read back raises ConfigError."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        flat = {
+            f"latin.{name}": repr(v) if isinstance(v, float) else str(v)
+            for name, v in values.items()
+        }
+        self.from_flat(flat)
+        return flat
+
+    @classmethod
+    def from_flat(cls, flat: Mapping[str, str]) -> LatinParams:
+        """Read every `latin.<field>` text back; other keys are ignored."""
+        values = {}
+        for f in fields(cls):
+            key, kind = f"latin.{f.name}", type(f.default)
+            if key not in flat:
+                raise ConfigError(f"missing {key!r}")
+            try:
+                values[f.name] = kind(flat[key])
+            except ValueError as err:
+                raise ConfigError(f"{key} must be {kind.__name__}, got {flat[key]!r}") from err
+        return cls(**values)
+
+
+def merge_legacy_k(flat: Mapping[str, str]) -> dict[str, str]:
+    """``flat`` with the ``latin.k_plus``/``latin.k_minus`` pair of older
+    files, which wrote both with the same text, read as ``latin.k``."""
+    out = dict(flat)
+    legacy = [out.pop(key) for key in ("latin.k_plus", "latin.k_minus") if key in flat]
+    if legacy:
+        if len(legacy) != 2 or legacy[0] != legacy[1]:
+            raise ConfigError("conjugate search directions require k_plus == k_minus")
+        if "latin.k" in out:
+            raise ConfigError("latin.k replaces latin.k_plus and latin.k_minus; give one")
+        out["latin.k"] = legacy[0]
+    return out
 
 
 class P1Scheme:
@@ -317,7 +349,6 @@ def build_subdomain_system(
     params: LatinParams,
     dirichlet: dict[str, VectorData] | None = None,
     neumann: dict[str, VectorData] | None = None,
-    body_force: VectorData | None = None,
     weak_dirichlet: list[tuple[str, VectorData]] | None = None,
 ) -> SubdomainSystem:
     """Assemble and factorize the iteration-independent operator.
@@ -335,11 +366,9 @@ def build_subdomain_system(
     a = assembly.assemble_elasticity(space)
     a = a + assembly.assemble_ghost_penalty(space, params.gamma_g)
     a = a + assembly.assemble_latin_augmentation(
-        space, [ops.iface for ops in interface_ops], params.k_minus
+        space, [ops.iface for ops in interface_ops], params.k
     )
     rhs = np.zeros(space.n_dofs)
-    if body_force is not None:
-        rhs += assembly.assemble_body_force(space, body_force)
     mesh = space.mesh
     if neumann:
         for side, data in neumann.items():
@@ -349,9 +378,7 @@ def build_subdomain_system(
         for side, data in weak_dirichlet:
             segs = boundary_segments(mesh, [side], params.quad_points_per_segment)
             a = a + assembly.assemble_nitsche_matrix(space, segs, params.alpha)
-            rhs += assembly.assemble_nitsche_rhs(
-                space, segs, params.alpha, data, params.nitsche_data_term
-            )
+            rhs += assembly.assemble_nitsche_rhs(space, segs, params.alpha, data)
     fixed, fixed_values = assembly.dirichlet_constraints(space, dirichlet or {})
     mask = np.ones(space.n_dofs, dtype=bool)
     mask[fixed] = False
@@ -394,7 +421,6 @@ class ContactProblem:
     grouping: np.ndarray | None = None
     dirichlet: dict[int, dict[str, VectorData]] = field(default_factory=dict)
     neumann: dict[int, dict[str, VectorData]] = field(default_factory=dict)
-    body_force: dict[int, VectorData] = field(default_factory=dict)
     weak_dirichlet: dict[int, list[tuple[str, VectorData]]] = field(default_factory=dict)
     contact: bool = True
 
@@ -479,7 +505,6 @@ def build_state(problem: ContactProblem, params: LatinParams) -> LatinState:
                 params,
                 dirichlet=problem.dirichlet.get(i),
                 neumann=problem.neumann.get(i),
-                body_force=problem.body_force.get(i),
                 weak_dirichlet=problem.weak_dirichlet.get(i),
             )
         )
@@ -506,11 +531,11 @@ def build_state(problem: ContactProblem, params: LatinParams) -> LatinState:
 
 def linear_stage(state: LatinState) -> None:
     """Solve every subdomain against the current hat fields."""
-    k_minus = state.params.k_minus
+    k = state.params.k
     for i, system in enumerate(state.systems):
         load = None
         for pair, pair_load in system.load.items():
-            z = state.f_hat[(pair, i)] + k_minus * state.w_hat[(pair, i)]
+            z = state.f_hat[(pair, i)] + k * state.w_hat[(pair, i)]
             part = pair_load @ z
             if load is None:
                 load = part
@@ -525,12 +550,12 @@ def linear_stage(state: LatinState) -> None:
 
 def postprocess_interface(state: LatinState) -> None:
     """Extract starred interface fields from the fresh displacements."""
-    k_minus = state.params.k_minus
+    k = state.params.k
     for pair, ops in state.operators.items():
         for side in pair:
             trace = ops.gather[side] @ state.u[side]
             w_new = ops.scheme.from_bulk(trace)
-            f_new = state.f_hat[(pair, side)] + k_minus * (
+            f_new = state.f_hat[(pair, side)] + k * (
                 state.w_hat[(pair, side)] - w_new
             )
             state.w_star[(pair, side)] = w_new
@@ -567,7 +592,7 @@ def local_stage(state: LatinState) -> float:
         wi = scheme.at_quadrature(state.w_star[(pair, i)]).reshape(-1, 2)
         wj = scheme.at_quadrature(state.w_star[(pair, j)]).reshape(-1, 2)
         n = ops.qnormals
-        force = 0.5 * (fi - fj + params.k_plus * (wj - wi))
+        force = 0.5 * (fi - fj + params.k * (wj - wi))
         if state.problem.contact:
             # frictionless law: keep only compressive normal force
             heart = np.einsum("qi,qi->q", force, n)
@@ -580,7 +605,7 @@ def local_stage(state: LatinState) -> float:
         for side in pair:
             state.w_hat[(pair, side)] = state.w_star[(pair, side)] + (
                 state.f_hat[(pair, side)] - state.f_star[(pair, side)]
-            ) / params.k_plus
+            ) / params.k
     return n_active / n_total if n_total else 0.0
 
 

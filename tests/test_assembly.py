@@ -355,11 +355,11 @@ def test_latin_augmentation_energy_for_constants():
     mesh, ls, deco, iface = band_pieces()
     dom = build_cut_domain(0, mesh, MAT, deco)
     space = build_space(dom)
-    k_minus = 2.5
-    aug = assemble_latin_augmentation(space, [iface], k_minus)
+    k = 2.5
+    aug = assemble_latin_augmentation(space, [iface], k)
     c = np.array([0.4, -1.1])
     u = np.tile(c, space.vertices.size)
-    expect = k_minus * iface.segments.length.sum() * (c @ c)
+    expect = k * iface.segments.length.sum() * (c @ c)
     assert u @ aug.matvec(u) == pytest.approx(expect, rel=1e-12)
 
 

@@ -9,6 +9,7 @@ import importlib.metadata
 import json
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -79,7 +80,6 @@ def test_defaults_alone_give_a_runnable_config():
     assert cfg.latin_params() == LatinParams()
     assert cfg.values["study.monitor_iterations"] == (10, 20, 30, 50, 100, 200)
     assert cfg.values["crack.eps_values"] == (0.25, 0.01, 1e-4, 1e-6, 1e-8, 1e-11)
-    assert cfg.problem_entries == {}
 
 
 def test_precedence_defaults_then_file_then_environment():
@@ -95,17 +95,62 @@ def test_precedence_defaults_then_file_then_environment():
 
 def test_environment_wildcard_keys_and_rejections():
     env = {
-        "LATINCUT_GEOMETRY_LEVELSET_0": "circle,0.0,0.0,0.5",
-        "LATINCUT_BC_DIRICHLET_0_TOP": "0.0,-1.0",
+        "LATINCUT_LATIN_K": "2.0",
         "HOME": "/somewhere",  # unprefixed names are ignored
     }
-    out = env_overrides(env)
-    assert out == {
-        "geometry.levelset.0": "circle,0.0,0.0,0.5",
-        "bc.dirichlet.0.top": "0.0,-1.0",
-    }
+    assert env_overrides(env) == {"latin.k": "2.0"}
+    # the former wildcard families are rejected in test_former_problem_keys_are_unknown
     with pytest.raises(ConfigError, match="unknown config key in environment: LATINCUT_BOGUS"):
         env_overrides({"LATINCUT_BOGUS": "1"})
+
+
+# problem-definition keys a run config once accepted and then ignored; the
+# problem form (`crack_problem.cfg`) carries them, a run config does not
+FORMER_PROBLEM_KEYS = {
+    "problem.name": "mine",
+    "mesh.rect": "0,0,1,1",
+    "mesh.nx": "999",
+    "mesh.ny": "4",
+    "material.e": "1.0,1.0",
+    "material.nu": "0.3",
+    "geometry.grouping": "0,1",
+    "geometry.levelset.0": "circle,0,0,0.5",
+    "bc.dirichlet.0.top": "0,-1",
+    "bc.neumann.0.top": "0,-5",
+}
+
+
+@pytest.mark.parametrize("key", sorted(FORMER_PROBLEM_KEYS))
+def test_former_problem_keys_are_unknown(tmp_path, capsys, key, monkeypatch):
+    out = tmp_path / "out"
+    body = f"experiment = crack_condition_scaling\noutput.dir = {out}\n"
+    path = run_cfg(tmp_path, body + f"{key} = {FORMER_PROBLEM_KEYS[key]}\n")
+    assert cli.main(["run", str(path)]) == 1
+    assert f"config error: unknown config key {key!r}" in capsys.readouterr().err
+    name = "LATINCUT_" + key.replace(".", "_").upper()
+    monkeypatch.setenv(name, FORMER_PROBLEM_KEYS[key])
+    assert cli.main(["run", str(run_cfg(tmp_path, body))]) == 1
+    assert f"unknown config key in environment: {name}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_legacy_k_pair_reads_as_k():
+    cfg = build_run_config({"latin.k_plus": "2.0", "latin.k_minus": "2.0"})
+    assert cfg.latin_params().k == 2.0
+    assert cfg.values["latin.k"] == 2.0
+    assert "latin.k_plus" not in cfg.flat and "latin.k_minus" not in cfg.flat
+    for entries in (
+        {"latin.k_plus": "2.0", "latin.k_minus": "1.0"},
+        {"latin.k_plus": "2.0"},
+        {"latin.k_minus": "2.0"},
+    ):
+        with pytest.raises(ConfigError, match="require k_plus == k_minus"):
+            build_run_config(entries)
+    with pytest.raises(ConfigError, match="latin.k replaces"):
+        build_run_config({"latin.k": "2.0", "latin.k_plus": "2.0", "latin.k_minus": "2.0"})
+    # the legacy names are read from files only
+    with pytest.raises(ConfigError, match="unknown config key in environment"):
+        build_run_config({}, {"LATINCUT_LATIN_K_PLUS": "2.0"})
 
 
 @pytest.mark.parametrize(
@@ -117,36 +162,19 @@ def test_environment_wildcard_keys_and_rejections():
         ({"export.fields": "yes"}, "true or false"),
         ({"experiment": "nope"}, "must be one of"),
         ({"crack.mode": "triple"}, "must be one of"),
-        ({"mesh.rect": "0,0,1"}, "four numbers"),
-        ({"mesh.rect": "0,0,-1,1"}, "nonempty rectangle"),
-        ({"bc.dirichlet.0.top": "1.0"}, "two numbers"),
-        ({"geometry.levelset.0": "blob,1.0"}, "unknown level-set kind"),
-        ({"geometry.levelset.0": "circle,1.0"}, "takes 3 numbers"),
+        # problem-definition entries are not run-config keys; problem_from_flat
+        # checks them (tests/test_experiments.py)
+        ({"mesh.rect": "0,0,1"}, "unknown config key"),
+        ({"mesh.rect": "0,0,-1,1"}, "unknown config key"),
+        ({"bc.dirichlet.0.top": "1.0"}, "unknown config key"),
+        ({"geometry.levelset.0": "blob,1.0"}, "unknown config key"),
+        ({"geometry.levelset.0": "circle,1.0"}, "unknown config key"),
         ({"latin.eta": "1.5"}, "eta"),
     ],
 )
 def test_invalid_entries_rejected(entries, match):
     with pytest.raises(ConfigError, match=match):
         build_run_config(entries)
-
-
-def test_problem_vocabulary_collected_separately():
-    cfg = build_run_config(
-        {
-            "problem.name": "custom",
-            "mesh.nx": "4",
-            "geometry.levelset.0": "circle,0.0,0.0,0.5",
-            "bc.dirichlet.0.top": "0.0,-1.0",
-        }
-    )
-    assert set(cfg.problem_entries) == {
-        "problem.name",
-        "mesh.nx",
-        "geometry.levelset.0",
-        "bc.dirichlet.0.top",
-    }
-    assert cfg.values["mesh.nx"] == 4
-    assert "bc.dirichlet.0.top" not in cfg.values
 
 
 def test_parse_config_combines_text_and_environment():
@@ -324,6 +352,66 @@ def test_condition_sweep_records_its_first_problem(tmp_path, monkeypatch, mode):
     assert exemplar == first
     eps_x = 0.25 if mode == "double" else 0.375
     assert first == make(eps_x, 0.25, 12, 0.001)
+
+
+def test_crack_sweep_honours_latin_params(tmp_path):
+    def sweep(name, latin):
+        out = tmp_path / name
+        cfg = run_cfg(
+            tmp_path,
+            f"experiment = crack_condition_sweep\noutput.dir = {out}\ncrack.n = 12\n"
+            f"crack.eps_values = 0.25\ncrack.gamma_g_values = 0.1\n{latin}",
+        )
+        assert cli.main(["run", str(cfg)]) == 0
+        kappa = float((out / "condition.csv").read_text().splitlines()[1].split(",")[2])
+        exemplar = problem_from_flat(parse_flat((out / "crack_problem.cfg").read_text()))
+        return kappa, exemplar.params
+
+    kappa_1, params_1 = sweep("k1", "")
+    kappa_4, params_4 = sweep("k4", "latin.k = 4.0\nlatin.quad_points_per_segment = 4\n")
+    assert params_1 == LatinParams()
+    assert params_4 == LatinParams(k=4.0, quad_points_per_segment=4)
+    # the Robin augmentation k int u.v enters every operator the sweep estimates
+    assert kappa_4 != pytest.approx(kappa_1, rel=1e-3)
+    # the legacy pair in a file is the same run
+    assert sweep("legacy", "latin.k_plus = 4.0\nlatin.k_minus = 4.0\n"
+                 "latin.quad_points_per_segment = 4\n") == (kappa_4, params_4)
+
+
+def test_resolved_cfg_parses_back_to_the_run(tmp_path):
+    out = tmp_path / "out"
+    text = (
+        f"experiment = crack_condition_scaling\noutput.dir = {out}\nscaling.base_n = 12\n"
+        "scaling.levels = 2\nlatin.k_plus = 2.5\nlatin.k_minus = 2.5\nlatin.eta = 0.5\n"
+    )
+    assert cli.main(["run", str(run_cfg(tmp_path, text))]) == 0
+    cfg, again = parse_config(text), parse_config((out / "resolved.cfg").read_text())
+    assert again.values == cfg.values
+    assert again.latin_params() == cfg.latin_params() == LatinParams(k=2.5, eta=0.5)
+
+
+def readme_configs() -> dict[str, str]:
+    """Every config README.md shows: each `# name.cfg` section of a code block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    configs = {}
+    for block in re.findall(r"^```\n(.*?)^```", readme, re.M | re.S):
+        for section in re.split(r"^(?=# [\w.-]+\.cfg)", block, flags=re.M):
+            name = re.match(r"# ([\w.-]+\.cfg)", section)
+            if name:
+                configs[name.group(1)] = section
+    return configs
+
+
+def test_readme_shows_the_example_configs():
+    assert sorted(readme_configs()) == [
+        "crack_scaling.cfg", "crack_sweep.cfg", "ellipse.cfg", "ellipse_quick.cfg", "p1p0.cfg",
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(readme_configs()))
+def test_readme_config_parses(name):
+    cfg = parse_config(readme_configs()[name])
+    assert cfg.output_dir.startswith("out/")
 
 
 @pytest.mark.parametrize(

@@ -137,20 +137,46 @@ def test_flat_round_trip_is_bit_exact(pdef):
     assert problem_from_flat(parse_flat(render_flat(flat))) == pdef
 
 
+def setting(key, value, match):
+    """A mutation that sets ``key = value``; the error must contain ``match``."""
+    mutate = lambda flat: flat.__setitem__(key, value)  # noqa: E731
+    mutate.match = match
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
         lambda f: f.pop("latin.eta"),
         lambda f: f.pop("geometry.levelset.0"),
-        lambda f: f.__setitem__("mesh.rect", "0,0,1"),
-        lambda f: f.__setitem__("bc.dirichlet.0.top", "1.0"),
+        setting("mesh.rect", "0,0,1", "four numbers"),
+        setting("bc.dirichlet.0.top", "1.0", "two numbers"),
+        setting("mesh.rect", "0,0,-1,1", "nonempty rectangle"),
+        setting("geometry.levelset.0", "blob,1.0", "unknown level-set kind"),
+        setting("geometry.levelset.0", "circle,1.0", "takes 3 parameters"),
+        setting("geometry.levelset.0", "circle,abc,0,1", "comma-separated numbers"),
+        setting("latin.it_max", "many", "latin.it_max must be int"),
+        setting("latin.k_plus", "2.0", "require k_plus == k_minus"),
+        setting("mesh.nx", "abc", "mesh.nx must be int"),
+        setting("mesh.ny", "0", "at least 1"),
+        setting("material.nu", "x", "material.nu must be float"),
+        setting("geometry.grouping", "0,0.5", "comma-separated numbers"),
     ],
 )
 def test_problem_from_flat_rejects_broken_input(mutate):
     flat = problem_to_flat(ellipse_case())
     mutate(flat)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=getattr(mutate, "match", None)):
         problem_from_flat(flat)
+
+
+def test_problem_from_flat_reads_the_legacy_k_pair():
+    pdef = crack_problem(0.25, 0.25, 12, 0.1, params=LatinParams(k=2.0))
+    flat = problem_to_flat(pdef)
+    k = flat.pop("latin.k")
+    assert problem_from_flat({**flat, "latin.k_plus": k, "latin.k_minus": k}) == pdef
+    with pytest.raises(ConfigError, match="require k_plus == k_minus"):
+        problem_from_flat({**flat, "latin.k_plus": k, "latin.k_minus": "1.0"})
 
 
 def test_build_problem_collects_boundary_data():

@@ -88,7 +88,7 @@ def heart_fields(state, pair):
     i, j = pair
     ops = state.operators[pair]
     sch = ops.scheme
-    k = state.params.k_plus
+    k = state.params.k
     fi = sch.at_quadrature(state.f_star[(pair, i)]).reshape(-1, 2)
     fj = sch.at_quadrature(state.f_star[(pair, j)]).reshape(-1, 2)
     wi = sch.at_quadrature(state.w_star[(pair, i)]).reshape(-1, 2)
@@ -107,9 +107,9 @@ def heart_fields(state, pair):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(k_plus=0.0),
-        dict(k_plus=-1.0, k_minus=-1.0),
-        dict(k_plus=1.0, k_minus=2.0),
+        dict(k=0.0),
+        dict(k=-1.0),
+        dict(k=float("nan")),
         dict(eta=-0.1),
         dict(eta=1.5),
         dict(gamma_g=-1e-3),
@@ -127,8 +127,30 @@ def test_params_validation(kwargs):
 
 def test_params_defaults_valid():
     p = LatinParams()
-    assert p.k == p.k_plus == p.k_minus == 1.0
+    assert p.k == 1.0
     assert p.interface_scheme == "p1"
+
+
+def test_params_flat_texts():
+    assert LatinParams().to_flat() == {
+        "latin.k": "1.0",
+        "latin.eta": "0.85",
+        "latin.gamma_g": "0.1",
+        "latin.gamma_pi": "0.1",
+        "latin.alpha": "10.0",
+        "latin.it_max": "200",
+        "latin.quad_points_per_segment": "2",
+        "latin.interface_scheme": "p1",
+    }
+    custom = LatinParams(k=0.1 + 0.2, eta=1 / 3, it_max=7, interface_scheme="p0")
+    assert LatinParams.from_flat({**custom.to_flat(), "other.key": "x"}) == custom
+    flat = custom.to_flat()
+    with pytest.raises(ConfigError, match="missing 'latin.alpha'"):
+        LatinParams.from_flat({k: v for k, v in flat.items() if k != "latin.alpha"})
+    with pytest.raises(ConfigError, match="latin.it_max must be int"):
+        LatinParams.from_flat({**flat, "latin.it_max": "7.5"})
+    with pytest.raises(ConfigError, match="latin.it_max must be int"):
+        LatinParams(it_max=7.5).to_flat()
 
 
 def test_build_state_material_count_checked():
@@ -152,7 +174,7 @@ def test_first_linear_stage_matches_dense_solve():
         a = (
             assemble_elasticity(space).toarray()
             + assemble_ghost_penalty(space, params.gamma_g).toarray()
-            + assembly.assemble_latin_augmentation(space, ifaces, params.k_minus).toarray()
+            + assembly.assemble_latin_augmentation(space, ifaces, params.k).toarray()
         )
         lift = a[np.ix_(sysm.free, sysm.fixed)] @ sysm.fixed_values
         expect = np.zeros(a.shape[0])
@@ -205,7 +227,7 @@ def test_action_reaction_is_exact():
 
 def test_hat_fields_satisfy_search_direction_identity():
     state = run(two_block_problem(), LatinParams(it_max=7))
-    k = state.params.k_plus
+    k = state.params.k
     for pair in state.pairs:
         for side in pair:
             key = (pair, side)
@@ -348,7 +370,7 @@ def reference_iterate(state, n):
     norm evaluated.  Only the factorizations are the state's."""
     params = state.params
     scheme = params.interface_scheme
-    k = params.k_plus
+    k = params.k
     eta = params.eta
 
     def load_vector(ops, z):
@@ -369,7 +391,7 @@ def reference_iterate(state, n):
             load = np.zeros(system.space.n_dofs)
             for pair, ops in state.operators.items():
                 if i in pair:
-                    z = state.f_hat[(pair, i)] + params.k_minus * state.w_hat[(pair, i)]
+                    z = state.f_hat[(pair, i)] + params.k * state.w_hat[(pair, i)]
                     load += ops.scatter[i] @ load_vector(ops, z)
             b = (system.rhs0 + load)[system.free] - system.lift
             u = np.zeros(system.space.n_dofs)
@@ -386,7 +408,7 @@ def reference_iterate(state, n):
                 else:
                     w_new = trace.copy()
                 key = (pair, side)
-                state.f_star[key] = state.f_hat[key] + params.k_minus * (
+                state.f_star[key] = state.f_hat[key] + params.k * (
                     state.w_hat[key] - w_new
                 )
                 state.w_star[key] = w_new
@@ -656,8 +678,7 @@ def test_bonded_matches_monolithic_saddle():
         mesh=mesh, levelsets=[cut], materials=[MAT, MAT],
         dirichlet=dirichlet, contact=False,
     )
-    state = run(problem, LatinParams(it_max=400, k_plus=k, k_minus=k,
-                                     gamma_g=gg, gamma_pi=gp))
+    state = run(problem, LatinParams(it_max=400, k=k, gamma_g=gg, gamma_pi=gp))
     spaces, u_mono = monolithic_bonded(n, dirichlet, k, gg, gp)
     num = den = 0.0
     for space, ui, um in zip(spaces, state.u, u_mono):
