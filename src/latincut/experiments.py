@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import analysis, assembly
-from .analysis import ConvergenceRecord, interpolate_to_fine, refinement_levels
+from .analysis import ConvergenceRecord, interpolate_to_fine
 from .assembly import FESpace
 from .cutgeom import InterfaceMesh, Material
 # perfbench/study.py wraps these names here; latin.build_geometry calls them
@@ -167,6 +167,11 @@ def _floats(text: str, kind: type = float) -> list:
 
 
 def problem_from_flat(flat: Mapping[str, str]) -> ProblemDef:
+    """Read the flat form back.  A key `problem_to_flat` would not write for
+    the problem read (a typo, a level set after a gap) raises ConfigError;
+    the legacy `latin.k_plus`/`latin.k_minus` pair reads as `latin.k`."""
+    flat = merge_legacy_k(flat)
+
     def need(key: str, kind: type = str):
         if key not in flat:
             raise ConfigError(f"problem definition is missing {key!r}")
@@ -201,13 +206,13 @@ def problem_from_flat(flat: Mapping[str, str]) -> ProblemDef:
     neumann = []
     for key in sorted(flat):
         parts = key.split(".")
-        if len(parts) == 4 and parts[0] == "bc":
+        if len(parts) == 4 and parts[0] == "bc" and parts[2].isdecimal():
             vec = _floats(flat[key])
             if len(vec) != 2:
                 raise ConfigError(f"{key} takes two numbers")
             row = (int(parts[2]), parts[3], vec[0], vec[1])
             (dirichlet if parts[1] == "dirichlet" else neumann).append(row)
-    return ProblemDef(
+    pdef = ProblemDef(
         name=need("problem.name"),
         rect=tuple(rect_vals),
         nx=nx,
@@ -215,11 +220,15 @@ def problem_from_flat(flat: Mapping[str, str]) -> ProblemDef:
         levelsets=tuple(levelsets),
         e_moduli=tuple(_floats(need("material.e"))),
         nu=need("material.nu", float),
-        params=LatinParams.from_flat(merge_legacy_k(flat)),
+        params=LatinParams.from_flat(flat),
         grouping=grouping,
         dirichlet=tuple(dirichlet),
         neumann=tuple(neumann),
     )
+    unknown = sorted(set(flat) - set(problem_to_flat(pdef)))
+    if unknown:
+        raise ConfigError(f"unknown problem-definition keys {unknown}")
+    return pdef
 
 
 # --- case builders ------------------------------------------------------
@@ -422,7 +431,8 @@ class SolveResult:
 def traction_at_quadrature(state: LatinState, pair: tuple[int, int]) -> np.ndarray:
     """Interface force of the low side evaluated at quadrature points (nq, 2)."""
     ops = state.operators[pair]
-    return ops.scheme.at_quadrature(state.f_hat[(pair, pair[0])]).reshape(-1, 2)
+    f_hat = state.interface_field("f_hat", pair, pair[0])
+    return ops.scheme.at_quadrature(f_hat).reshape(-1, 2)
 
 
 def solve_problem(

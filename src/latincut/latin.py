@@ -19,9 +19,14 @@ arithmetic.  A CSR copy of a transpose, of a row subset or of gathered rows
 sums every output entry in the same order as the matrix it came from, so
 results are bit-identical to the plain scipy expressions.
 
-No stage writes into a hat or starred field array in place; every stage
-assigns fresh arrays.  So the snapshot each iteration leaves for relaxation
-and the indicator shares its arrays with the state instead of copying them.
+The interface state is packed: `LatinState.slots` maps each (pair, side)
+to a slice of length ``scheme.n_unknowns`` of the (2, n) arrays ``star``
+and ``hat``, whose row 0 holds displacements w and row 1 forces f.
+Elementwise arithmetic runs on whole rows, per-pair work on slices; an
+elementwise float operation gives the same bits on a slice as on a
+separate array.  No stage writes into ``star`` or ``hat`` in place; every
+stage assigns fresh arrays.  So the (star, hat) pair each iteration leaves
+for relaxation and the indicator is two references, not copies.
 """
 
 from __future__ import annotations
@@ -432,6 +437,11 @@ class IterationRecord:
     contact_fraction: float
 
 
+# interface field name -> (packed array, row)
+_FIELDS = {"w_star": ("star", 0), "f_star": ("star", 1), "w_hat": ("hat", 0), "f_hat": ("hat", 1)}
+Snapshot = tuple[np.ndarray, np.ndarray]  # (star, hat)
+
+
 @dataclass
 class LatinState:
     """Everything the iteration owns, exportable at any checkpoint."""
@@ -444,17 +454,24 @@ class LatinState:
     systems: list[SubdomainSystem]
     operators: dict[tuple[int, int], InterfaceOperators]
     u: list[np.ndarray]
-    w_star: dict[tuple[tuple[int, int], int], np.ndarray]
-    f_star: dict[tuple[tuple[int, int], int], np.ndarray]
-    w_hat: dict[tuple[tuple[int, int], int], np.ndarray]
-    f_hat: dict[tuple[tuple[int, int], int], np.ndarray]
+    slots: dict[tuple[tuple[int, int], int], slice]
+    star: np.ndarray
+    hat: np.ndarray
     it: int = 0
     history: list[IterationRecord] = field(default_factory=list)
-    previous: dict | None = None  # _snapshot of the last iteration, if any
+    previous: Snapshot | None = None  # what the last iteration left, if any
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
         return sorted(self.operators)
+
+    def interface_field(self, name: str, pair: tuple[int, int], side: int) -> np.ndarray:
+        """Read-only view of field ``name`` (w_star, f_star, w_hat or f_hat)
+        on one side of one pair."""
+        array, row = _FIELDS[name]
+        view = getattr(self, array)[row, self.slots[(pair, side)]]
+        view.flags.writeable = False
+        return view
 
 
 def build_geometry(
@@ -495,24 +512,22 @@ def build_state(problem: ContactProblem, params: LatinParams) -> LatinState:
         pair: build_interface_operators(problem.mesh, iface, space_of, params)
         for pair, iface in interfaces.items()
     }
-    systems = []
-    for i, space in enumerate(spaces):
-        touching = [ops for pair, ops in sorted(operators.items()) if i in pair]
-        systems.append(
-            build_subdomain_system(
-                space,
-                touching,
-                params,
-                dirichlet=problem.dirichlet.get(i),
-                neumann=problem.neumann.get(i),
-                weak_dirichlet=problem.weak_dirichlet.get(i),
-            )
+    systems = [
+        build_subdomain_system(
+            space,
+            [ops for pair, ops in sorted(operators.items()) if i in pair],
+            params,
+            dirichlet=problem.dirichlet.get(i),
+            neumann=problem.neumann.get(i),
+            weak_dirichlet=problem.weak_dirichlet.get(i),
         )
-    zeros = {
-        (pair, side): np.zeros(ops.scheme.n_unknowns)
-        for pair, ops in operators.items()
-        for side in pair
-    }
+        for i, space in enumerate(spaces)
+    ]
+    slots, n = {}, 0
+    for pair, ops in operators.items():
+        for side in pair:
+            slots[(pair, side)] = slice(n, n + ops.scheme.n_unknowns)
+            n += ops.scheme.n_unknowns
     return LatinState(
         problem=problem,
         params=params,
@@ -522,25 +537,18 @@ def build_state(problem: ContactProblem, params: LatinParams) -> LatinState:
         systems=systems,
         operators=operators,
         u=[np.zeros(s.n_dofs) for s in spaces],
-        w_star={k: v.copy() for k, v in zeros.items()},
-        f_star={k: v.copy() for k, v in zeros.items()},
-        w_hat={k: v.copy() for k, v in zeros.items()},
-        f_hat={k: v.copy() for k, v in zeros.items()},
+        slots=slots,
+        star=np.zeros((2, n)),
+        hat=np.zeros((2, n)),
     )
 
 
 def linear_stage(state: LatinState) -> None:
     """Solve every subdomain against the current hat fields."""
-    k = state.params.k
+    z = state.hat[1] + state.params.k * state.hat[0]
     for i, system in enumerate(state.systems):
-        load = None
-        for pair, pair_load in system.load.items():
-            z = state.f_hat[(pair, i)] + k * state.w_hat[(pair, i)]
-            part = pair_load @ z
-            if load is None:
-                load = part
-            else:
-                load += part
+        parts = [op @ z[state.slots[(pair, i)]] for pair, op in system.load.items()]
+        load = sum(parts[1:], parts[0]) if parts else None
         try:
             state.u[i] = system.solve(load)
         except (np.linalg.LinAlgError, FloatingPointError) as err:
@@ -550,30 +558,21 @@ def linear_stage(state: LatinState) -> None:
 
 def postprocess_interface(state: LatinState) -> None:
     """Extract starred interface fields from the fresh displacements."""
-    k = state.params.k
+    hat = state.hat
+    star = np.empty_like(hat)
     for pair, ops in state.operators.items():
         for side in pair:
             trace = ops.gather[side] @ state.u[side]
-            w_new = ops.scheme.from_bulk(trace)
-            f_new = state.f_hat[(pair, side)] + k * (
-                state.w_hat[(pair, side)] - w_new
-            )
-            state.w_star[(pair, side)] = w_new
-            state.f_star[(pair, side)] = f_new
+            star[0, state.slots[(pair, side)]] = ops.scheme.from_bulk(trace)
+    star[1] = hat[1] + state.params.k * (hat[0] - star[0])
+    state.star = star
 
 
-def relax(state: LatinState, previous: dict | None) -> None:
+def relax(state: LatinState, previous: Snapshot | None) -> None:
     """Blend the starred fields with the previous iterate (skipped at it=0)."""
-    if previous is None:
-        return
-    eta = state.params.eta
-    keep = 1.0 - eta
-    for name in ("w_star", "f_star"):
-        fields, old = getattr(state, name), previous[name]
-        for key, new in fields.items():
-            blended = eta * new
-            blended += keep * old[key]
-            fields[key] = blended
+    if previous is not None:
+        eta = state.params.eta
+        state.star = eta * state.star + (1.0 - eta) * previous[0]
 
 
 def local_stage(state: LatinState) -> float:
@@ -582,15 +581,17 @@ def local_stage(state: LatinState) -> float:
     Returns the fraction of interface quadrature points in contact.
     """
     params = state.params
-    n_active = 0
-    n_total = 0
+    star = state.star
+    hat = np.empty_like(star)
+    n_active = n_total = 0
     for pair, ops in state.operators.items():
         i, j = pair
+        si, sj = state.slots[(pair, i)], state.slots[(pair, j)]
         scheme = ops.scheme
-        fi = scheme.at_quadrature(state.f_star[(pair, i)]).reshape(-1, 2)
-        fj = scheme.at_quadrature(state.f_star[(pair, j)]).reshape(-1, 2)
-        wi = scheme.at_quadrature(state.w_star[(pair, i)]).reshape(-1, 2)
-        wj = scheme.at_quadrature(state.w_star[(pair, j)]).reshape(-1, 2)
+        fi = scheme.at_quadrature(star[1, si]).reshape(-1, 2)
+        fj = scheme.at_quadrature(star[1, sj]).reshape(-1, 2)
+        wi = scheme.at_quadrature(star[0, si]).reshape(-1, 2)
+        wj = scheme.at_quadrature(star[0, sj]).reshape(-1, 2)
         n = ops.qnormals
         force = 0.5 * (fi - fj + params.k * (wj - wi))
         if state.problem.contact:
@@ -600,38 +601,37 @@ def local_stage(state: LatinState) -> float:
             n_total += heart.size
             force = np.minimum(heart, 0.0)[:, None] * n
         f_hat_i = scheme.project_qp(force.ravel())
-        state.f_hat[(pair, i)] = f_hat_i
-        state.f_hat[(pair, j)] = -f_hat_i
-        for side in pair:
-            state.w_hat[(pair, side)] = state.w_star[(pair, side)] + (
-                state.f_hat[(pair, side)] - state.f_star[(pair, side)]
-            ) / params.k
+        hat[1, si] = f_hat_i
+        hat[1, sj] = -f_hat_i
+    hat[0] = star[0] + (hat[1] - star[1]) / params.k
+    state.hat = hat
     return n_active / n_total if n_total else 0.0
 
 
-def error_indicator(state: LatinState, previous: dict | None) -> float:
+def error_indicator(state: LatinState, previous: Snapshot | None) -> float:
     """Interface-residual indicator: change of the hat fields between
     iterations in L2, with the displacement part weighted by k, normalized
     by the size of the current fields."""
     if previous is None:
         return float("inf")
     k2 = state.params.k ** 2
-    num = 0.0
-    den = 0.0
+    hat = state.hat
+    change = hat - previous[1]
+    num = den = 0.0
     for pair, ops in state.operators.items():
         norm = ops.scheme.norm_sq
         # local_stage sets f_hat of the high side to exactly -f_hat of the
         # low side, and norm_sq(-z) == norm_sq(z) bit for bit, so both sides'
         # force terms are the low side's
-        low = (pair, pair[0])
-        df = norm(state.f_hat[low] - previous["f_hat"][low])
-        f = norm(state.f_hat[low])
+        low = state.slots[(pair, pair[0])]
+        df = norm(change[1, low])
+        f = norm(hat[1, low])
         for side in pair:
-            key = (pair, side)
+            s = state.slots[(pair, side)]
             num += df
-            num += k2 * norm(state.w_hat[key] - previous["w_hat"][key])
+            num += k2 * norm(change[0, s])
             den += f
-            den += k2 * norm(state.w_hat[key])
+            den += k2 * norm(hat[0, s])
     if den == 0.0:
         return 0.0
     return float(np.sqrt(num / den))
@@ -643,31 +643,24 @@ def _divergence(state: LatinState) -> str | None:
     fields and of their changes) are not finite and nonnegative.  Diverging
     fields can stay finite while such a norm, dominated by the near-kernel
     of the interface mass, rounds negative."""
-    previous = state.previous
-    hat = (state.w_hat, state.f_hat)
+    hat = state.hat
+    change = None if state.previous is None else hat - state.previous[1]
     for pair, ops in sorted(state.operators.items()):
-        keys = [(pair, side) for side in pair]
-        if not all(np.isfinite(f[key]).all() for f in hat for key in keys):
+        sides = [state.slots[(pair, side)] for side in pair]
+        if not all(np.isfinite(hat[:, s]).all() for s in sides):
             return f"non-finite interface fields on pair {pair}"
-        if previous is None:
+        if change is None:
             continue
-        old = (previous["w_hat"], previous["f_hat"])
-        fields = [f[key] for f in hat for key in keys]
-        fields += [f[key] - g[key] for f, g in zip(hat, old) for key in keys]
+        fields = [a[row, s] for a in (hat, change) for row in (0, 1) for s in sides]
         if not all(0.0 <= ops.scheme.norm_sq(z) < math.inf for z in fields):
             return f"non-finite error indicator on pair {pair}"
-    return None if previous is None else "non-finite error indicator"
+    return None if change is None else "non-finite error indicator"
 
 
-def _snapshot(state: LatinState) -> dict:
-    """The fields of the iteration just done.  The arrays are shared, not
-    copied: no stage writes into them (module docstring)."""
-    return {
-        "w_star": dict(state.w_star),
-        "f_star": dict(state.f_star),
-        "w_hat": dict(state.w_hat),
-        "f_hat": dict(state.f_hat),
-    }
+def _snapshot(state: LatinState) -> Snapshot:
+    """The (star, hat) of the iteration just done, shared: no stage writes
+    into them (module docstring)."""
+    return state.star, state.hat
 
 
 def iterate(

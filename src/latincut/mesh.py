@@ -147,11 +147,6 @@ def build_face_adjacency(
     return faces, normals
 
 
-def face_adjacency(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (faces, unit normals) of a mesh; see build_face_adjacency."""
-    return build_face_adjacency(mesh.vertices, mesh.triangles)
-
-
 def _make_mesh(
     vertices: np.ndarray,
     triangles: np.ndarray,

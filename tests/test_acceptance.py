@@ -200,8 +200,8 @@ def test_criterion_7_property_suite(ellipse_state):
     # interface forces balance node by node, with no roundoff allowance
     for pair in ellipse_state.pairs:
         np.testing.assert_array_equal(
-            ellipse_state.f_hat[(pair, pair[0])],
-            -ellipse_state.f_hat[(pair, pair[1])],
+            ellipse_state.interface_field("f_hat", pair, pair[0]),
+            -ellipse_state.interface_field("f_hat", pair, pair[1]),
         )
     print(
         "CRITERION 7 PASS: patches, two-block pressure, bonded saddle, "

@@ -161,6 +161,13 @@ def setting(key, value, match):
         setting("mesh.ny", "0", "at least 1"),
         setting("material.nu", "x", "material.nu must be float"),
         setting("geometry.grouping", "0,0.5", "comma-separated numbers"),
+        # keys problem_to_flat cannot write: a typo, a gap, an unknown key
+        setting("bc.dirchlet.0.left", "0.0,0.0", "unknown problem-definition key"),
+        setting("geometry.levelset.2", "circle,0,0,1", "unknown problem-definition key"),
+        setting("mesh.bogus", "1", "unknown problem-definition key"),
+        setting("bc.neumann.01.top", "0.0,0.0", "unknown problem-definition key"),
+        setting("bc.neumann.x.top", "0.0,0.0", "unknown problem-definition key"),
+        setting("bc.neumann.0.middle", "0.0,0.0", "unknown boundary side"),
     ],
 )
 def test_problem_from_flat_rejects_broken_input(mutate):

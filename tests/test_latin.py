@@ -7,7 +7,9 @@ system with the same stabilization.
 """
 
 import logging
+import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from latincut.mesh import build_structured_mesh
 
 MAT = Material(e=1.0, nu=0.3)
 P_EXACT = (0.3 / (1.3 * 0.4) + 2.0 / 2.6) * 0.1  # (lam + 2 mu) * squeeze
+FIELD_NAMES = ("w_star", "f_star", "w_hat", "f_hat")
 
 
 def squeeze(pts):
@@ -75,9 +78,9 @@ def interface_fields(state, pair):
     """Normal traction and opening at the quadrature points (hat fields)."""
     ops = state.operators[pair]
     sch = ops.scheme
-    f = sch.at_quadrature(state.f_hat[(pair, pair[0])]).reshape(-1, 2)
-    w0 = sch.at_quadrature(state.w_hat[(pair, pair[0])]).reshape(-1, 2)
-    w1 = sch.at_quadrature(state.w_hat[(pair, pair[1])]).reshape(-1, 2)
+    f = sch.at_quadrature(state.interface_field("f_hat", pair, pair[0])).reshape(-1, 2)
+    w0 = sch.at_quadrature(state.interface_field("w_hat", pair, pair[0])).reshape(-1, 2)
+    w1 = sch.at_quadrature(state.interface_field("w_hat", pair, pair[1])).reshape(-1, 2)
     fn = np.einsum("qi,qi->q", f, ops.qnormals)
     gap = np.einsum("qi,qi->q", w1 - w0, ops.qnormals)
     return fn, gap
@@ -89,10 +92,10 @@ def heart_fields(state, pair):
     ops = state.operators[pair]
     sch = ops.scheme
     k = state.params.k
-    fi = sch.at_quadrature(state.f_star[(pair, i)]).reshape(-1, 2)
-    fj = sch.at_quadrature(state.f_star[(pair, j)]).reshape(-1, 2)
-    wi = sch.at_quadrature(state.w_star[(pair, i)]).reshape(-1, 2)
-    wj = sch.at_quadrature(state.w_star[(pair, j)]).reshape(-1, 2)
+    fi = sch.at_quadrature(state.interface_field("f_star", pair, i)).reshape(-1, 2)
+    fj = sch.at_quadrature(state.interface_field("f_star", pair, j)).reshape(-1, 2)
+    wi = sch.at_quadrature(state.interface_field("w_star", pair, i)).reshape(-1, 2)
+    wj = sch.at_quadrature(state.interface_field("w_star", pair, j)).reshape(-1, 2)
     n = ops.qnormals
     heart = np.einsum("qi,qi->q", 0.5 * (fi - fj + k * (wj - wi)), n)
     fn = np.minimum(heart, 0.0)
@@ -221,7 +224,8 @@ def test_action_reaction_is_exact():
     state = run(two_block_problem(), LatinParams(it_max=5))
     for pair in state.pairs:
         np.testing.assert_array_equal(
-            state.f_hat[(pair, pair[0])], -state.f_hat[(pair, pair[1])]
+            state.interface_field("f_hat", pair, pair[0]),
+            -state.interface_field("f_hat", pair, pair[1]),
         )
 
 
@@ -230,9 +234,11 @@ def test_hat_fields_satisfy_search_direction_identity():
     k = state.params.k
     for pair in state.pairs:
         for side in pair:
-            key = (pair, side)
-            rebuilt = state.w_star[key] + (state.f_hat[key] - state.f_star[key]) / k
-            np.testing.assert_array_equal(state.w_hat[key], rebuilt)
+            w_star, f_star, w_hat, f_hat = (
+                state.interface_field(name, pair, side) for name in FIELD_NAMES
+            )
+            rebuilt = w_star + (f_hat - f_star) / k
+            np.testing.assert_array_equal(w_hat, rebuilt)
 
 
 def test_heart_complementarity_under_compression():
@@ -364,10 +370,13 @@ def reference_project(ops, qp_values, scheme):
 
 
 def reference_iterate(state, n):
-    """n LaTIn iterations written as plain scipy expressions, the way the
-    loop read before its fixed operators were cached: every transpose,
-    weight matrix and full-length load rebuilt on each call, every indicator
-    norm evaluated.  Only the factorizations are the state's."""
+    """n LaTIn iterations from a fresh state, written as plain scipy
+    expressions, the way the loop read before its fixed operators were
+    cached and its interface fields packed: every transpose, weight matrix
+    and full-length load rebuilt on each call, every indicator norm
+    evaluated, and each (pair, side) field its own array in a dict.  Only
+    the factorizations are the state's.  Returns the reference's it, u,
+    history and fields ({name: {(pair, side): array}})."""
     params = state.params
     scheme = params.interface_scheme
     k = params.k
@@ -386,47 +395,56 @@ def reference_iterate(state, n):
             return float((z * z) @ np.repeat(ops.iface.segments.length, 2))
         return float(z @ (ops.scheme.mass.csr @ z))
 
-    for _ in range(n):
+    fields = {
+        name: {
+            (pair, side): np.zeros(ops.scheme.n_unknowns)
+            for pair, ops in state.operators.items()
+            for side in pair
+        }
+        for name in FIELD_NAMES
+    }
+    w_star, f_star, w_hat, f_hat = (fields[name] for name in FIELD_NAMES)
+    u_all = [np.zeros(space.n_dofs) for space in state.spaces]
+    history = []
+    previous = None
+    for it in range(n):
         for i, system in enumerate(state.systems):
             load = np.zeros(system.space.n_dofs)
             for pair, ops in state.operators.items():
                 if i in pair:
-                    z = state.f_hat[(pair, i)] + params.k * state.w_hat[(pair, i)]
+                    z = f_hat[(pair, i)] + params.k * w_hat[(pair, i)]
                     load += ops.scatter[i] @ load_vector(ops, z)
             b = (system.rhs0 + load)[system.free] - system.lift
             u = np.zeros(system.space.n_dofs)
             u[system.fixed] = system.fixed_values
             u[system.free] = system.factor.solve(b)
-            state.u[i] = u
+            u_all[i] = u
 
         for pair, ops in state.operators.items():
             for side in pair:
-                trace = ops.scatter[side].T @ state.u[side]
+                trace = ops.scatter[side].T @ u_all[side]
                 if scheme == "p0":
                     qp_trace = as_scipy(ops.scheme.trace_op) @ trace
                     w_new = reference_project(ops, qp_trace, scheme)
                 else:
                     w_new = trace.copy()
                 key = (pair, side)
-                state.f_star[key] = state.f_hat[key] + params.k * (
-                    state.w_hat[key] - w_new
-                )
-                state.w_star[key] = w_new
+                f_star[key] = f_hat[key] + params.k * (w_hat[key] - w_new)
+                w_star[key] = w_new
 
-        previous = state.previous
         if previous is not None:
-            for key in state.w_star:
+            for key in w_star:
                 w_old, f_old = previous["w_star"][key], previous["f_star"][key]
-                state.w_star[key] = eta * state.w_star[key] + (1.0 - eta) * w_old
-                state.f_star[key] = eta * state.f_star[key] + (1.0 - eta) * f_old
+                w_star[key] = eta * w_star[key] + (1.0 - eta) * w_old
+                f_star[key] = eta * f_star[key] + (1.0 - eta) * f_old
 
         n_active = n_total = 0
         for pair, ops in state.operators.items():
             i, j = pair
-            fi = at_quadrature(ops, state.f_star[(pair, i)]).reshape(-1, 2)
-            fj = at_quadrature(ops, state.f_star[(pair, j)]).reshape(-1, 2)
-            wi = at_quadrature(ops, state.w_star[(pair, i)]).reshape(-1, 2)
-            wj = at_quadrature(ops, state.w_star[(pair, j)]).reshape(-1, 2)
+            fi = at_quadrature(ops, f_star[(pair, i)]).reshape(-1, 2)
+            fj = at_quadrature(ops, f_star[(pair, j)]).reshape(-1, 2)
+            wi = at_quadrature(ops, w_star[(pair, i)]).reshape(-1, 2)
+            wj = at_quadrature(ops, w_star[(pair, j)]).reshape(-1, 2)
             force = 0.5 * (fi - fj + k * (wj - wi))
             if state.problem.contact:
                 heart = np.einsum("qi,qi->q", force, ops.qnormals)
@@ -434,13 +452,11 @@ def reference_iterate(state, n):
                 n_total += heart.size
                 force = np.minimum(heart, 0.0)[:, None] * ops.qnormals
             f_hat_i = reference_project(ops, force.ravel(), scheme)
-            state.f_hat[(pair, i)] = f_hat_i
-            state.f_hat[(pair, j)] = -f_hat_i
+            f_hat[(pair, i)] = f_hat_i
+            f_hat[(pair, j)] = -f_hat_i
             for side in pair:
                 key = (pair, side)
-                state.w_hat[key] = state.w_star[key] + (
-                    state.f_hat[key] - state.f_star[key]
-                ) / k
+                w_hat[key] = w_star[key] + (f_hat[key] - f_star[key]) / k
 
         if previous is None:
             indicator = float("inf")
@@ -449,19 +465,18 @@ def reference_iterate(state, n):
             for pair, ops in state.operators.items():
                 for side in pair:
                     key = (pair, side)
-                    num += norm_sq(ops, state.f_hat[key] - previous["f_hat"][key])
-                    num += k**2 * norm_sq(ops, state.w_hat[key] - previous["w_hat"][key])
-                    den += norm_sq(ops, state.f_hat[key])
-                    den += k**2 * norm_sq(ops, state.w_hat[key])
+                    num += norm_sq(ops, f_hat[key] - previous["f_hat"][key])
+                    num += k**2 * norm_sq(ops, w_hat[key] - previous["w_hat"][key])
+                    den += norm_sq(ops, f_hat[key])
+                    den += k**2 * norm_sq(ops, w_hat[key])
             indicator = 0.0 if den == 0.0 else float(np.sqrt(num / den))
-        state.previous = {
-            name: {key: v.copy() for key, v in getattr(state, name).items()}
-            for name in ("w_star", "f_star", "w_hat", "f_hat")
+        previous = {
+            name: {key: v.copy() for key, v in fields[name].items()}
+            for name in FIELD_NAMES
         }
-        state.it += 1
         fraction = n_active / n_total if n_total else 0.0
-        state.history.append(IterationRecord(state.it, indicator, fraction))
-    return state
+        history.append(IterationRecord(it + 1, indicator, fraction))
+    return SimpleNamespace(it=n, u=u_all, history=history, fields=fields)
 
 
 def assert_bitwise(a, b):
@@ -473,11 +488,11 @@ def assert_states_bitwise(state, ref):
     assert state.it == ref.it
     for ua, ub in zip(state.u, ref.u, strict=True):
         assert_bitwise(ua, ub)
-    for name in ("w_star", "f_star", "w_hat", "f_hat"):
-        fields, ref_fields = getattr(state, name), getattr(ref, name)
-        assert fields.keys() == ref_fields.keys()
-        for key in fields:
-            assert_bitwise(fields[key], ref_fields[key])
+    for name in FIELD_NAMES:
+        ref_fields = ref.fields[name]
+        assert state.slots.keys() == ref_fields.keys()
+        for pair, side in state.slots:
+            assert_bitwise(state.interface_field(name, pair, side), ref_fields[(pair, side)])
     assert state.history == ref.history
 
 
@@ -527,14 +542,14 @@ def test_snapshot_arrays_are_not_written_in_place():
     state = build_state(build_problem(pdef), replace(pdef.params, it_max=3))
     iterate(state)
     previous = state.previous
-    saved = {
-        (name, key): v.tobytes() for name, fields in previous.items() for key, v in fields.items()
-    }
+    assert previous[0] is state.star and previous[1] is state.hat
+    saved = [a.tobytes() for a in previous]
     state.params = replace(state.params, it_max=4)
     iterate(state)
     assert state.previous is not previous
-    for (name, key), data in saved.items():
-        assert previous[name][key].tobytes() == data, (name, key)
+    assert all(a is not b for a, b in zip(state.previous, previous))
+    for name, a, data in zip(("star", "hat"), previous, saved):
+        assert a.tobytes() == data, name
 
 
 def test_resumed_iteration_matches_reference_loop():
@@ -572,6 +587,27 @@ def test_nonfinite_indicator_after_first_iteration_fails(monkeypatch):
     ):
         iterate(state)
     assert state.it == 2 and len(state.history) == 2
+
+
+@pytest.mark.parametrize("clean_iterations", [0, 1])
+def test_nonfinite_fields_name_the_first_pair_in_sorted_order(monkeypatch, clean_iterations):
+    # NaN displacements on subdomain 2 reach pairs (0, 2) and (1, 2); pair
+    # (0, 1) stays finite, so the scan must name (0, 2), not the first pair
+    # it visits nor the last
+    pdef = two_inclusions_case(base_nx=12, params=LatinParams(it_max=5))
+    state = build_state(build_problem(pdef), replace(pdef.params, it_max=1))
+    if clean_iterations:
+        iterate(state)
+    state.params = pdef.params
+    monkeypatch.setattr(state.systems[2].factor, "solve", nan_solve)
+    message = f"iteration {clean_iterations}: non-finite interface fields on pair (0, 2)"
+    with pytest.raises(SolverFailure, match=rf"^{re.escape(message)}$"):
+        iterate(state)
+    assert state.it == clean_iterations
+    assert state.pairs == [(0, 1), (0, 2), (1, 2)]
+    for name in FIELD_NAMES:
+        for side in (0, 1):
+            assert np.isfinite(state.interface_field(name, (0, 1), side)).all()
 
 
 def test_nearly_singular_lens_projection_is_deflated(caplog):
