@@ -167,9 +167,6 @@ def _floats(text: str, kind: type = float) -> list:
 
 
 def problem_from_flat(flat: Mapping[str, str]) -> ProblemDef:
-    """Read the flat form back.  A key `problem_to_flat` would not write for
-    the problem read (a typo, a level set after a gap) raises ConfigError;
-    the legacy `latin.k_plus`/`latin.k_minus` pair reads as `latin.k`."""
     flat = merge_legacy_k(flat)
 
     def need(key: str, kind: type = str):
@@ -225,6 +222,7 @@ def problem_from_flat(flat: Mapping[str, str]) -> ProblemDef:
         dirichlet=tuple(dirichlet),
         neumann=tuple(neumann),
     )
+    # reject keys problem_to_flat would not write: a typo must not change physics
     unknown = sorted(set(flat) - set(problem_to_flat(pdef)))
     if unknown:
         raise ConfigError(f"unknown problem-definition keys {unknown}")
@@ -430,9 +428,8 @@ class SolveResult:
 
 def traction_at_quadrature(state: LatinState, pair: tuple[int, int]) -> np.ndarray:
     """Interface force of the low side evaluated at quadrature points (nq, 2)."""
-    ops = state.operators[pair]
     f_hat = state.interface_field("f_hat", pair, pair[0])
-    return ops.scheme.at_quadrature(f_hat).reshape(-1, 2)
+    return state.operators[pair].scheme.at_quadrature(f_hat).reshape(-1, 2)
 
 
 def solve_problem(

@@ -19,14 +19,13 @@ arithmetic.  A CSR copy of a transpose, of a row subset or of gathered rows
 sums every output entry in the same order as the matrix it came from, so
 results are bit-identical to the plain scipy expressions.
 
-The interface state is packed: `LatinState.slots` maps each (pair, side)
-to a slice of length ``scheme.n_unknowns`` of the (2, n) arrays ``star``
-and ``hat``, whose row 0 holds displacements w and row 1 forces f.
-Elementwise arithmetic runs on whole rows, per-pair work on slices; an
-elementwise float operation gives the same bits on a slice as on a
-separate array.  No stage writes into ``star`` or ``hat`` in place; every
-stage assigns fresh arrays.  So the (star, hat) pair each iteration leaves
-for relaxation and the indicator is two references, not copies.
+The interface state is packed: `LatinState.slots` gives each (pair, side)
+a slice of length ``scheme.n_unknowns`` of the (2, n) arrays ``star`` and
+``hat`` (row 0 displacements, row 1 forces).  Elementwise arithmetic runs
+on whole rows, with the bits a loop over the slices would give.  No stage
+writes into ``star`` or ``hat`` in place; every stage assigns fresh
+arrays, so the (star, hat) pair each iteration leaves for relaxation and
+the indicator is two references, not copies.
 """
 
 from __future__ import annotations
@@ -512,17 +511,19 @@ def build_state(problem: ContactProblem, params: LatinParams) -> LatinState:
         pair: build_interface_operators(problem.mesh, iface, space_of, params)
         for pair, iface in interfaces.items()
     }
-    systems = [
-        build_subdomain_system(
-            space,
-            [ops for pair, ops in sorted(operators.items()) if i in pair],
-            params,
-            dirichlet=problem.dirichlet.get(i),
-            neumann=problem.neumann.get(i),
-            weak_dirichlet=problem.weak_dirichlet.get(i),
+    systems = []
+    for i, space in enumerate(spaces):
+        touching = [ops for pair, ops in sorted(operators.items()) if i in pair]
+        systems.append(
+            build_subdomain_system(
+                space,
+                touching,
+                params,
+                dirichlet=problem.dirichlet.get(i),
+                neumann=problem.neumann.get(i),
+                weak_dirichlet=problem.weak_dirichlet.get(i),
+            )
         )
-        for i, space in enumerate(spaces)
-    ]
     slots, n = {}, 0
     for pair, ops in operators.items():
         for side in pair:
@@ -558,13 +559,12 @@ def linear_stage(state: LatinState) -> None:
 
 def postprocess_interface(state: LatinState) -> None:
     """Extract starred interface fields from the fresh displacements."""
-    hat = state.hat
-    star = np.empty_like(hat)
+    star = np.empty_like(state.hat)
     for pair, ops in state.operators.items():
         for side in pair:
             trace = ops.gather[side] @ state.u[side]
             star[0, state.slots[(pair, side)]] = ops.scheme.from_bulk(trace)
-    star[1] = hat[1] + state.params.k * (hat[0] - star[0])
+    star[1] = state.hat[1] + state.params.k * (state.hat[0] - star[0])
     state.star = star
 
 
@@ -583,7 +583,8 @@ def local_stage(state: LatinState) -> float:
     params = state.params
     star = state.star
     hat = np.empty_like(star)
-    n_active = n_total = 0
+    n_active = 0
+    n_total = 0
     for pair, ops in state.operators.items():
         i, j = pair
         si, sj = state.slots[(pair, i)], state.slots[(pair, j)]
@@ -617,7 +618,8 @@ def error_indicator(state: LatinState, previous: Snapshot | None) -> float:
     k2 = state.params.k ** 2
     hat = state.hat
     change = hat - previous[1]
-    num = den = 0.0
+    num = 0.0
+    den = 0.0
     for pair, ops in state.operators.items():
         norm = ops.scheme.norm_sq
         # local_stage sets f_hat of the high side to exactly -f_hat of the

@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +67,6 @@ def test_outputs_match_golden_digests(tmp_path, monkeypatch):
 
 
 def main() -> None:
-    import tempfile
-
     for name in [n for n in os.environ if n.startswith("LATINCUT_")]:
         del os.environ[name]
     with tempfile.TemporaryDirectory() as tmp:
