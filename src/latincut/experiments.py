@@ -10,10 +10,11 @@ writer.
 from __future__ import annotations
 
 import hashlib
+import logging
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -35,8 +36,10 @@ from .latin import (
     merge_legacy_k,
 )
 from .levelset import Circle, Ellipse, HalfPlane, interpolate_levelset
-from .linalg import SparseSym, condition_number
+from .linalg import InverseEstimate, SparseSym, condition_number, inverse_estimate
 from .mesh import build_structured_mesh
+
+log = logging.getLogger(__name__)
 
 EXPERIMENTS = (
     "ellipse_convergence",
@@ -320,16 +323,6 @@ def crack_problem(
     )
 
 
-def linear_stage_condition_numbers(pdef: ProblemDef) -> dict[int, float]:
-    """Condition number of every subdomain's linear-stage operator.
-
-    Assembles elasticity + ghost penalty + LaTIn augmentation, eliminates
-    the strong Dirichlet dofs, and estimates kappa; non-SPD operators
-    report inf.
-    """
-    return gamma_sweep_condition_numbers(pdef, (pdef.params.gamma_g,))[0]
-
-
 def _operator_key(a: SparseSym) -> bytes:
     """SHA-256 of an operator's shape, dtypes and CSR arrays: equal keys mean
     bit-identical storage, hence bit-identical condition numbers."""
@@ -341,28 +334,23 @@ def _operator_key(a: SparseSym) -> bytes:
     return h.digest()
 
 
-def gamma_sweep_condition_numbers(
-    pdef: ProblemDef,
-    gamma_g_values: Iterable[float],
-    memo: dict[bytes, float] | None = None,
-) -> list[dict[int, float]]:
-    """linear_stage_condition_numbers for each ghost-penalty weight in turn.
+def subdomain_operators(
+    pdef: ProblemDef, gamma_g_values: Iterable[float]
+) -> Iterator[list[SparseSym]]:
+    """Every subdomain's linear-stage operator, for each ghost-penalty weight
+    in turn.
 
-    Only the ghost penalty depends on gamma_g, so the geometry, elasticity,
-    augmentation and Dirichlet elimination are built once.  Each weight's
-    operator is summed as (elasticity + ghost penalty) + augmentation, the
-    order `latin.build_subdomain_system` uses: floating-point sums depend on
-    it, and kappa must describe the matrix the linear stage factorizes.
-
-    Kappa is kept in a memo ({`_operator_key`: kappa}; a new one unless
-    given), so an operator bit-identical to one already estimated reuses
-    its kappa instead of being factorized again; `condition_number` is
-    deterministic, so the result is the same.
+    Elasticity + ghost penalty + LaTIn augmentation, with the strong
+    Dirichlet dofs eliminated.  Only the ghost penalty depends on gamma_g,
+    so the geometry, elasticity, augmentation and Dirichlet elimination are
+    built once.  Each operator is summed as (elasticity + ghost penalty) +
+    augmentation, the order `latin.build_subdomain_system` uses:
+    floating-point sums depend on it, and kappa must describe the matrix the
+    linear stage factorizes.  A weight's operators are built when its list
+    is requested, so only one weight's are held at a time.
     """
-    memo = {} if memo is None else memo
-    gammas = [float(g) for g in gamma_g_values]
     _, _, _, spaces, interfaces = problem_spaces(pdef)
-    out: list[dict[int, float]] = [{} for _ in gammas]
+    parts = []
     for i, space in enumerate(spaces):
         elasticity = assembly.assemble_elasticity(space)
         touching = [ifc for pair, ifc in sorted(interfaces.items()) if i in pair]
@@ -374,35 +362,78 @@ def gamma_sweep_condition_numbers(
         )
         mask = np.ones(space.n_dofs, dtype=bool)
         mask[fixed] = False
-        free = np.flatnonzero(mask)
-        for kappas, gamma_g in zip(out, gammas):
-            a = elasticity + assembly.assemble_ghost_penalty(space, gamma_g)
-            a = a + augmentation
-            a = a.submatrix(free)
+        parts.append((space, elasticity, augmentation, np.flatnonzero(mask)))
+    for gamma_g in gamma_g_values:
+        operators = []
+        for space, elasticity, augmentation, free in parts:
+            a = elasticity + assembly.assemble_ghost_penalty(space, float(gamma_g))
+            operators.append((a + augmentation).submatrix(free))
+        yield operators
+
+
+class KappaMemo:
+    """Worst condition numbers of operator groups, computed lazily.
+
+    ``worst(operators)`` is ``max(condition_number(a) for a in operators)``
+    as the same float, but runs the A side (the power iteration on the
+    operator) only where it can change the maximum.  Each distinct operator
+    (by `_operator_key`) is factorized once and its inverse side run once;
+    `InverseEstimate.bound` is at least the operator's kappa, so A sides run
+    in decreasing order of bound, and an operator whose bound is below the
+    largest kappa already known in its group is skipped.  The operator that
+    attains the maximum is always estimated, exactly as `condition_number`
+    alone would estimate it.  A NaN bound compares false and is never
+    skipped; a non-SPD operator has bound inf and kappa inf.
+
+    The memo holds floats only: ``inverse`` has every distinct operator's
+    inverse estimate, ``kappa`` the kappa of those whose A side has run, so
+    an operator skipped in one group gets its A side in a later group that
+    needs it.  ``a_sides`` counts the A sides run.
+    """
+
+    def __init__(self) -> None:
+        self.inverse: dict[bytes, InverseEstimate] = {}
+        self.kappa: dict[bytes, float] = {}
+        self.a_sides = 0
+
+    def worst(self, operators: Iterable[SparseSym]) -> float:
+        group: dict[bytes, SparseSym] = {}
+        for a in operators:
             key = _operator_key(a)
-            if key not in memo:
-                memo[key] = condition_number(a)
-            kappas[i] = memo[key]
-    return out
-
-
-def crack_condition_case(
-    eps_x: float, eps_y: float, n: int, gamma_g: float, nu: float = 0.3
-) -> tuple[ProblemDef, float]:
-    """Crack problem plus the condition number of its worst subproblem."""
-    pdef = crack_problem(eps_x, eps_y, n, gamma_g, nu)
-    kappas = linear_stage_condition_numbers(pdef)
-    return pdef, max(kappas.values())
+            if key not in self.inverse:
+                self.inverse[key] = inverse_estimate(a)
+            group.setdefault(key, a)
+        worst = max((self.kappa[k] for k in group if k in self.kappa), default=-np.inf)
+        pending = [k for k in group if k not in self.kappa]
+        pending.sort(key=lambda k: self.inverse[k].bound, reverse=True)
+        for key in pending:
+            if self.inverse[key].bound < worst:
+                continue
+            kappa = condition_number(group[key], inverse=self.inverse[key])
+            self.kappa[key] = kappa
+            self.a_sides += 1
+            worst = max(worst, kappa)
+        return worst
 
 
 def _crack_kappas(args) -> list[float]:
     """Worst-subproblem kappa of one crack geometry for each gamma_g."""
     eps_x, eps_y, n, gamma_g_values, nu, params, memo = args
+    memo = KappaMemo() if memo is None else memo
     pdef = crack_problem(eps_x, eps_y, n, gamma_g_values[0], nu, params)
-    return [
-        max(kappas.values())
-        for kappas in gamma_sweep_condition_numbers(pdef, gamma_g_values, memo)
-    ]
+    known, a_sides, built = len(memo.inverse), memo.a_sides, 0
+    kappas = []
+    for operators in subdomain_operators(pdef, gamma_g_values):
+        built += len(operators)
+        kappas.append(memo.worst(operators))
+    new = list(memo.inverse)[known:]
+    log.debug(
+        "crack geometry eps_x=%r eps_y=%r: %d operators built, %d new distinct, "
+        "%d A sides run, %d skipped",
+        eps_x, eps_y, built, len(new), memo.a_sides - a_sides,
+        sum(k not in memo.kappa for k in new),
+    )
+    return kappas
 
 
 # --- solve workers ------------------------------------------------------
@@ -600,18 +631,22 @@ def run_condition_sweep(
     ``params`` (default `LatinParams()`) supplies every solver parameter but
     gamma_g, which the grid sets.
 
-    Kappa is estimated once per distinct operator: a memo keyed by the
-    SHA-256 of the operator's storage lives for this call and holds floats
-    only.  Subdomains the moving cut leaves unchanged, and a ghost penalty
-    with no ghost faces to act on, repeat an operator bit for bit.  Serial
-    jobs share the memo; each pooled job gets its own (empty) copy.
+    Each point reports max_s kappa_s over the subdomains, through one
+    `KappaMemo` that lives for this call: every distinct operator is
+    factorized and its inverse side estimated once, and the power iteration
+    on the operator runs only where it can still attain the maximum, so
+    every reported kappa is the float `condition_number` gives for the
+    worst subdomain.  Subdomains the moving cut leaves unchanged, and a
+    ghost penalty with no ghost faces to act on, repeat an operator bit for
+    bit.  Serial jobs share the memo; each pooled job gets its own (empty)
+    copy.  Each job logs its operator and A-side counts at DEBUG.
     """
     shifts = crack_sweep_shifts(mode, eps_values, eps_x_fixed)
     gammas = [float(g) for g in gamma_g_values]
     if not gammas:
         return []
     geometries = list(dict.fromkeys(shifts))
-    memo: dict[bytes, float] = {}
+    memo = KappaMemo()
     jobs = [
         (eps_x, eps, n, tuple(gammas), nu, params, memo) for eps_x, eps in geometries
     ]
@@ -632,8 +667,9 @@ def run_condition_scaling(
 ) -> list[tuple[float, float, float, float]]:
     """Kappa against mesh size at a fixed good cut: rows (h, eps, gamma_g, kappa).
 
-    ``params`` (default `LatinParams()`) supplies every solver parameter but
-    gamma_g."""
+    Kappa is the worst subdomain's, selected as in `run_condition_sweep`
+    with one `KappaMemo` per mesh.  ``params`` (default `LatinParams()`)
+    supplies every solver parameter but gamma_g."""
     if levels < 2:
         raise ConfigError("condition scaling needs at least two levels")
     jobs = [

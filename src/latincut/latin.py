@@ -360,10 +360,9 @@ def build_subdomain_system(
     The operator is (elasticity + ghost penalty) + the LaTIn augmentation of
     every interface this subdomain touches, plus Nitsche terms for any weak
     Dirichlet sides.  Strong Dirichlet sides are eliminated.  The summation
-    order is fixed and shared with
-    `experiments.gamma_sweep_condition_numbers`: floating-point sums depend
-    on it, and the condition numbers that study reports must describe this
-    matrix bit for bit.  The augmentation couples bulk traces, so it always
+    order is fixed and shared with `experiments.subdomain_operators`:
+    floating-point sums depend on it, and the condition numbers the crack
+    studies report must describe this matrix bit for bit.  The augmentation couples bulk traces, so it always
     uses the P1 interface mass, even under the P0 interface scheme.
     """
     index = space.domain.index

@@ -7,10 +7,24 @@ invariant; sums and principal submatrices keep it without re-finalizing.
 Factorization is a sparse direct solve with a fill-reducing
 symmetric ordering and diagonal pivoting, so a non-positive pivot reliably
 flags a non-SPD operator.  Condition numbers come from power iteration on
-the operator and inverse iteration through its factorization.  Each stops
-when its residual certifies that the Rayleigh quotient is close to *an*
-eigenvalue; that need not be the extreme one, and since Rayleigh quotients
-never exceed the largest eigenvalue, the condition number is a lower bound.
+the operator (the A side) and inverse iteration through its factorization
+(the inverse side).  Each stops when its residual certifies that the
+Rayleigh quotient is close to *an* eigenvalue; that need not be the extreme
+one, and since Rayleigh quotients never exceed the largest eigenvalue, the
+condition number is a lower bound.
+
+The two sides can run apart, bit for bit.  `condition_number(a, seed=s)`
+draws the A side's start vector first and the inverse side's second from
+one `default_rng(s)`; `inverse_estimate` draws and discards the first, and
+`condition_number(a, inverse=...)` uses the first draw of a fresh
+generator.  The inverse side also returns an upper bound on the whole
+estimate: the A side's Rayleigh quotient is at most the Gershgorin bound
+G(A) = max_i sum_j |a_ij|, so no estimate exceeds G(A) times the inverse
+side's, up to rounding that `BOUND_MARGIN` covers.  A caller that wants
+only the largest of several estimates can skip every A side whose bound is
+below an estimate already made.  Any Ritz value of A is also at most
+lambda_max(A) <= G(A), so the bound holds for any A-side method that
+returns one.
 
 `CsrOperator` applies a fixed CSR matrix through scipy's compiled kernel
 `_sparsetools.csr_matvec`, the routine `csr_matrix @ vector` ends in after
@@ -29,6 +43,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -246,11 +261,62 @@ def _extreme_eigenvalue(apply_op, n: int, rng, tol: float, max_iter: int):
     return theta, False
 
 
+# Relative margin on the bound of `InverseEstimate`.  The A side returns
+# fl(v . fl(A v)) for a computed unit vector v.  Rounding in the product,
+# the dot product and the normalization lifts it above the exact Rayleigh
+# quotient, which is at most lambda_max(A) <= G(A), by at most about
+# (2n + 2m + 10) u G(A), where n is the order, m the widest row and
+# u = 2**-53; the row sums that give G(A) fall short by at most (m - 1) u
+# G(A), and the final products add a few u.  That is below 1e-6 for any
+# order under 4e9.
+BOUND_MARGIN = 1e-6
+
+
+class InverseEstimate(NamedTuple):
+    """The inverse side of `condition_number` and the bound it implies.
+
+    ``value`` estimates lambda_max(A^-1), inf when A is not SPD;
+    ``converged`` says whether its iteration met the tolerance; ``bound`` is
+    G(A) * value * (1 + BOUND_MARGIN), which no `condition_number` of A with
+    the same settings exceeds (1.0 for an SPD 1x1 matrix, inf when A is not
+    SPD, NaN if the arithmetic gave NaN).
+    """
+
+    value: float
+    converged: bool
+    bound: float
+
+
+def inverse_estimate(
+    a: SparseSym,
+    tol: float = 1e-3,
+    max_iter: int = 10000,
+    seed: int = 0,
+) -> InverseEstimate:
+    """Factorize A and run the inverse side of `condition_number`, bit for
+    bit as that call runs it with the same settings."""
+    try:
+        factor = factorize(a)
+    except NotSpdError as exc:
+        log.warning("condition number reported as inf: %s", exc)
+        return InverseEstimate(np.inf, True, np.inf)
+    if a.n == 1:
+        return InverseEstimate(1.0 / float(a.data[0]), True, 1.0)
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(a.n)  # the A side's start vector: the first draw
+    value, converged = _extreme_eigenvalue(factor.solve, a.n, rng, tol, max_iter)
+    if value <= 0.0:
+        raise SolverFailure("eigenvalue estimates must be positive for SPD input")
+    gershgorin = float(abs(a.csr).sum(axis=1).max())
+    return InverseEstimate(value, converged, gershgorin * value * (1.0 + BOUND_MARGIN))
+
+
 def condition_number(
     a: SparseSym,
     tol: float = 1e-3,
     max_iter: int = 10000,
     seed: int = 0,
+    inverse: InverseEstimate | None = None,
 ) -> float:
     """2-norm condition number estimate of an SPD matrix.
 
@@ -261,26 +327,29 @@ def condition_number(
     can fall short by more than ``tol`` when an iteration stops at a lower
     eigenvalue.
 
-    Deterministic for a fixed seed.  Returns inf if the matrix is not SPD.
-    If an iteration hits the cap the current estimate is returned and a
+    ``inverse``, when given, is `inverse_estimate(a, tol, max_iter, seed)`
+    computed earlier; only the A side then runs, and the result is the
+    same float.
+
+    Deterministic for a fixed seed.  Returns 1.0 for a 1x1 matrix with a
+    positive finite entry and inf for any matrix that is not SPD.  If an
+    iteration hits the cap the current estimate is returned and a
     diagnostic is logged.
     """
+    if inverse is None:
+        inverse = inverse_estimate(a, tol, max_iter, seed)
+    if inverse.value == np.inf:  # not SPD
+        return np.inf
     if a.n == 1:
         return 1.0
-    try:
-        factor = factorize(a)
-    except NotSpdError as exc:
-        log.warning("condition number reported as inf: %s", exc)
-        return np.inf
     rng = np.random.default_rng(seed)
     lam_max, ok_max = _extreme_eigenvalue(a.matvec, a.n, rng, tol, max_iter)
-    inv_max, ok_min = _extreme_eigenvalue(factor.solve, a.n, rng, tol, max_iter)
-    if lam_max <= 0.0 or inv_max <= 0.0:
+    if lam_max <= 0.0:
         raise SolverFailure("eigenvalue estimates must be positive for SPD input")
-    if not (ok_max and ok_min):
+    if not (ok_max and inverse.converged):
         log.warning(
             "condition number estimate did not converge in %d iterations; "
             "returning a lower bound",
             max_iter,
         )
-    return float(lam_max * inv_max)
+    return float(lam_max * inverse.value)

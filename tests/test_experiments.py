@@ -4,25 +4,28 @@ Study-level physics checks run on deliberately small meshes; the full-size
 runs live in the acceptance suite.
 """
 
+import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from latincut import experiments, latin
+from latincut import experiments, latin, linalg
 from latincut.analysis import fit_rate
 from latincut.config import parse_flat, render_flat
 from latincut.errors import ConfigError
 from latincut.experiments import (
     EXPERIMENTS,
     ProblemDef,
+    KappaMemo,
     build_problem,
-    crack_condition_case,
     crack_problem,
     ellipse_case,
     grid_spacing,
-    linear_stage_condition_numbers,
     problem_from_flat,
     problem_spaces,
     problem_to_flat,
@@ -31,11 +34,33 @@ from latincut.experiments import (
     run_convergence_study,
     run_p1p0_comparison,
     solve_problem,
+    subdomain_operators,
     two_inclusions_case,
 )
 from latincut.latin import LatinParams, build_state
 from latincut.levelset import Ellipse
-from latincut.linalg import condition_number, factorize
+from latincut.linalg import SparseSym, condition_number, factorize, inverse_estimate
+
+
+# --- the all-subdomain oracle ---------------------------------------------
+
+def linear_stage_condition_numbers(pdef: ProblemDef) -> dict[int, float]:
+    """The full `condition_number` of every subdomain's linear-stage operator,
+    with no memo and no selection."""
+    (operators,) = subdomain_operators(pdef, (pdef.params.gamma_g,))
+    return {i: condition_number(a) for i, a in enumerate(operators)}
+
+
+def crack_condition_case(
+    eps_x: float, eps_y: float, n: int, gamma_g: float, nu: float = 0.3
+) -> tuple[ProblemDef, float]:
+    """Crack problem plus the condition number of its worst subproblem."""
+    pdef = crack_problem(eps_x, eps_y, n, gamma_g, nu)
+    return pdef, max(linear_stage_condition_numbers(pdef).values())
+
+
+def storage(a) -> tuple[bytes, bytes, bytes]:
+    return a.indptr.tobytes(), a.indices.tobytes(), a.data.tobytes()
 
 
 # --- case builders ----------------------------------------------------------
@@ -235,15 +260,24 @@ def test_condition_numbers_describe_the_factorized_operators(pdef, monkeypatch):
 
     def capture(a):
         factor = factorize(a)
-        factorized[id(factor)] = a
+        factorized[id(factor)] = storage(a)
         return factor
 
     monkeypatch.setattr(latin, "factorize", capture)
     state = build_state(build_problem(pdef), pdef.params)
-    kappas = linear_stage_condition_numbers(pdef)
-    assert sorted(kappas) == list(range(len(state.systems)))
-    for i, s in enumerate(state.systems):
-        assert condition_number(factorized[id(s.factor)]) == kappas[i], i
+    solved = [factorized[id(s.factor)] for s in state.systems]
+    # the matrices the sweep itself estimates, captured where it estimates them
+    estimated = []
+
+    def recording(a, *args, **kwargs):
+        estimated.append(storage(a))
+        return inverse_estimate(a, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "inverse_estimate", recording)
+    (operators,) = subdomain_operators(pdef, (pdef.params.gamma_g,))
+    KappaMemo().worst(operators)
+    assert [storage(a) for a in operators] == solved
+    assert set(estimated) == set(solved)
 
 
 # --- study drivers -------------------------------------------------------------
@@ -333,28 +367,87 @@ def test_condition_sweep_worker_pool_matches_serial():
 
 def test_condition_sweep_estimates_each_distinct_operator_once(monkeypatch):
     # at n = 12 the default sweep builds 72 operators and 18 of them repeat
-    # one already built, bit for bit
-    estimated = []
+    # one already built, bit for bit; the power iteration on the operator
+    # (the A side) runs only where it can still give a point's maximum
+    factorized, a_sides = [], []
 
-    def recording(a):
-        estimated.append((a.indptr.tobytes(), a.indices.tobytes(), a.data.tobytes()))
-        return condition_number(a)
+    def factorizing(a):
+        factorized.append(storage(a))
+        return factorize(a)
 
-    monkeypatch.setattr(experiments, "condition_number", recording)
+    def estimating(a, **kwargs):
+        a_sides.append(storage(a))
+        return condition_number(a, **kwargs)
+
+    monkeypatch.setattr(linalg, "factorize", factorizing)
+    monkeypatch.setattr(experiments, "condition_number", estimating)
     rows = run_condition_sweep(n=12)
-    memoized = list(estimated)
-    estimated.clear()
-    # the same points one at a time, with no memo: every operator estimated
+    swept = list(factorized)
+    monkeypatch.undo()
+    # every operator of the same points, with no memo and no selection
+    operators = [
+        storage(a)
+        for eps in (0.25, 1e-2, 1e-4, 1e-6, 1e-8, 1e-11)
+        for group in subdomain_operators(
+            crack_problem(0.5, eps, 12, 0.0), (0.0, 1e-3, 0.1)
+        )
+        for a in group
+    ]
+    assert len(operators) == 72 and len(set(operators)) == 54
+    assert len(swept) == 54 and set(swept) == set(operators)
+    assert len(a_sides) == 22 and set(a_sides) <= set(operators)
+    assert len(set(a_sides)) == 22
     expect = [
         (eps, gamma_g, crack_condition_case(0.5, eps, 12, gamma_g)[1])
         for gamma_g in (0.0, 1e-3, 0.1)
         for eps in (0.25, 1e-2, 1e-4, 1e-6, 1e-8, 1e-11)
     ]
-    assert len(estimated) == 72 and len(set(estimated)) == 54
-    assert len(memoized) == 54 and set(memoized) == set(estimated)
     hexed = lambda rs: [tuple(float(v).hex() for v in r) for r in rs]
     assert hexed(rows) == hexed(expect)
     assert hexed(run_condition_sweep(n=12, workers=2)) == hexed(rows)
+
+
+def test_condition_sweep_logs_its_counts(caplog):
+    # one DEBUG line per geometry job; the serial jobs share one memo, so a
+    # job's "new distinct" operators are those no earlier job built
+    with caplog.at_level(logging.DEBUG, logger="latincut.experiments"):
+        run_condition_sweep(n=12)
+    lines = [r.getMessage() for r in caplog.records if r.name == "latincut.experiments"]
+    counts = [
+        tuple(int(v) for v in re.findall(r"(\d+) (?:operators|new|A sides|skipped)", line))
+        for line in lines
+    ]
+    assert len(lines) == 6 and all(c[0] == 12 for c in counts)
+    assert sum(c[1] for c in counts) == 54
+    assert sum(c[2] for c in counts) == 22
+    # no operator skipped in one job has its A side run in a later one
+    assert sum(c[3] for c in counts) == 54 - 22
+
+
+@settings(max_examples=25)
+@given(
+    members=st.lists(
+        st.tuples(st.integers(2, 40), st.integers(0, 10**6), st.floats(-2.0, 2.0)),
+        min_size=1,
+        max_size=5,
+    ),
+    indefinite=st.booleans(),
+    one=st.one_of(st.none(), st.floats(-1.0, 1.0)),
+)
+def test_worst_matches_the_maximum_of_every_estimate(members, indefinite, one):
+    operators = []
+    for n, seed, log_scale in members:
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((n, n))
+        d = np.exp(log_scale * rng.standard_normal(n))
+        dense = d[:, None] * (b @ b.T + n * np.eye(n)) * d[None, :]
+        operators.append(SparseSym.finalize(sp.csr_matrix(dense)))
+    if indefinite:
+        operators.append(SparseSym.finalize(sp.csr_matrix(np.diag([2.0, -1.0, 3.0]))))
+    if one is not None:
+        operators.append(SparseSym.finalize(sp.csr_matrix(np.array([[one]]))))
+    expect = max(condition_number(a) for a in operators)
+    assert KappaMemo().worst(operators).hex() == expect.hex()
 
 
 def test_condition_scaling_near_inverse_square():
@@ -368,8 +461,13 @@ def test_condition_scaling_near_inverse_square():
 
 
 def test_crack_condition_case_reports_worst_subproblem():
+    # a point the per-point comparisons do not cover: eps_x = eps_y = 0.25
     pdef, kappa = crack_condition_case(0.25, 0.25, 12, gamma_g=0.1)
-    assert kappa == max(linear_stage_condition_numbers(pdef).values())
+    assert len(linear_stage_condition_numbers(pdef)) == 4
+    rows = run_condition_sweep(
+        n=12, eps_values=(0.25,), gamma_g_values=(0.1,), eps_x_fixed=0.25
+    )
+    assert rows == [(0.25, 0.1, kappa)]
 
 
 def test_p1p0_comparison_runs_both_schemes():

@@ -8,12 +8,14 @@ from hypothesis.extra.numpy import arrays
 
 from latincut.errors import NotSpdError, SolverFailure
 from latincut.linalg import (
+    BOUND_MARGIN,
     CsrOperator,
     DenseFactor,
     SparseSym,
     condition_number,
     factorize,
     factorize_dense,
+    inverse_estimate,
 )
 
 
@@ -223,6 +225,30 @@ def test_condition_number_edge_cases():
     # deterministic across calls
     a = SparseSym.finalize(sp.csr_matrix(spd_from(42, 15)))
     assert condition_number(a) == condition_number(a)
+    # a 1x1 matrix is SPD only with a positive finite entry
+    for entry in (-3.0, 0.0, np.nan):
+        one = SparseSym.finalize(sp.csr_matrix(np.array([[entry]])))
+        assert condition_number(one) == np.inf, entry
+    assert inverse_estimate(SparseSym.finalize(sp.csr_matrix([[3.0]]))).bound == 1.0
+
+
+@given(n=st.integers(2, 40), seed=st.integers(0, 10**6), log_scale=st.floats(0.0, 3.0))
+def test_condition_number_below_the_gershgorin_bound(n, seed, log_scale):
+    # kappa = lambda_A * lambda_inv with lambda_A a Rayleigh quotient, so it
+    # is at most G(A) * lambda_inv; the A and inverse sides run apart give
+    # the same float as one call
+    rng = np.random.default_rng(seed)
+    d = np.exp(log_scale * rng.standard_normal(n))
+    dense = d[:, None] * spd_from(seed, n) * d[None, :]
+    a = SparseSym.finalize(sp.csr_matrix(dense))
+    kappa = condition_number(a)
+    inverse = inverse_estimate(a)
+    gershgorin = np.abs(a.toarray()).sum(axis=1).max()
+    assert inverse.bound == pytest.approx(
+        gershgorin * inverse.value * (1 + BOUND_MARGIN), rel=1e-12
+    )
+    assert kappa <= inverse.bound
+    assert condition_number(a, inverse=inverse).hex() == kappa.hex()
 
 
 @given(case=csr_and_vector(), seed=st.integers(0, 1000))
