@@ -388,13 +388,12 @@ class KappaMemo:
     The memo holds floats only: ``inverse`` has every distinct operator's
     inverse estimate, ``kappa`` the kappa of those whose A side has run, so
     an operator skipped in one group gets its A side in a later group that
-    needs it.  ``a_sides`` counts the A sides run.
+    needs it.
     """
 
     def __init__(self) -> None:
         self.inverse: dict[bytes, InverseEstimate] = {}
         self.kappa: dict[bytes, float] = {}
-        self.a_sides = 0
 
     def worst(self, operators: Iterable[SparseSym]) -> float:
         group: dict[bytes, SparseSym] = {}
@@ -409,10 +408,8 @@ class KappaMemo:
         for key in pending:
             if self.inverse[key].bound < worst:
                 continue
-            kappa = condition_number(group[key], inverse=self.inverse[key])
-            self.kappa[key] = kappa
-            self.a_sides += 1
-            worst = max(worst, kappa)
+            self.kappa[key] = condition_number(group[key], inverse=self.inverse[key])
+            worst = max(worst, self.kappa[key])
         return worst
 
 
@@ -421,7 +418,7 @@ def _crack_kappas(args) -> list[float]:
     eps_x, eps_y, n, gamma_g_values, nu, params, memo = args
     memo = KappaMemo() if memo is None else memo
     pdef = crack_problem(eps_x, eps_y, n, gamma_g_values[0], nu, params)
-    known, a_sides, built = len(memo.inverse), memo.a_sides, 0
+    known, a_sides, built = len(memo.inverse), len(memo.kappa), 0
     kappas = []
     for operators in subdomain_operators(pdef, gamma_g_values):
         built += len(operators)
@@ -430,7 +427,7 @@ def _crack_kappas(args) -> list[float]:
     log.debug(
         "crack geometry eps_x=%r eps_y=%r: %d operators built, %d new distinct, "
         "%d A sides run, %d skipped",
-        eps_x, eps_y, built, len(new), memo.a_sides - a_sides,
+        eps_x, eps_y, built, len(new), len(memo.kappa) - a_sides,
         sum(k not in memo.kappa for k in new),
     )
     return kappas

@@ -278,8 +278,9 @@ class InverseEstimate(NamedTuple):
     ``value`` estimates lambda_max(A^-1), inf when A is not SPD;
     ``converged`` says whether its iteration met the tolerance; ``bound`` is
     G(A) * value * (1 + BOUND_MARGIN), which no `condition_number` of A with
-    the same settings exceeds (1.0 for an SPD 1x1 matrix, inf when A is not
-    SPD, NaN if the arithmetic gave NaN).
+    the same settings exceeds (inf when A is not SPD, NaN if the arithmetic
+    gave NaN).  A 1x1 SPD matrix runs no iteration: its kappa is 1.0, and so
+    are its value and bound.
     """
 
     value: float
@@ -301,7 +302,7 @@ def inverse_estimate(
         log.warning("condition number reported as inf: %s", exc)
         return InverseEstimate(np.inf, True, np.inf)
     if a.n == 1:
-        return InverseEstimate(1.0 / float(a.data[0]), True, 1.0)
+        return InverseEstimate(1.0, True, 1.0)
     rng = np.random.default_rng(seed)
     rng.standard_normal(a.n)  # the A side's start vector: the first draw
     value, converged = _extreme_eigenvalue(factor.solve, a.n, rng, tol, max_iter)

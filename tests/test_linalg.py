@@ -229,7 +229,9 @@ def test_condition_number_edge_cases():
     for entry in (-3.0, 0.0, np.nan):
         one = SparseSym.finalize(sp.csr_matrix(np.array([[entry]])))
         assert condition_number(one) == np.inf, entry
-    assert inverse_estimate(SparseSym.finalize(sp.csr_matrix([[3.0]]))).bound == 1.0
+    for entry in (3.0, 5e-324):
+        one = SparseSym.finalize(sp.csr_matrix(np.array([[entry]])))
+        assert condition_number(one) == 1.0 == inverse_estimate(one).bound, entry
 
 
 @given(n=st.integers(2, 40), seed=st.integers(0, 10**6), log_scale=st.floats(0.0, 3.0))
