@@ -15,7 +15,9 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,14 +81,15 @@ def _write_fields(
 
 def _run_convergence(cfg: RunConfig, outdir: Path, case: str) -> None:
     v = cfg.values
-    monitors = set(v["study.monitor_iterations"]) | set(cfg.checkpoints)
+    monitors = set(v["study.monitor_iterations"]) | set(v["checkpoints"])
     monitors.add(cfg.latin_params().it_max)
     study = experiments.run_convergence_study(
         case=case,
         levels=v["study.levels"],
         base_nx=v["study.base_nx"],
         nu=v["study.nu"],
-        contrast=v["study.contrast"],
+        # only the two-inclusions experiment reads it; ellipse_case has no contrast
+        contrast=v.get("study.contrast", 1.0),
         params=cfg.latin_params(),
         reference_it_max=v["study.reference_it_max"],
         monitor_iterations=sorted(monitors),
@@ -105,10 +108,10 @@ def _run_convergence(cfg: RunConfig, outdir: Path, case: str) -> None:
         study.iteration_rows,
     )
     monitored = study.levels[-1]
-    if cfg.export_profiles:
+    if v["export.profiles"]:
         _write_profiles(outdir, monitored)
-    if cfg.export_fields:
-        keep = set(cfg.checkpoints) | {cfg.latin_params().it_max}
+    if v["export.fields"]:
+        keep = set(v["checkpoints"]) | {cfg.latin_params().it_max}
         snaps = {
             it: u for it, u in monitored.checkpoint_u.items() if it in keep
         }
@@ -170,27 +173,63 @@ def _run_p1p0(cfg: RunConfig, outdir: Path) -> None:
         sub = outdir / scheme
         sub.mkdir(parents=True, exist_ok=True)
         _write_profiles(sub, res)
-        if cfg.export_fields:
+        if v["export.fields"]:
             last = max(res.checkpoint_u)
             _write_fields(sub / "fields", res.spaces, {last: res.checkpoint_u[last]})
+
+
+class Experiment(NamedTuple):
+    run: Callable[[RunConfig, Path], None]
+    reads: tuple[str, ...]  # run-config keys read besides config.COMMON_KEYS
+
+
+_ITERATION_KEYS = (
+    "latin.k", "latin.eta", "latin.gamma_g", "latin.gamma_pi",
+    "latin.quad_points_per_segment",
+)
+_CONVERGENCE_KEYS = (
+    "checkpoints", "export.fields", "export.profiles",
+    "study.levels", "study.base_nx", "study.nu", "study.reference_it_max",
+    "study.monitor_iterations",
+    *_ITERATION_KEYS, "latin.it_max", "latin.interface_scheme",
+)
+# the crack operators depend on k (the augmentation) and the interface
+# quadrature only: they run no iteration, and their ghost-penalty weights
+# are swept keys of their own
+_CRACK_KEYS = ("study.nu", "latin.k", "latin.quad_points_per_segment")
+
+# name -> runner and the keys it reads, in `list-experiments` order
+EXPERIMENTS: dict[str, Experiment] = {
+    "ellipse_convergence": Experiment(
+        partial(_run_convergence, case="ellipse"), _CONVERGENCE_KEYS
+    ),
+    "two_inclusions_convergence": Experiment(
+        partial(_run_convergence, case="two_inclusions"),
+        _CONVERGENCE_KEYS + ("study.contrast",),
+    ),
+    "crack_condition_sweep": Experiment(
+        _run_condition_sweep,
+        ("crack.n", "crack.mode", "crack.eps_x", "crack.eps_values",
+         "crack.gamma_g_values", *_CRACK_KEYS),
+    ),
+    "crack_condition_scaling": Experiment(
+        _run_condition_scaling,
+        ("scaling.base_n", "scaling.levels", "scaling.eps", "scaling.gamma_g",
+         *_CRACK_KEYS),
+    ),
+    # each scheme iterates to the last profile, with its own interface scheme
+    "p1p0_comparison": Experiment(
+        _run_p1p0,
+        ("export.fields", "study.base_nx", "study.nu", "profile.iterations",
+         *_ITERATION_KEYS),
+    ),
+}
 
 
 def run_experiment(cfg: RunConfig, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "resolved.cfg").write_text(render_flat(cfg.flat), encoding="ascii")
-    name = cfg.experiment
-    if name == "ellipse_convergence":
-        _run_convergence(cfg, outdir, "ellipse")
-    elif name == "two_inclusions_convergence":
-        _run_convergence(cfg, outdir, "two_inclusions")
-    elif name == "crack_condition_sweep":
-        _run_condition_sweep(cfg, outdir)
-    elif name == "crack_condition_scaling":
-        _run_condition_scaling(cfg, outdir)
-    elif name == "p1p0_comparison":
-        _run_p1p0(cfg, outdir)
-    else:  # unreachable: config validation restricts the choices
-        raise ConfigError(f"unknown experiment {name!r}")
+    EXPERIMENTS[cfg.experiment].run(cfg, outdir)
 
 
 def _load(path: str) -> RunConfig:
@@ -208,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     command, rest = args[0], args[1:]
     if command == "list-experiments":
-        for name in experiments.EXPERIMENTS:
+        for name in EXPERIMENTS:
             print(name)
         return 0
     if command not in ("run", "validate") or len(rest) != 1:

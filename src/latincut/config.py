@@ -1,10 +1,13 @@
 """Flat key = value configuration with typed validation.
 
-A run config holds exactly the keys a run reads: experiment choice, sweep
-shapes, export toggles and the `latin.*` solver parameters, whose names,
-types and defaults are `LatinParams`'.  Any other key is rejected.
-Precedence: built-in defaults, then the config file, then LATINCUT_*
-environment variables.
+A run config holds exactly the keys its experiment reads (`COMMON_KEYS`
+plus the experiment's entry in `cli.EXPERIMENTS`): sweep shapes, export
+toggles and `latin.*` solver parameters, whose names, types and defaults
+are `LatinParams`'.  `latin.alpha` is library-only: it acts on weak
+Dirichlet sides, which no experiment sets.  Any other key is rejected, so
+the resolved config records exactly what the run read.  Precedence:
+built-in defaults, then the config file, then LATINCUT_* environment
+variables.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
 from .errors import ConfigError
-from .experiments import EXPERIMENTS
 from .latin import LatinParams, merge_legacy_k
 
 ENV_PREFIX = "LATINCUT_"
@@ -90,9 +92,12 @@ _PARSERS: dict[str, Callable[[str, str], object]] = {
 }
 
 
-def _positive_int(key: str, v) -> None:
-    if v < 1:
-        raise ConfigError(f"{key} must be at least 1, got {v}")
+def _at_least(lo: int):
+    def check(key: str, v) -> None:
+        if v < lo:
+            raise ConfigError(f"{key} must be at least {lo}, got {v}")
+
+    return check
 
 
 def _nonempty(key: str, v) -> None:
@@ -100,9 +105,22 @@ def _nonempty(key: str, v) -> None:
         raise ConfigError(f"{key} needs at least one value")
 
 
-def _nonneg(key: str, v) -> None:
-    if v < 0:
-        raise ConfigError(f"{key} must be nonnegative, got {v}")
+def _iterations(key: str, v) -> None:
+    for it in v:
+        if it < 1:
+            raise ConfigError(f"{key} entries must be at least 1, got {it}")
+
+
+def _nonempty_iterations(key: str, v) -> None:
+    _nonempty(key, v)
+    _iterations(key, v)
+
+
+def _crack_size(key: str, v) -> None:
+    # `experiments.crack_problem` keeps its vertical cuts at x = 1/3, 2/3 on
+    # grid lines
+    if v < 1 or v % 3:
+        raise ConfigError(f"{key} must be a positive multiple of 3, got {v}")
 
 
 def _choice(*options: str):
@@ -113,43 +131,46 @@ def _choice(*options: str):
     return check
 
 
+# every experiment reads these; `cli.EXPERIMENTS` lists the rest per experiment
+COMMON_KEYS = ("experiment", "output.dir", "workers")
+
 # key -> (type, default text, extra validator or None); LatinParams
-# validates the latin.* values as a whole
+# validates the latin.* values as a whole, and `build_run_config` checks the
+# experiment name and the checkpoints against latin.it_max
 KNOWN_KEYS: dict[str, tuple[str, str, Callable | None]] = {
-    "experiment": ("str", "ellipse_convergence", _choice(*EXPERIMENTS)),
+    "experiment": ("str", "ellipse_convergence", None),
     "output.dir": ("str", "out", None),
-    "workers": ("int", "1", _positive_int),
-    "checkpoints": ("int_list", "", None),
+    "workers": ("int", "1", _at_least(1)),
+    "checkpoints": ("int_list", "", _iterations),
     "export.fields": ("bool", "false", None),
     "export.profiles": ("bool", "false", None),
     **{
         f"latin.{f.name}": (type(f.default).__name__, text, None)
         for f, text in zip(fields(LatinParams), LatinParams().to_flat().values())
+        if f.name != "alpha"  # library-only: no experiment sets a weak Dirichlet side
     },
-    "study.levels": ("int", "4", _positive_int),
-    "study.base_nx": ("int", "40", _positive_int),
+    "study.levels": ("int", "4", _at_least(1)),
+    "study.base_nx": ("int", "40", _at_least(1)),
     "study.nu": ("float", "0.3", None),
     "study.contrast": ("float", "1.0", None),
-    "study.reference_it_max": ("int", "200", _positive_int),
-    "study.monitor_iterations": ("int_list", "10,20,30,50,100,200", None),
-    "crack.n": ("int", "24", _positive_int),
+    "study.reference_it_max": ("int", "200", _at_least(1)),
+    "study.monitor_iterations": ("int_list", "10,20,30,50,100,200", _iterations),
+    "crack.n": ("int", "24", _crack_size),
     "crack.mode": ("str", "simple", _choice("simple", "double")),
     "crack.eps_x": ("float", "0.5", None),
     "crack.eps_values": ("float_list", "0.25,0.01,0.0001,1e-06,1e-08,1e-11", _nonempty),
     "crack.gamma_g_values": ("float_list", "0.0,0.001,0.1", _nonempty),
-    "scaling.base_n": ("int", "12", _positive_int),
-    "scaling.levels": ("int", "4", _positive_int),
+    "scaling.base_n": ("int", "12", _crack_size),
+    "scaling.levels": ("int", "4", _at_least(2)),
     "scaling.eps": ("float", "0.25", None),
-    "scaling.gamma_g": ("float", "0.1", _nonneg),
-    "profile.iterations": ("int_list", "5,27,210", _nonempty),
+    "scaling.gamma_g": ("float", "0.1", _at_least(0)),
+    "profile.iterations": ("int_list", "5,27,210", _nonempty_iterations),
 }
 
 
 def check_key(key: str, text: str) -> object:
-    """Validate one entry and return its typed value; ConfigError if the
-    key is unknown or the value malformed."""
-    if key not in KNOWN_KEYS:
-        raise ConfigError(f"unknown config key {key!r}")
+    """Validate one entry of a known key and return its typed value;
+    ConfigError if the value is malformed."""
     kind, _, validate = KNOWN_KEYS[key]
     value = _PARSERS[kind](key, text)
     if validate is not None:
@@ -173,7 +194,8 @@ def env_overrides(environ: Mapping[str, str]) -> dict[str, str]:
 
 @dataclass
 class RunConfig:
-    """Resolved run description: typed values plus the merged flat text map."""
+    """Resolved run description: typed values plus the merged flat text map,
+    both holding exactly the keys the experiment reads."""
 
     values: dict[str, object]
     flat: dict[str, str]
@@ -190,20 +212,10 @@ class RunConfig:
     def workers(self) -> int:
         return self.values["workers"]
 
-    @property
-    def checkpoints(self) -> tuple[int, ...]:
-        return self.values["checkpoints"]
-
-    @property
-    def export_fields(self) -> bool:
-        return self.values["export.fields"]
-
-    @property
-    def export_profiles(self) -> bool:
-        return self.values["export.profiles"]
-
     def latin_params(self) -> LatinParams:
-        return LatinParams.from_flat(self.flat)
+        """The solver parameters; the fields the experiment does not read
+        keep their `LatinParams()` defaults."""
+        return LatinParams.from_flat({**LatinParams().to_flat(), **self.flat})
 
 
 def build_run_config(
@@ -211,14 +223,33 @@ def build_run_config(
 ) -> RunConfig:
     """Merge defaults, file entries and environment; validate everything.
 
-    A file's legacy `latin.k_plus`/`latin.k_minus` pair reads as `latin.k`."""
-    flat = {k: d for k, (_, d, _) in KNOWN_KEYS.items()}
-    flat.update(merge_legacy_k(file_entries))
-    if environ is not None:
-        flat.update(env_overrides(environ))
+    The experiment (from the environment, else the file, else its default)
+    fixes the keys: those it reads get their defaults, and any other key is
+    a ConfigError.  A file's legacy `latin.k_plus`/`latin.k_minus` pair
+    reads as `latin.k`."""
+    from .cli import EXPERIMENTS  # the read sets sit next to the runners that read them
+
+    entries = merge_legacy_k(file_entries)
+    env = env_overrides(environ or {})
+    for key in entries:
+        if key not in KNOWN_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+    name = {**entries, **env}.get("experiment", KNOWN_KEYS["experiment"][1])
+    _choice(*EXPERIMENTS)("experiment", name)
+    reads = COMMON_KEYS + EXPERIMENTS[name].reads
+    for given, origin in ((entries, ""), (env, " (from the environment)")):
+        for key in given:
+            if key not in reads:
+                raise ConfigError(f"{key!r}{origin} is not read by experiment {name!r}")
+    flat = {key: KNOWN_KEYS[key][1] for key in reads}
+    flat.update(entries)
+    flat.update(env)
     values = {key: check_key(key, flat[key]) for key in sorted(flat)}
     cfg = RunConfig(values=values, flat=flat)
-    cfg.latin_params()  # surfaces range violations (eta, alpha, ...) early
+    it_max = cfg.latin_params().it_max  # also surfaces range violations (eta, ...)
+    late = [it for it in values.get("checkpoints", ()) if it > it_max]
+    if late:
+        raise ConfigError(f"checkpoints {late} come after latin.it_max = {it_max}")
     return cfg
 
 

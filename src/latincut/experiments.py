@@ -41,14 +41,6 @@ from .mesh import build_structured_mesh
 
 log = logging.getLogger(__name__)
 
-EXPERIMENTS = (
-    "ellipse_convergence",
-    "two_inclusions_convergence",
-    "crack_condition_sweep",
-    "crack_condition_scaling",
-    "p1p0_comparison",
-)
-
 SIDES = ("left", "right", "bottom", "top")
 
 
@@ -686,10 +678,13 @@ def run_p1p0_comparison(
     params: LatinParams | None = None,
     workers: int = 1,
 ) -> dict[str, SolveResult]:
-    """Ellipse contact under both interface schemes with traction snapshots."""
+    """Ellipse contact under both interface schemes with traction snapshots.
+
+    Each scheme iterates exactly to the last profile iteration, so
+    ``params.it_max`` and ``params.interface_scheme`` are not used."""
     its = tuple(sorted(set(int(i) for i in profile_iterations)))
     base = params if params is not None else LatinParams()
-    base = replace(base, it_max=max(its[-1], base.it_max))
+    base = replace(base, it_max=its[-1])
     jobs = []
     for scheme in ("p1", "p0"):
         pdef = ellipse_case(0, nu, base_nx, replace(base, interface_scheme=scheme))

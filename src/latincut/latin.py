@@ -120,7 +120,10 @@ class LatinParams:
 
     @classmethod
     def from_flat(cls, flat: Mapping[str, str]) -> LatinParams:
-        """Read every `latin.<field>` text back; other keys are ignored."""
+        """Read every `latin.<field>` text back; other keys are ignored and a
+        missing field is a ConfigError.  The problem form carries every
+        field; a run config holds only the fields its experiment reads, and
+        `RunConfig.latin_params` fills in the others from `LatinParams()`."""
         values = {}
         for f in fields(cls):
             key, kind = f"latin.{f.name}", type(f.default)

@@ -14,12 +14,16 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
 import latincut
 from latincut import analysis, cli, experiments
+from latincut.cli import EXPERIMENTS
 from latincut.config import (
+    COMMON_KEYS,
+    KNOWN_KEYS,
     build_run_config,
     env_overrides,
     parse_config,
@@ -27,7 +31,7 @@ from latincut.config import (
     render_flat,
 )
 from latincut.errors import ConfigError
-from latincut.experiments import EXPERIMENTS, problem_from_flat
+from latincut.experiments import problem_from_flat
 from latincut.latin import LatinParams
 
 
@@ -75,11 +79,13 @@ def test_defaults_alone_give_a_runnable_config():
     assert cfg.experiment == "ellipse_convergence"
     assert cfg.output_dir == "out"
     assert cfg.workers == 1
-    assert cfg.checkpoints == ()
-    assert cfg.export_fields is False and cfg.export_profiles is False
+    assert cfg.values["checkpoints"] == ()
+    assert cfg.values["export.fields"] is False and cfg.values["export.profiles"] is False
     assert cfg.latin_params() == LatinParams()
     assert cfg.values["study.monitor_iterations"] == (10, 20, 30, 50, 100, 200)
-    assert cfg.values["crack.eps_values"] == (0.25, 0.01, 1e-4, 1e-6, 1e-8, 1e-11)
+    crack = build_run_config({"experiment": "crack_condition_sweep"})
+    assert crack.values["crack.eps_values"] == (0.25, 0.01, 1e-4, 1e-6, 1e-8, 1e-11)
+    assert crack.latin_params() == LatinParams()
 
 
 def test_precedence_defaults_then_file_then_environment():
@@ -90,7 +96,7 @@ def test_precedence_defaults_then_file_then_environment():
     )
     assert cfg.workers == 5
     assert cfg.values["latin.eta"] == 0.25
-    assert cfg.values["latin.alpha"] == 10.0  # untouched default
+    assert cfg.values["latin.k"] == 1.0  # untouched default
 
 
 def test_environment_wildcard_keys_and_rejections():
@@ -161,7 +167,7 @@ def test_legacy_k_pair_reads_as_k():
         ({"workers": "many"}, "must be an integer"),
         ({"export.fields": "yes"}, "true or false"),
         ({"experiment": "nope"}, "must be one of"),
-        ({"crack.mode": "triple"}, "must be one of"),
+        ({"experiment": "crack_condition_sweep", "crack.mode": "triple"}, "must be one of"),
         # problem-definition entries are not run-config keys; problem_from_flat
         # checks them (tests/test_experiments.py)
         ({"mesh.rect": "0,0,1"}, "unknown config key"),
@@ -228,7 +234,7 @@ study.levels = 1
 study.base_nx = 12
 study.reference_it_max = 8
 latin.it_max = 8
-study.monitor_iterations = 2,4
+study.monitor_iterations = 2,4,50
 checkpoints = 3
 export.profiles = true
 export.fields = true
@@ -249,7 +255,7 @@ export.fields = true
 
     its = (out / "iterations.csv").read_text().splitlines()
     assert its[0] == "it,energy_error_vs_ref,latin_indicator"
-    # monitors union checkpoints union it_max
+    # monitors union checkpoints union it_max; a monitor past it_max never comes
     assert [row.split(",")[0] for row in its[1:]] == ["2", "3", "4", "8"]
     assert all(float(row.split(",")[1]) > 0 for row in its[1:])
 
@@ -382,12 +388,14 @@ def test_resolved_cfg_parses_back_to_the_run(tmp_path):
     out = tmp_path / "out"
     text = (
         f"experiment = crack_condition_scaling\noutput.dir = {out}\nscaling.base_n = 12\n"
-        "scaling.levels = 2\nlatin.k_plus = 2.5\nlatin.k_minus = 2.5\nlatin.eta = 0.5\n"
+        "scaling.levels = 2\nlatin.k_plus = 2.5\nlatin.k_minus = 2.5\n"
+        "latin.quad_points_per_segment = 4\n"
     )
     assert cli.main(["run", str(run_cfg(tmp_path, text))]) == 0
     cfg, again = parse_config(text), parse_config((out / "resolved.cfg").read_text())
     assert again.values == cfg.values
-    assert again.latin_params() == cfg.latin_params() == LatinParams(k=2.5, eta=0.5)
+    assert again.latin_params() == cfg.latin_params()
+    assert cfg.latin_params() == LatinParams(k=2.5, quad_points_per_segment=4)
 
 
 def readme_configs() -> dict[str, str]:
@@ -424,10 +432,9 @@ def test_readme_config_parses(name):
 )
 def test_run_rejects_empty_sweep_lists(tmp_path, capsys, experiment, key):
     out = tmp_path / "out"
+    size = {"crack_condition_sweep": "crack.n", "p1p0_comparison": "study.base_nx"}[experiment]
     cfg = run_cfg(
-        tmp_path,
-        f"experiment = {experiment}\noutput.dir = {out}\ncrack.n = 12\n"
-        f"study.base_nx = 12\n{key} =\n",
+        tmp_path, f"experiment = {experiment}\noutput.dir = {out}\n{size} = 12\n{key} =\n"
     )
     assert cli.main(["run", str(cfg)]) == 1
     err = capsys.readouterr().err
@@ -457,7 +464,6 @@ experiment = p1p0_comparison
 output.dir = {out}
 study.base_nx = 12
 profile.iterations = 2,5
-latin.it_max = 5
 """,
     )
     assert cli.main(["run", str(cfg)]) == 0
@@ -534,3 +540,181 @@ def test_console_script_is_installed(tmp_path):
     exe = shutil.which("latincut")
     if exe is not None:
         check(subprocess.run([exe, "list-experiments"], capture_output=True, text=True))
+
+
+# --- the keys each experiment reads ----------------------------------------------
+
+# every run-config key, and `latin.alpha`, which is library-only, each with
+# a valid value: every experiment must either read such a key or reject it
+CANDIDATE_KEYS = {
+    **LatinParams().to_flat(),
+    **{key: default for key, (_, default, _) in KNOWN_KEYS.items()},
+}
+
+# A quick config of each experiment, and for each key it reads besides
+# COMMON_KEYS a second value, which must change what the run writes.
+_CONVERGENCE_QUICK = (
+    {
+        "study.levels": "1", "study.base_nx": "8", "study.reference_it_max": "4",
+        "latin.it_max": "4", "study.monitor_iterations": "2", "checkpoints": "3",
+        "export.fields": "true", "export.profiles": "true",
+    },
+    {
+        "checkpoints": "1", "export.fields": "false", "export.profiles": "false",
+        "study.levels": "2", "study.base_nx": "10", "study.nu": "0.25",
+        "study.reference_it_max": "5", "study.monitor_iterations": "1",
+        "latin.k": "2.0", "latin.eta": "0.5", "latin.gamma_g": "0.2",
+        "latin.gamma_pi": "0.2", "latin.quad_points_per_segment": "1",
+        "latin.it_max": "3", "latin.interface_scheme": "p0",
+    },
+)
+_CRACK_CHANGES = {"study.nu": "0.25", "latin.k": "2.0", "latin.quad_points_per_segment": "1"}
+QUICK = {
+    "ellipse_convergence": _CONVERGENCE_QUICK,
+    "two_inclusions_convergence": (
+        _CONVERGENCE_QUICK[0], {**_CONVERGENCE_QUICK[1], "study.contrast": "2.0"}
+    ),
+    "crack_condition_sweep": (
+        {"crack.n": "6", "crack.eps_values": "0.25", "crack.gamma_g_values": "0.1"},
+        {
+            "crack.n": "9", "crack.mode": "double", "crack.eps_x": "0.375",
+            "crack.eps_values": "0.125", "crack.gamma_g_values": "0.2", **_CRACK_CHANGES,
+        },
+    ),
+    "crack_condition_scaling": (
+        {"scaling.base_n": "6", "scaling.levels": "2"},
+        {
+            "scaling.base_n": "9", "scaling.levels": "3", "scaling.eps": "0.125",
+            "scaling.gamma_g": "0.2", **_CRACK_CHANGES,
+        },
+    ),
+    "p1p0_comparison": (
+        {"study.base_nx": "8", "profile.iterations": "2,3", "export.fields": "true"},
+        {
+            "export.fields": "false", "study.base_nx": "10", "study.nu": "0.25",
+            "profile.iterations": "2,4", "latin.k": "2.0", "latin.eta": "0.5",
+            "latin.gamma_g": "0.2", "latin.gamma_pi": "0.2",
+            "latin.quad_points_per_segment": "1",
+        },
+    ),
+}
+READ = [(name, key) for name, exp in EXPERIMENTS.items() for key in exp.reads]
+UNREAD = [
+    (name, key)
+    for name, exp in EXPERIMENTS.items()
+    for key in CANDIDATE_KEYS
+    if key not in COMMON_KEYS + exp.reads
+]
+
+
+def test_read_sets_are_the_accepted_keys():
+    assert len(CANDIDATE_KEYS) == 30
+    assert sorted(KNOWN_KEYS) == sorted(set(CANDIDATE_KEYS) - {"latin.alpha"})
+    for name, exp in EXPERIMENTS.items():
+        assert len(set(exp.reads)) == len(exp.reads)
+        assert not set(exp.reads) & set(COMMON_KEYS)
+        assert sorted(QUICK[name][1]) == sorted(exp.reads), name
+        cfg = build_run_config({"experiment": name})
+        assert sorted(cfg.flat) == sorted(COMMON_KEYS + exp.reads)
+    # 70 accepted (experiment, key) pairs out of 5 x 30
+    assert len(READ) + len(COMMON_KEYS) * len(EXPERIMENTS) == 70
+    assert len(UNREAD) == 80
+
+
+def quick_outputs(tmp_path, name, entries) -> dict[str, bytes]:
+    """Run a quick config; every file it writes except resolved.cfg."""
+    out = tmp_path / "out"
+    text = render_flat({"experiment": name, "output.dir": str(out), **entries})
+    assert cli.main(["run", str(run_cfg(tmp_path, text))]) == 0
+    return {
+        p.relative_to(out).as_posix(): p.read_bytes()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name != "resolved.cfg"
+    }
+
+
+@pytest.fixture(scope="module")
+def quick_baseline(tmp_path_factory):
+    runs = {}
+
+    def get(name):
+        if name not in runs:
+            runs[name] = quick_outputs(tmp_path_factory.mktemp(name), name, QUICK[name][0])
+        return runs[name]
+
+    return get
+
+
+@pytest.mark.parametrize("name, key", READ)
+def test_each_read_key_changes_the_outputs(tmp_path, quick_baseline, name, key):
+    base, changes = QUICK[name]
+    assert base.get(key, CANDIDATE_KEYS[key]) != changes[key]
+    assert quick_outputs(tmp_path, name, {**base, key: changes[key]}) != quick_baseline(name)
+
+
+@pytest.mark.parametrize("name, key", UNREAD)
+def test_each_unread_key_is_rejected(tmp_path, capsys, monkeypatch, name, key):
+    out = tmp_path / "out"
+    body = f"experiment = {name}\noutput.dir = {out}\n"
+    env = "LATINCUT_" + key.replace(".", "_").upper()
+    if key in KNOWN_KEYS:
+        in_file = f"config error: {key!r} is not read by experiment {name!r}"
+        in_env = in_file.replace(" is not", " (from the environment) is not")
+    else:
+        in_file = f"config error: unknown config key {key!r}"
+        in_env = f"config error: unknown config key in environment: {env}"
+    path = run_cfg(tmp_path, body + f"{key} = {CANDIDATE_KEYS[key]}\n")
+    assert cli.main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == in_file + "\n"
+    monkeypatch.setenv(env, CANDIDATE_KEYS[key])
+    assert cli.main(["run", str(run_cfg(tmp_path, body))]) == 1
+    assert capsys.readouterr().err == in_env + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "body, key",
+    [
+        ("experiment = crack_condition_sweep\ncrack.n = 25\n", "crack.n"),
+        ("experiment = crack_condition_scaling\nscaling.base_n = 10\n", "scaling.base_n"),
+        ("experiment = crack_condition_scaling\nscaling.levels = 1\n", "scaling.levels"),
+        ("checkpoints = 0,5\n", "checkpoints"),
+        ("latin.it_max = 20\ncheckpoints = 5,700\n", "checkpoints"),
+        ("study.monitor_iterations = 0,5\n", "study.monitor_iterations"),
+        ("experiment = p1p0_comparison\nprofile.iterations = 0,5\n", "profile.iterations"),
+    ],
+)
+def test_validate_rejects_what_run_would_reject(tmp_path, capsys, body, key):
+    assert cli.main(["validate", str(run_cfg(tmp_path, body))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
+def test_readme_key_table_matches_the_experiments():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| ((?:`[\w.]+`(?:, )?)+) \|$", readme, re.M)
+    assert {name: sorted(re.findall(r"`([\w.]+)`", keys)) for name, keys in rows} == {
+        name: sorted(exp.reads) for name, exp in EXPERIMENTS.items()
+    }
+
+
+def test_benchmark_configs_parse(monkeypatch):
+    """Every config perfbench/run.py generates (each workload, seeds 0-9) is
+    a valid run config.  run.py is executed from its source with its
+    `study` import supplied, so nothing under perfbench/ is written."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+
+    def load(name):
+        path = bench / f"{name}.py"
+        module = ModuleType(f"perfbench_{name}")
+        module.__file__ = str(path)
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+        return module
+
+    monkeypatch.setitem(sys.modules, "study", load("study"))
+    run = load("run")
+    assert sorted(run.WORKLOADS) == ["crack_sweep", "ellipse_ladder", "p1p0_long"]
+    for make, _ in run.WORKLOADS.values():
+        for seed in range(10):
+            values = make(seed)
+            assert parse_config(run.render_config(values)).experiment == values["experiment"]

@@ -18,8 +18,8 @@ from latincut import experiments, latin, linalg
 from latincut.analysis import fit_rate
 from latincut.config import parse_flat, render_flat
 from latincut.errors import ConfigError
+from latincut.cli import EXPERIMENTS
 from latincut.experiments import (
-    EXPERIMENTS,
     ProblemDef,
     KappaMemo,
     build_problem,
@@ -472,12 +472,14 @@ def test_crack_condition_case_reports_worst_subproblem():
 
 def test_p1p0_comparison_runs_both_schemes():
     res = run_p1p0_comparison(
-        base_nx=12, profile_iterations=(2, 5), params=LatinParams(it_max=5)
+        base_nx=12, profile_iterations=(2, 5), params=LatinParams(it_max=50)
     )
     assert set(res) == {"p1", "p0"}
     for scheme, r in res.items():
         assert r.pdef.params.interface_scheme == scheme
         assert sorted(r.checkpoint_traction) == [2, 5]
+        # nothing is written after the last profile, so no scheme iterates past it
+        assert len(r.history) == 5
         assert r.profile_pair == (0, 1)
     assert not np.allclose(
         res["p1"].checkpoint_traction[5], res["p0"].checkpoint_traction[5]
@@ -485,7 +487,7 @@ def test_p1p0_comparison_runs_both_schemes():
 
 
 def test_experiment_registry_names():
-    assert EXPERIMENTS == (
+    assert tuple(EXPERIMENTS) == (
         "ellipse_convergence",
         "two_inclusions_convergence",
         "crack_condition_sweep",
