@@ -23,7 +23,7 @@ def refinement_levels(coarse: TriMesh, fine: TriMesh) -> int:
     if coarse.structured is None or fine.structured is None:
         raise NonNestedMeshError("nesting check requires structured meshes")
     ci, fi = coarse.structured, fine.structured
-    if ci.rect != fi.rect or ci.diag != fi.diag:
+    if ci.rect != fi.rect:
         raise NonNestedMeshError("meshes cover different rectangles")
     if fi.nx % ci.nx or fi.ny % ci.ny or fi.nx // ci.nx != fi.ny // ci.ny:
         raise NonNestedMeshError(

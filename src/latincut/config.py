@@ -12,6 +12,7 @@ variables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
@@ -63,9 +64,12 @@ def _parse_int(key: str, text: str) -> int:
 
 def _parse_float(key: str, text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as err:
         raise ConfigError(f"{key} must be a number, got {text!r}") from err
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    return value
 
 
 def _parse_int_list(key: str, text: str) -> tuple[int, ...]:
@@ -103,6 +107,21 @@ def _at_least(lo: int):
 def _nonempty(key: str, v) -> None:
     if not v:
         raise ConfigError(f"{key} needs at least one value")
+
+
+def _nonempty_nonnegative(key: str, v) -> None:
+    _nonempty(key, v)
+    for x in v:
+        if x < 0:
+            raise ConfigError(f"{key} entries must be nonnegative, got {x}")
+
+
+def _open_interval(lo: float, hi: float):
+    def check(key: str, v) -> None:
+        if not lo < v < hi:
+            raise ConfigError(f"{key} must lie in ({lo}, {hi}), got {v}")
+
+    return check
 
 
 def _iterations(key: str, v) -> None:
@@ -151,15 +170,15 @@ KNOWN_KEYS: dict[str, tuple[str, str, Callable | None]] = {
     },
     "study.levels": ("int", "4", _at_least(1)),
     "study.base_nx": ("int", "40", _at_least(1)),
-    "study.nu": ("float", "0.3", None),
-    "study.contrast": ("float", "1.0", None),
+    "study.nu": ("float", "0.3", _open_interval(0, 0.5)),  # as `cutgeom.Material` needs
+    "study.contrast": ("float", "1.0", _open_interval(0, math.inf)),
     "study.reference_it_max": ("int", "200", _at_least(1)),
     "study.monitor_iterations": ("int_list", "10,20,30,50,100,200", _iterations),
     "crack.n": ("int", "24", _crack_size),
     "crack.mode": ("str", "simple", _choice("simple", "double")),
     "crack.eps_x": ("float", "0.5", None),
     "crack.eps_values": ("float_list", "0.25,0.01,0.0001,1e-06,1e-08,1e-11", _nonempty),
-    "crack.gamma_g_values": ("float_list", "0.0,0.001,0.1", _nonempty),
+    "crack.gamma_g_values": ("float_list", "0.0,0.001,0.1", _nonempty_nonnegative),
     "scaling.base_n": ("int", "12", _crack_size),
     "scaling.levels": ("int", "4", _at_least(2)),
     "scaling.eps": ("float", "0.25", None),

@@ -332,7 +332,6 @@ class CutDomain:
     status: np.ndarray  # (nt,)
     cells: np.ndarray
     full_cells: np.ndarray
-    cut_cells: np.ndarray
     subtri_cells: np.ndarray
     subtri_coords: np.ndarray
     ghost_faces: np.ndarray
@@ -350,14 +349,12 @@ def build_cut_domain(
     mesh: TriMesh,
     material: Material,
     decomposition: MeshDecomposition,
-    quad_degree: int = 2,
 ) -> CutDomain:
     """Assemble the fictitious domain record of one subdomain."""
     if not (0 <= index < decomposition.n_subdomains):
         raise InvalidGeometryError(f"subdomain {index} does not exist")
     status = decomposition.status[index]
     full_cells = np.flatnonzero(status == INSIDE)
-    cut_cells = np.flatnonzero(status == CUT)
     cells = np.flatnonzero(status != OUTSIDE)
     if cells.size == 0:
         raise EmptyDomainError(f"subdomain {index} covers no cells")
@@ -371,12 +368,10 @@ def build_cut_domain(
     ghost = interior & in_fict[left] & in_fict[right] & (is_cut[left] | is_cut[right])
     ghost_faces = np.flatnonzero(ghost)
 
-    full_pts, full_w = quadrature.triangle_points(
-        mesh.triangle_coords(full_cells), quad_degree
-    )
+    full_pts, full_w = quadrature.triangle_points(mesh.triangle_coords(full_cells))
     sub_cells = decomposition.subtri_cells[index]
     sub_coords = decomposition.subtri_coords[index]
-    cut_pts, cut_w = quadrature.triangle_points(sub_coords, quad_degree)
+    cut_pts, cut_w = quadrature.triangle_points(sub_coords)
     nq_full = full_w.shape[1] if full_w.size else 0
     qpoints = np.vstack((full_pts.reshape(-1, 2), cut_pts.reshape(-1, 2)))
     qweights = np.concatenate((full_w.ravel(), cut_w.ravel()))
@@ -393,7 +388,6 @@ def build_cut_domain(
         status=status,
         cells=cells,
         full_cells=full_cells,
-        cut_cells=cut_cells,
         subtri_cells=sub_cells,
         subtri_coords=sub_coords,
         ghost_faces=ghost_faces,
@@ -407,7 +401,6 @@ def build_cut_domain(
 class SegmentSet:
     """Straight segments with parent cells, normals and Gauss quadrature."""
 
-    mesh: TriMesh
     p0: np.ndarray  # (ns, 2)
     p1: np.ndarray
     cell: np.ndarray  # (ns,)
@@ -416,7 +409,6 @@ class SegmentSet:
     qpoints: np.ndarray  # (nq, 2)
     qweights: np.ndarray  # (nq,)
     qseg: np.ndarray  # (nq,) parent segment per quadrature point
-    n_quad: int
 
     @property
     def n_segments(self) -> int:
@@ -431,11 +423,10 @@ class SegmentSet:
         return self.cell[self.qseg]
 
 
-def _make_segment_set(mesh, p0, p1, cell, normal, n_quad: int) -> SegmentSet:
+def _make_segment_set(p0, p1, cell, normal, n_quad: int) -> SegmentSet:
     pts, w = quadrature.segment_points(p0, p1, n_quad)
     ns = p0.shape[0]
     return SegmentSet(
-        mesh=mesh,
         p0=p0,
         p1=p1,
         cell=cell,
@@ -444,7 +435,6 @@ def _make_segment_set(mesh, p0, p1, cell, normal, n_quad: int) -> SegmentSet:
         qpoints=pts.reshape(-1, 2),
         qweights=w.ravel(),
         qseg=np.repeat(np.arange(ns), n_quad),
-        n_quad=n_quad,
     )
 
 
@@ -480,7 +470,6 @@ def build_interface(
     if key not in decomposition.seg_p0 or decomposition.seg_p0[key].size == 0:
         raise EmptyInterfaceError(f"subdomains {i} and {j} share no interface")
     segs = _make_segment_set(
-        mesh,
         decomposition.seg_p0[key],
         decomposition.seg_p1[key],
         decomposition.seg_cell[key],
@@ -517,7 +506,6 @@ def boundary_segments(mesh: TriMesh, sides: list[str], n_quad: int = 2) -> Segme
     face_ids = sorted(face_ids)
     faces = mesh.faces[face_ids]
     return _make_segment_set(
-        mesh,
         mesh.vertices[faces[:, 0]].astype(float),
         mesh.vertices[faces[:, 1]].astype(float),
         faces[:, 2].astype(np.int64),

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from . import analysis, assembly
+from . import analysis
 from .analysis import ConvergenceRecord, interpolate_to_fine
 from .assembly import FESpace
 from .cutgeom import InterfaceMesh, Material
@@ -32,16 +32,16 @@ from .latin import (
     LatinState,
     build_geometry,
     build_state,
+    dirichlet_split,
     iterate,
+    linear_stage_operators,
     merge_legacy_k,
 )
 from .levelset import Circle, Ellipse, HalfPlane, interpolate_levelset
 from .linalg import InverseEstimate, SparseSym, condition_number, inverse_estimate
-from .mesh import build_structured_mesh
+from .mesh import SIDES, build_structured_mesh
 
 log = logging.getLogger(__name__)
-
-SIDES = ("left", "right", "bottom", "top")
 
 
 @dataclass
@@ -329,38 +329,23 @@ def _operator_key(a: SparseSym) -> bytes:
 def subdomain_operators(
     pdef: ProblemDef, gamma_g_values: Iterable[float]
 ) -> Iterator[list[SparseSym]]:
-    """Every subdomain's linear-stage operator, for each ghost-penalty weight
-    in turn.
+    """Every subdomain's `latin.linear_stage_operators`, with the strong
+    Dirichlet dofs eliminated, for each ghost-penalty weight in turn.
 
-    Elasticity + ghost penalty + LaTIn augmentation, with the strong
-    Dirichlet dofs eliminated.  Only the ghost penalty depends on gamma_g,
-    so the geometry, elasticity, augmentation and Dirichlet elimination are
-    built once.  Each operator is summed as (elasticity + ghost penalty) +
-    augmentation, the order `latin.build_subdomain_system` uses:
-    floating-point sums depend on it, and kappa must describe the matrix the
-    linear stage factorizes.  A weight's operators are built when its list
-    is requested, so only one weight's are held at a time.
+    The geometry is built once.  A weight's operators are built when its
+    list is requested, so only one weight's are held at a time.
     """
     _, _, _, spaces, interfaces = problem_spaces(pdef)
-    parts = []
+    gamma_g_values = list(gamma_g_values)
+    frees, streams = [], []
     for i, space in enumerate(spaces):
-        elasticity = assembly.assemble_elasticity(space)
         touching = [ifc for pair, ifc in sorted(interfaces.items()) if i in pair]
-        augmentation = assembly.assemble_latin_augmentation(
-            space, touching, pdef.params.k
-        )
-        fixed, _ = assembly.dirichlet_constraints(
-            space, {s: (ux, uy) for sub, s, ux, uy in pdef.dirichlet if sub == i}
-        )
-        mask = np.ones(space.n_dofs, dtype=bool)
-        mask[fixed] = False
-        parts.append((space, elasticity, augmentation, np.flatnonzero(mask)))
-    for gamma_g in gamma_g_values:
-        operators = []
-        for space, elasticity, augmentation, free in parts:
-            a = elasticity + assembly.assemble_ghost_penalty(space, float(gamma_g))
-            operators.append((a + augmentation).submatrix(free))
-        yield operators
+        dirichlet = {s: (ux, uy) for sub, s, ux, uy in pdef.dirichlet if sub == i}
+        frees.append(dirichlet_split(space, dirichlet)[0])
+        streams.append(linear_stage_operators(space, touching, pdef.params.k, gamma_g_values))
+    for _ in gamma_g_values:
+        # each full operator is dropped as soon as it is reduced
+        yield [next(ops).submatrix(free) for ops, free in zip(streams, frees)]
 
 
 class KappaMemo:

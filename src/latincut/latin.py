@@ -33,7 +33,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,6 +56,7 @@ from .linalg import (
     CsrOperator,
     DenseFactor,
     NotSpdError,
+    SparseSym,
     SpdFactor,
     factorize,
     factorize_dense,
@@ -90,13 +91,16 @@ class LatinParams:
     interface_scheme: str = "p1"
 
     def __post_init__(self) -> None:
+        for name in ("k", "gamma_g", "gamma_pi", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if not self.k > 0.0:
             raise ConfigError("search-direction stiffness k must be positive")
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigError("relaxation eta must lie in [0, 1]")
-        if self.gamma_g < 0.0 or self.gamma_pi < 0.0:
+        if not (self.gamma_g >= 0.0 and self.gamma_pi >= 0.0):
             raise ConfigError("stabilization parameters must be nonnegative")
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:
             raise ConfigError("nitsche penalty alpha must be positive")
         if self.it_max < 1:
             raise ConfigError("it_max must be at least 1")
@@ -350,6 +354,49 @@ def _free_load(ops: InterfaceOperators, index: int, free: np.ndarray) -> CsrOper
     return ops.scheme.load_map.take_rows(rows)
 
 
+def linear_stage_operators(
+    space: FESpace,
+    interfaces: list[InterfaceMesh],
+    k: float,
+    gamma_g_values: Iterable[float],
+) -> Iterator[SparseSym]:
+    """A subdomain's linear-stage operator for each ghost-penalty weight in
+    turn, before boundary terms: the one place it is summed.
+
+    Each is (elasticity + ghost penalty(gamma_g)) + the LaTIn augmentation
+    of ``interfaces`` with search-direction stiffness ``k``, in that order:
+    floating-point sums depend on it, and the condition numbers the crack
+    studies report must describe the matrix the linear stage factorizes bit
+    for bit.  Elasticity and augmentation are assembled once, when the first
+    operator is requested.  The augmentation couples bulk traces, so it
+    always uses the P1 interface mass, even under the P0 interface scheme.
+    """
+    weights = list(gamma_g_values)
+    elasticity = assembly.assemble_elasticity(space)
+    augmentation = None
+    for n, gamma_g in enumerate(weights, start=1):
+        partial = [elasticity + assembly.assemble_ghost_penalty(space, float(gamma_g))]
+        if n == len(weights):
+            # freeing elasticity before the augmentation is assembled keeps
+            # the peak resident size of the factorization that follows: the
+            # ellipse ladder's peaks rose by up to 10 MB when it lived longer
+            del elasticity
+        if augmentation is None:
+            augmentation = assembly.assemble_latin_augmentation(space, interfaces, k)
+        # popped, so the generator holds no operator while it is suspended
+        yield partial.pop() + augmentation
+
+
+def dirichlet_split(
+    space: FESpace, dirichlet: Mapping[str, VectorData]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(free dofs, fixed dofs, fixed values) under strong Dirichlet data."""
+    fixed, fixed_values = assembly.dirichlet_constraints(space, dirichlet)
+    mask = np.ones(space.n_dofs, dtype=bool)
+    mask[fixed] = False
+    return np.flatnonzero(mask), fixed, fixed_values
+
+
 def build_subdomain_system(
     space: FESpace,
     interface_ops: list[InterfaceOperators],
@@ -360,19 +407,13 @@ def build_subdomain_system(
 ) -> SubdomainSystem:
     """Assemble and factorize the iteration-independent operator.
 
-    The operator is (elasticity + ghost penalty) + the LaTIn augmentation of
+    The operator is `linear_stage_operators`' at ``params.gamma_g`` for
     every interface this subdomain touches, plus Nitsche terms for any weak
-    Dirichlet sides.  Strong Dirichlet sides are eliminated.  The summation
-    order is fixed and shared with `experiments.subdomain_operators`:
-    floating-point sums depend on it, and the condition numbers the crack
-    studies report must describe this matrix bit for bit.  The augmentation couples bulk traces, so it always
-    uses the P1 interface mass, even under the P0 interface scheme.
+    Dirichlet sides.  Strong Dirichlet sides are eliminated.
     """
     index = space.domain.index
-    a = assembly.assemble_elasticity(space)
-    a = a + assembly.assemble_ghost_penalty(space, params.gamma_g)
-    a = a + assembly.assemble_latin_augmentation(
-        space, [ops.iface for ops in interface_ops], params.k
+    (a,) = linear_stage_operators(
+        space, [ops.iface for ops in interface_ops], params.k, [params.gamma_g]
     )
     rhs = np.zeros(space.n_dofs)
     mesh = space.mesh
@@ -385,10 +426,7 @@ def build_subdomain_system(
             segs = boundary_segments(mesh, [side], params.quad_points_per_segment)
             a = a + assembly.assemble_nitsche_matrix(space, segs, params.alpha)
             rhs += assembly.assemble_nitsche_rhs(space, segs, params.alpha, data)
-    fixed, fixed_values = assembly.dirichlet_constraints(space, dirichlet or {})
-    mask = np.ones(space.n_dofs, dtype=bool)
-    mask[fixed] = False
-    free = np.flatnonzero(mask)
+    free, fixed, fixed_values = dirichlet_split(space, dirichlet or {})
     try:
         factor = factorize(a.submatrix(free))
     except NotSpdError as err:
@@ -449,8 +487,6 @@ class LatinState:
 
     problem: ContactProblem
     params: LatinParams
-    decomposition: MeshDecomposition
-    domains: list[CutDomain]
     spaces: list[FESpace]
     systems: list[SubdomainSystem]
     operators: dict[tuple[int, int], InterfaceOperators]
@@ -505,9 +541,7 @@ def build_geometry(
 
 def build_state(problem: ContactProblem, params: LatinParams) -> LatinState:
     """Decompose, assemble and factorize; no iterations are run yet."""
-    deco, domains, spaces, interfaces = build_geometry(
-        problem, params.quad_points_per_segment
-    )
+    _, _, spaces, interfaces = build_geometry(problem, params.quad_points_per_segment)
     space_of = dict(enumerate(spaces))
     operators = {
         pair: build_interface_operators(problem.mesh, iface, space_of, params)
@@ -534,8 +568,6 @@ def build_state(problem: ContactProblem, params: LatinParams) -> LatinState:
     return LatinState(
         problem=problem,
         params=params,
-        decomposition=deco,
-        domains=domains,
         spaces=spaces,
         systems=systems,
         operators=operators,

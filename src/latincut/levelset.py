@@ -76,24 +76,7 @@ class HalfPlane:
         return self.a * pts[..., 0] + self.b * pts[..., 1] + self.c
 
 
-@dataclass(frozen=True)
-class MinUnion:
-    """Pointwise minimum of several level sets: the union of their insides."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        if len(self.parts) == 0:
-            raise InvalidGeometryError("min-union needs at least one part")
-
-    def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        vals = self.parts[0].evaluate(pts)
-        for part in self.parts[1:]:
-            vals = np.minimum(vals, part.evaluate(pts))
-        return vals
-
-
-LevelSetFunction = Ellipse | Circle | HalfPlane | MinUnion
+LevelSetFunction = Ellipse | Circle | HalfPlane
 
 
 @dataclass

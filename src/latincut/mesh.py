@@ -1,4 +1,4 @@
-"""Structured background triangle meshes, uniform refinement, face adjacency.
+"""Structured background triangle meshes and their face adjacency.
 
 The background mesh never conforms to the physical geometry: cut cells,
 fictitious extensions and interface bands are carved out of it downstream.
@@ -16,16 +16,16 @@ import numpy as np
 from .errors import InvalidMeshError
 
 BOUNDARY = -1
+SIDES = ("left", "right", "bottom", "top")
 
 
 @dataclass(frozen=True)
 class StructuredInfo:
-    """Lattice metadata kept through refinement for O(1) point location."""
+    """Lattice metadata for O(1) point location."""
 
     rect: tuple[float, float, float, float]  # x0, y0, x1, y1
     nx: int
     ny: int
-    diag: str = "bltr"
 
 
 @dataclass
@@ -147,57 +147,8 @@ def build_face_adjacency(
     return faces, normals
 
 
-def _make_mesh(
-    vertices: np.ndarray,
-    triangles: np.ndarray,
-    h: float,
-    boundary_tagger,
-    structured: StructuredInfo | None,
-) -> TriMesh:
-    areas = triangle_areas(vertices, triangles)
-    if np.any(areas <= 0.0):
-        raise InvalidMeshError("triangles must be counterclockwise with positive area")
-    faces, normals = build_face_adjacency(vertices, triangles)
-    boundary = np.flatnonzero(faces[:, 3] == BOUNDARY)
-    tags = boundary_tagger(vertices, faces, boundary)
-    return TriMesh(
-        vertices=vertices,
-        triangles=triangles,
-        faces=faces,
-        face_normals=normals,
-        h=h,
-        boundary_tags=tags,
-        structured=structured,
-    )
-
-
-def _tag_rect_sides(rect, tol):
-    x0, y0, x1, y1 = rect
-
-    def tagger(vertices, faces, boundary_faces):
-        mids = 0.5 * (vertices[faces[boundary_faces, 0]] + vertices[faces[boundary_faces, 1]])
-        tags: dict[str, list[int]] = {"left": [], "right": [], "bottom": [], "top": []}
-        for f, (mx, my) in zip(boundary_faces, mids):
-            if abs(mx - x0) < tol:
-                tags["left"].append(int(f))
-            elif abs(mx - x1) < tol:
-                tags["right"].append(int(f))
-            elif abs(my - y0) < tol:
-                tags["bottom"].append(int(f))
-            elif abs(my - y1) < tol:
-                tags["top"].append(int(f))
-            else:
-                raise InvalidMeshError("boundary face not on any side of the rectangle")
-        return {k: np.asarray(sorted(v), dtype=np.int64) for k, v in tags.items()}
-
-    return tagger
-
-
 def build_structured_mesh(
-    rect: tuple[float, float, float, float],
-    nx: int,
-    ny: int,
-    diag: str = "bltr",
+    rect: tuple[float, float, float, float], nx: int, ny: int
 ) -> TriMesh:
     """Uniform lattice mesh of a rectangle, two triangles per cell.
 
@@ -205,15 +156,15 @@ def build_structured_mesh(
     ----------
     rect : (x0, y0, x1, y1)
     nx, ny : cells per direction; (nx+1)*(ny+1) vertices, 2*nx*ny triangles.
-    diag : "bltr" splits each cell from bottom-left to top-right.
 
-    Returns a TriMesh whose h is the cell diagonal and whose boundary faces
-    carry left/right/bottom/top tags.
+    Each cell is split from bottom-left to top-right; the triangles of cell
+    (i, j) are 2*(j*nx + i) (below the diagonal) and the one after it
+    (above), which is the order `StructuredLocator` relies on.  Returns a
+    TriMesh whose h is the cell diagonal and whose boundary faces carry
+    left/right/bottom/top tags.
     """
     if nx < 1 or ny < 1:
         raise InvalidMeshError("nx and ny must be at least 1")
-    if diag != "bltr":
-        raise InvalidMeshError(f"unsupported diagonal orientation {diag!r}")
     x0, y0, x1, y1 = (float(v) for v in rect)
     if not (x1 > x0 and y1 > y0):
         raise InvalidMeshError("rectangle must have positive extents")
@@ -238,71 +189,39 @@ def build_structured_mesh(
     triangles = np.empty((2 * nx * ny, 3), dtype=np.int64)
     triangles[0::2] = lower
     triangles[1::2] = upper
+    if np.any(triangle_areas(vertices, triangles) <= 0.0):
+        raise InvalidMeshError("triangles must be counterclockwise with positive area")
+    faces, normals = build_face_adjacency(vertices, triangles)
+
+    # each boundary face takes the first side its midpoint lies on
+    tol = 1e-12 * max(x1 - x0, y1 - y0)
+    boundary = np.flatnonzero(faces[:, 3] == BOUNDARY)
+    mx, my = (0.5 * (vertices[faces[boundary, 0]] + vertices[faces[boundary, 1]])).T
+    on_side = np.abs(np.array([mx - x0, mx - x1, my - y0, my - y1])) < tol
+    if not on_side.any(axis=0).all():
+        raise InvalidMeshError("boundary face not on any side of the rectangle")
+    side = np.argmax(on_side, axis=0)
+    tags = {name: boundary[side == s] for s, name in enumerate(SIDES)}
 
     dx = (x1 - x0) / nx
     dy = (y1 - y0) / ny
-    h = float(np.hypot(dx, dy))
-    tol = 1e-12 * max(x1 - x0, y1 - y0)
-    info = StructuredInfo(rect=(x0, y0, x1, y1), nx=nx, ny=ny, diag=diag)
-    return _make_mesh(vertices, triangles, h, _tag_rect_sides((x0, y0, x1, y1), tol), info)
-
-
-def refine_uniform(mesh: TriMesh) -> TriMesh:
-    """Split every triangle into four via edge midpoints.
-
-    Midpoint vertices are deduplicated exactly by indexing the parent face
-    list, so refining the same mesh twice gives identical vertex orderings.
-    The new h is exactly half the parent's; boundary tags are inherited.
-    """
-    nv = mesh.n_vertices
-    faces = mesh.faces
-    midpoints = 0.5 * (mesh.vertices[faces[:, 0]] + mesh.vertices[faces[:, 1]])
-    vertices = np.vstack((mesh.vertices, midpoints))
-
-    # face index lookup per (min, max) vertex pair
-    pair_to_face: dict[tuple[int, int], int] = {}
-    for f, (a, b, _, _) in enumerate(faces):
-        pair_to_face[(int(min(a, b)), int(max(a, b)))] = f
-
-    def mid(u, v):
-        return nv + pair_to_face[(int(min(u, v)), int(max(u, v)))]
-
-    children = np.empty((4 * mesh.n_triangles, 3), dtype=np.int64)
-    for t, (a, b, c) in enumerate(mesh.triangles):
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        children[4 * t + 0] = (a, mab, mca)
-        children[4 * t + 1] = (mab, b, mbc)
-        children[4 * t + 2] = (mca, mbc, c)
-        children[4 * t + 3] = (mab, mbc, mca)
-
-    info = mesh.structured
-    if info is not None:
-        info = StructuredInfo(rect=info.rect, nx=2 * info.nx, ny=2 * info.ny, diag=info.diag)
-
-    # Children of a tagged boundary face are the two halves split at its
-    # midpoint; propagate the parent's tag to both.
-    inherits: dict[tuple[int, int], str] = {}
-    for tag, bfaces in mesh.boundary_tags.items():
-        for f in bfaces:
-            a, b = int(faces[f, 0]), int(faces[f, 1])
-            m = mid(a, b)
-            inherits[(min(a, m), max(a, m))] = tag
-            inherits[(min(b, m), max(b, m))] = tag
-
-    def tagger(verts, new_faces, boundary_faces):
-        tags: dict[str, list[int]] = {k: [] for k in mesh.boundary_tags}
-        for f in boundary_faces:
-            a, b = int(new_faces[f, 0]), int(new_faces[f, 1])
-            tag = inherits.get((min(a, b), max(a, b)))
-            if tag is not None:  # untagged parents stay untagged
-                tags[tag].append(int(f))
-        return {k: np.asarray(sorted(v), dtype=np.int64) for k, v in tags.items()}
-
-    return _make_mesh(vertices, children, mesh.h / 2.0, tagger, info)
+    return TriMesh(
+        vertices=vertices,
+        triangles=triangles,
+        faces=faces,
+        face_normals=normals,
+        h=float(np.hypot(dx, dy)),
+        boundary_tags=tags,
+        structured=StructuredInfo(rect=(x0, y0, x1, y1), nx=nx, ny=ny),
+    )
 
 
 class StructuredLocator:
-    """O(1) point-to-triangle lookup on a (possibly refined) structured mesh."""
+    """O(1) point-to-triangle lookup on a `build_structured_mesh` lattice.
+
+    A point's slot, 2 * (cell id) + {0: below the diagonal, 1: above}, is its
+    triangle's index in the lattice's own order.
+    """
 
     def __init__(self, mesh: TriMesh):
         if mesh.structured is None:
@@ -313,14 +232,6 @@ class StructuredLocator:
         self.nx, self.ny = info.nx, info.ny
         self.dx = (self.x1 - self.x0) / self.nx
         self.dy = (self.y1 - self.y0) / self.ny
-        # slot = (cell id)*2 + {0: below diagonal, 1: above}
-        centroids = mesh.triangle_coords().mean(axis=1)
-        slots = self._slots(centroids)
-        table = np.full(2 * self.nx * self.ny, -1, dtype=np.int64)
-        table[slots] = np.arange(mesh.n_triangles)
-        if np.any(table < 0):
-            raise InvalidMeshError("mesh does not fill its structured lattice")
-        self.table = table
 
     def _slots(self, pts: np.ndarray) -> np.ndarray:
         fx = (pts[:, 0] - self.x0) / self.dx
@@ -332,7 +243,7 @@ class StructuredLocator:
 
     def locate(self, pts: np.ndarray) -> np.ndarray:
         """Triangle index per point; points on edges resolve to either side."""
-        return self.table[self._slots(np.asarray(pts, dtype=float))]
+        return self._slots(np.asarray(pts, dtype=float))
 
     def candidates(self, pt: np.ndarray, tol: float = 1e-9) -> list[int]:
         """All triangles whose closed cell neighborhood may contain pt.
@@ -348,5 +259,5 @@ class StructuredLocator:
         for j in sorted(j_set):
             for i in sorted(i_set):
                 base = (j * self.nx + i) * 2
-                out.extend((int(self.table[base]), int(self.table[base + 1])))
+                out.extend((base, base + 1))
         return out

@@ -5,20 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 # Interior 3-point rule, exact for degree 2.  Rows are barycentric coords.
-_TRI_DEGREE2_BARY = np.array(
+_TRI_BARY = np.array(
     [
         [2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
         [1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
         [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0],
     ]
 )
-_TRI_DEGREE2_W = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
-
-# Centroid rule, exact for degree 1.
-_TRI_DEGREE1_BARY = np.array([[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]])
-_TRI_DEGREE1_W = np.array([1.0])
-
-_TRI_RULES = {1: (_TRI_DEGREE1_BARY, _TRI_DEGREE1_W), 2: (_TRI_DEGREE2_BARY, _TRI_DEGREE2_W)}
+_TRI_W = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
 
 # Gauss-Legendre nodes/weights on [0, 1].
 _GL3 = 1.0 / (2.0 * np.sqrt(3.0))
@@ -36,16 +30,8 @@ _SEG_RULES = {
 }
 
 
-def triangle_rule(degree: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Barycentric points (n, 3) and weights (n,) summing to 1 on the reference triangle."""
-    if degree not in _TRI_RULES:
-        raise ValueError(f"unsupported triangle quadrature degree {degree}")
-    bary, w = _TRI_RULES[degree]
-    return bary.copy(), w.copy()
-
-
-def triangle_points(coords: np.ndarray, degree: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Physical quadrature points and weights for triangles.
+def triangle_points(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Physical points and weights of the degree-2 rule on triangles.
 
     Parameters
     ----------
@@ -56,20 +42,11 @@ def triangle_points(coords: np.ndarray, degree: int = 2) -> tuple[np.ndarray, np
     points : (m, n, 2), weights : (m, n) with weights summing to each area.
     """
     coords = np.asarray(coords, dtype=float)
-    bary, w = triangle_rule(degree)
-    pts = np.einsum("qa,mad->mqd", bary, coords)
+    pts = np.einsum("qa,mad->mqd", _TRI_BARY, coords)
     e1 = coords[:, 1] - coords[:, 0]
     e2 = coords[:, 2] - coords[:, 0]
     area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    return pts, area[:, None] * w[None, :]
-
-
-def segment_rule(n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss points (as parameters on [0, 1]) and weights summing to 1."""
-    if n_points not in _SEG_RULES:
-        raise ValueError(f"segment quadrature must use 1, 2 or 4 points, got {n_points}")
-    t, w = _SEG_RULES[n_points]
-    return t.copy(), w.copy()
+    return pts, area[:, None] * _TRI_W[None, :]
 
 
 def segment_points(p0: np.ndarray, p1: np.ndarray, n_points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -85,7 +62,9 @@ def segment_points(p0: np.ndarray, p1: np.ndarray, n_points: int) -> tuple[np.nd
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
-    t, w = segment_rule(n_points)
+    if n_points not in _SEG_RULES:
+        raise ValueError(f"segment quadrature must use 1, 2 or 4 points, got {n_points}")
+    t, w = _SEG_RULES[n_points]
     pts = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
     length = np.hypot(*(p1 - p0).T)
     return pts, length[:, None] * w[None, :]

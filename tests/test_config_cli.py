@@ -682,6 +682,18 @@ def test_each_unread_key_is_rejected(tmp_path, capsys, monkeypatch, name, key):
         ("latin.it_max = 20\ncheckpoints = 5,700\n", "checkpoints"),
         ("study.monitor_iterations = 0,5\n", "study.monitor_iterations"),
         ("experiment = p1p0_comparison\nprofile.iterations = 0,5\n", "profile.iterations"),
+        (
+            "experiment = crack_condition_sweep\ncrack.gamma_g_values = 0.1,-1\n",
+            "crack.gamma_g_values",
+        ),
+        (
+            "experiment = crack_condition_sweep\ncrack.gamma_g_values = -1,0.1\n",
+            "crack.gamma_g_values",
+        ),
+        ("study.nu = 0.7\n", "study.nu"),
+        ("study.nu = nan\n", "study.nu"),
+        ("experiment = two_inclusions_convergence\nstudy.contrast = 0\n", "study.contrast"),
+        ("experiment = crack_condition_sweep\ncrack.eps_x = nan\n", "crack.eps_x"),
     ],
 )
 def test_validate_rejects_what_run_would_reject(tmp_path, capsys, body, key):

@@ -113,11 +113,19 @@ def heart_fields(state, pair):
         dict(k=0.0),
         dict(k=-1.0),
         dict(k=float("nan")),
+        dict(k=float("inf")),
         dict(eta=-0.1),
         dict(eta=1.5),
+        dict(eta=float("nan")),
         dict(gamma_g=-1e-3),
+        dict(gamma_g=float("nan")),
+        dict(gamma_g=float("inf")),
         dict(gamma_pi=-1e-3),
+        dict(gamma_pi=float("nan")),
+        dict(gamma_pi=float("inf")),
         dict(alpha=0.0),
+        dict(alpha=float("nan")),
+        dict(alpha=float("inf")),
         dict(it_max=0),
         dict(quad_points_per_segment=3),
         dict(interface_scheme="p2"),

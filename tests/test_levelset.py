@@ -11,7 +11,6 @@ from latincut.levelset import (
     DiscreteLevelSet,
     Ellipse,
     HalfPlane,
-    MinUnion,
     barycentric_coordinates,
     classify_point,
     classify_values,
@@ -38,10 +37,6 @@ def test_catalog_values_by_hand():
     assert hp.evaluate(np.array([[0.0, 0.0]]))[0] < 0
     assert hp.evaluate(np.array([[1.0, 0.0]]))[0] > 0
 
-    union = MinUnion(parts=(Circle((0.0, 0.0), 0.5), Circle((1.0, 0.0), 0.5)))
-    vals = union.evaluate(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 2.0]]))
-    assert vals[0] < 0 and vals[1] < 0 and vals[2] > 0
-
 
 @pytest.mark.parametrize(
     "bad",
@@ -51,7 +46,6 @@ def test_catalog_values_by_hand():
         lambda: Ellipse(a=1.0, b=0.5, r=0.0),
         lambda: Circle(center=(0, 0), r=-1.0),
         lambda: HalfPlane(a=0.0, b=0.0, c=1.0),
-        lambda: MinUnion(parts=()),
     ],
 )
 def test_catalog_validation(bad):

@@ -1,4 +1,4 @@
-"""Structured mesh construction, adjacency and refinement."""
+"""Structured mesh construction, adjacency and point location."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from latincut.mesh import (
     StructuredLocator,
     build_face_adjacency,
     build_structured_mesh,
-    refine_uniform,
     triangle_areas,
     triangle_diameters,
 )
@@ -134,28 +133,13 @@ def test_boundary_tags_cover_each_side():
     assert np.allclose(mids[m.boundary_tags["left"], 0], -1.2)
 
 
-def test_refine_uniform_nests_and_halves():
-    m = build_structured_mesh(RECT, 3, 2)
-    f = refine_uniform(m)
-    assert f.n_triangles == 4 * m.n_triangles
-    assert f.h == pytest.approx(m.h / 2, rel=1e-15)
-    assert f.structured.nx == 6 and f.structured.ny == 4
-    # the coarse vertices lead the fine vertex list unchanged
-    np.testing.assert_array_equal(f.vertices[: m.n_vertices], m.vertices)
-    assert triangle_areas(f.vertices, f.triangles).sum() == pytest.approx(
-        2.4 * 2.4, rel=1e-13
-    )
-    for side in ("left", "right", "bottom", "top"):
-        assert f.boundary_tags[side].size == 2 * m.boundary_tags[side].size
-    # children tile their parents: every fine centroid sits inside some
-    # coarse triangle and the matched coarse triangle areas add up
-    coarse_area = triangle_areas(m.vertices, m.triangles)
-    fine_area = triangle_areas(f.vertices, f.triangles)
-    loc = StructuredLocator(m)
-    parents = loc.locate(f.vertices[f.triangles].mean(axis=1))
-    gathered = np.zeros(m.n_triangles)
-    np.add.at(gathered, parents, fine_area)
-    np.testing.assert_allclose(gathered, coarse_area, rtol=1e-12)
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (4, 1), (3, 2), (7, 5), (12, 12)])
+def test_locator_slot_is_the_lattice_order(nx, ny):
+    # StructuredLocator returns a point's slot as its triangle index, which
+    # holds because build_structured_mesh emits triangles in slot order
+    m = build_structured_mesh(RECT, nx, ny)
+    centroids = m.triangle_coords().mean(axis=1)
+    np.testing.assert_array_equal(StructuredLocator(m).locate(centroids), np.arange(m.n_triangles))
 
 
 def test_locator_agrees_with_barycentric_membership():
@@ -184,7 +168,6 @@ def test_locator_agrees_with_barycentric_membership():
         dict(rect=RECT, nx=3, ny=0),
         dict(rect=(0, 0, 0, 1), nx=2, ny=2),
         dict(rect=(0, 1, 1, 0), nx=2, ny=2),
-        dict(rect=RECT, nx=2, ny=2, diag="tlbr"),
     ],
 )
 def test_invalid_construction_rejected(kwargs):
@@ -213,20 +196,15 @@ def test_non_manifold_soup_rejected():
 def test_face_adjacency_matches_reference_on_lattices(nx, ny):
     m = build_structured_mesh(RECT, nx, ny)
     assert_adjacency_matches_reference(m.vertices, m.triangles)
-    fine = refine_uniform(refine_uniform(m))
-    assert_adjacency_matches_reference(fine.vertices, fine.triangles)
 
 
 @given(
     nx=st.integers(1, 6),
     ny=st.integers(1, 6),
-    refine=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_face_adjacency_matches_reference_on_permuted_soups(nx, ny, refine, seed):
+def test_face_adjacency_matches_reference_on_permuted_soups(nx, ny, seed):
     m = build_structured_mesh(RECT, nx, ny)
-    if refine:
-        m = refine_uniform(m)
     rng = np.random.default_rng(seed)
     relabel = rng.permutation(m.n_vertices)
     vertices = np.empty_like(m.vertices)
