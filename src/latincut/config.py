@@ -3,11 +3,9 @@
 A run config holds exactly the keys its experiment reads (`COMMON_KEYS`
 plus the experiment's entry in `cli.EXPERIMENTS`): sweep shapes, export
 toggles and `latin.*` solver parameters, whose names, types and defaults
-are `LatinParams`'.  `latin.alpha` is library-only: it acts on weak
-Dirichlet sides, which no experiment sets.  Any other key is rejected, so
-the resolved config records exactly what the run read.  Precedence:
-built-in defaults, then the config file, then LATINCUT_* environment
-variables.
+are `LatinParams`'.  Any other key is rejected, so the resolved config
+records exactly what the run read.  Precedence: built-in defaults, then
+the config file, then LATINCUT_* environment variables.
 """
 
 from __future__ import annotations
@@ -166,7 +164,6 @@ KNOWN_KEYS: dict[str, tuple[str, str, Callable | None]] = {
     **{
         f"latin.{f.name}": (type(f.default).__name__, text, None)
         for f, text in zip(fields(LatinParams), LatinParams().to_flat().values())
-        if f.name != "alpha"  # library-only: no experiment sets a weak Dirichlet side
     },
     "study.levels": ("int", "4", _at_least(1)),
     "study.base_nx": ("int", "40", _at_least(1)),

@@ -53,8 +53,8 @@ class Material:
     nu: float
 
     def __post_init__(self):
-        if self.e <= 0.0:
-            raise InvalidGeometryError("Young's modulus must be positive")
+        if not 0.0 < self.e < np.inf:
+            raise InvalidGeometryError("Young's modulus must be positive and finite")
         if not (0.0 < self.nu < 0.5):
             raise InvalidGeometryError("Poisson ratio must lie in (0, 0.5)")
 

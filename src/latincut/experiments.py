@@ -153,29 +153,37 @@ def problem_to_flat(pdef: ProblemDef) -> dict[str, str]:
     return flat
 
 
-def _floats(text: str, kind: type = float) -> list:
-    """Comma-separated numbers, each read with ``kind`` (float or int)."""
+def _floats(key: str, text: str, kind: type = float) -> list:
+    """The comma-separated numbers of ``key``, each read with ``kind`` (float
+    or int); a non-finite one is a ConfigError."""
     try:
-        return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as err:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from err
+        raise ConfigError(f"{key}: expected comma-separated numbers, got {text!r}") from err
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{key} must hold finite numbers, got {text!r}")
+    return values
 
 
 def problem_from_flat(flat: Mapping[str, str]) -> ProblemDef:
     flat = merge_legacy_k(flat)
+    flat.pop("latin.alpha", None)  # older files carry this unused Nitsche penalty
 
     def need(key: str, kind: type = str):
         if key not in flat:
             raise ConfigError(f"problem definition is missing {key!r}")
         try:
-            return kind(flat[key])
+            value = kind(flat[key])
         except ValueError as err:
             raise ConfigError(f"{key} must be {kind.__name__}, got {flat[key]!r}") from err
+        if kind is float and not np.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {flat[key]!r}")
+        return value
 
     nx, ny = need("mesh.nx", int), need("mesh.ny", int)
     if nx < 1 or ny < 1:
         raise ConfigError("mesh.nx and mesh.ny must be at least 1")
-    rect_vals = _floats(need("mesh.rect"))
+    rect_vals = _floats("mesh.rect", need("mesh.rect"))
     if len(rect_vals) != 4:
         raise ConfigError("mesh.rect takes four numbers")
     if rect_vals[2] <= rect_vals[0] or rect_vals[3] <= rect_vals[1]:
@@ -186,20 +194,20 @@ def problem_from_flat(flat: Mapping[str, str]) -> ProblemDef:
         if key not in flat:
             break
         kind, _, numbers = flat[key].partition(",")
-        entry = (kind.strip(), *_floats(numbers))
+        entry = (kind.strip(), *_floats(key, numbers))
         _levelset_function(entry)  # checks the kind and its parameter count
         levelsets.append(entry)
     if not levelsets:
         raise ConfigError("problem definition needs at least one level set")
     grouping = None
     if "geometry.grouping" in flat:
-        grouping = tuple(_floats(flat["geometry.grouping"], int))
+        grouping = tuple(_floats("geometry.grouping", flat["geometry.grouping"], int))
     dirichlet = []
     neumann = []
     for key in sorted(flat):
         parts = key.split(".")
         if len(parts) == 4 and parts[0] == "bc" and parts[2].isdecimal():
-            vec = _floats(flat[key])
+            vec = _floats(key, flat[key])
             if len(vec) != 2:
                 raise ConfigError(f"{key} takes two numbers")
             row = (int(parts[2]), parts[3], vec[0], vec[1])
@@ -210,7 +218,7 @@ def problem_from_flat(flat: Mapping[str, str]) -> ProblemDef:
         nx=nx,
         ny=ny,
         levelsets=tuple(levelsets),
-        e_moduli=tuple(_floats(need("material.e"))),
+        e_moduli=tuple(_floats("material.e", need("material.e"))),
         nu=need("material.nu", float),
         params=LatinParams.from_flat(flat),
         grouping=grouping,

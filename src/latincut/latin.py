@@ -22,10 +22,13 @@ results are bit-identical to the plain scipy expressions.
 The interface state is packed: `LatinState.slots` gives each (pair, side)
 a slice of length ``scheme.n_unknowns`` of the (2, n) arrays ``star`` and
 ``hat`` (row 0 displacements, row 1 forces).  Elementwise arithmetic runs
-on whole rows, with the bits a loop over the slices would give.  No stage
-writes into ``star`` or ``hat`` in place; every stage assigns fresh
-arrays, so the (star, hat) pair each iteration leaves for relaxation and
-the indicator is two references, not copies.
+on whole rows, with the bits a loop over the slices would give.
+
+Each stage takes the arrays it reads and returns fresh ones.  `step`
+chains them into one iteration, the map from (star, hat) to the next, and
+`iterate`, the one writer of the state, stores a step only once it has
+succeeded.  No stage writes into an array it reads: `_snapshot` shares the
+state's own ``star`` and ``hat`` with relaxation and the indicator.
 """
 
 from __future__ import annotations
@@ -85,13 +88,12 @@ class LatinParams:
     eta: float = 0.85
     gamma_g: float = 0.1
     gamma_pi: float = 0.1
-    alpha: float = 10.0
     it_max: int = 200
     quad_points_per_segment: int = 2
     interface_scheme: str = "p1"
 
     def __post_init__(self) -> None:
-        for name in ("k", "gamma_g", "gamma_pi", "alpha"):
+        for name in ("k", "gamma_g", "gamma_pi"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
         if not self.k > 0.0:
@@ -100,8 +102,6 @@ class LatinParams:
             raise ConfigError("relaxation eta must lie in [0, 1]")
         if not (self.gamma_g >= 0.0 and self.gamma_pi >= 0.0):
             raise ConfigError("stabilization parameters must be nonnegative")
-        if not self.alpha > 0.0:
-            raise ConfigError("nitsche penalty alpha must be positive")
         if self.it_max < 1:
             raise ConfigError("it_max must be at least 1")
         if self.quad_points_per_segment not in (1, 2, 4):
@@ -403,29 +403,21 @@ def build_subdomain_system(
     params: LatinParams,
     dirichlet: dict[str, VectorData] | None = None,
     neumann: dict[str, VectorData] | None = None,
-    weak_dirichlet: list[tuple[str, VectorData]] | None = None,
 ) -> SubdomainSystem:
     """Assemble and factorize the iteration-independent operator.
 
     The operator is `linear_stage_operators`' at ``params.gamma_g`` for
-    every interface this subdomain touches, plus Nitsche terms for any weak
-    Dirichlet sides.  Strong Dirichlet sides are eliminated.
+    every interface this subdomain touches.  Dirichlet sides are
+    eliminated.
     """
     index = space.domain.index
     (a,) = linear_stage_operators(
         space, [ops.iface for ops in interface_ops], params.k, [params.gamma_g]
     )
     rhs = np.zeros(space.n_dofs)
-    mesh = space.mesh
-    if neumann:
-        for side, data in neumann.items():
-            segs = boundary_segments(mesh, [side], params.quad_points_per_segment)
-            rhs += assembly.assemble_boundary_traction(space, segs, data)
-    if weak_dirichlet:
-        for side, data in weak_dirichlet:
-            segs = boundary_segments(mesh, [side], params.quad_points_per_segment)
-            a = a + assembly.assemble_nitsche_matrix(space, segs, params.alpha)
-            rhs += assembly.assemble_nitsche_rhs(space, segs, params.alpha, data)
+    for side, data in (neumann or {}).items():
+        segs = boundary_segments(space.mesh, [side], params.quad_points_per_segment)
+        rhs += assembly.assemble_boundary_traction(space, segs, data)
     free, fixed, fixed_values = dirichlet_split(space, dirichlet or {})
     try:
         factor = factorize(a.submatrix(free))
@@ -465,7 +457,6 @@ class ContactProblem:
     grouping: np.ndarray | None = None
     dirichlet: dict[int, dict[str, VectorData]] = field(default_factory=dict)
     neumann: dict[int, dict[str, VectorData]] = field(default_factory=dict)
-    weak_dirichlet: dict[int, list[tuple[str, VectorData]]] = field(default_factory=dict)
     contact: bool = True
 
 
@@ -496,7 +487,6 @@ class LatinState:
     hat: np.ndarray
     it: int = 0
     history: list[IterationRecord] = field(default_factory=list)
-    previous: Snapshot | None = None  # what the last iteration left, if any
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -557,7 +547,6 @@ def build_state(problem: ContactProblem, params: LatinParams) -> LatinState:
                 params,
                 dirichlet=problem.dirichlet.get(i),
                 neumann=problem.neumann.get(i),
-                weak_dirichlet=problem.weak_dirichlet.get(i),
             )
         )
     slots, n = {}, 0
@@ -578,44 +567,49 @@ def build_state(problem: ContactProblem, params: LatinParams) -> LatinState:
     )
 
 
-def linear_stage(state: LatinState) -> None:
-    """Solve every subdomain against the current hat fields."""
-    z = state.hat[1] + state.params.k * state.hat[0]
+def linear_stage(state: LatinState, hat: np.ndarray) -> list[np.ndarray]:
+    """Every subdomain's displacements under the hat fields ``hat``."""
+    z = hat[1] + state.params.k * hat[0]
+    u = []
     for i, system in enumerate(state.systems):
         parts = [op @ z[state.slots[(pair, i)]] for pair, op in system.load.items()]
         load = sum(parts[1:], parts[0]) if parts else None
         try:
-            state.u[i] = system.solve(load)
+            u.append(system.solve(load))
         except (np.linalg.LinAlgError, FloatingPointError) as err:
             # only numerical failures; a shape or type error is a bug
             raise SolverFailure(f"linear stage failed on subdomain {i}") from err
+    return u
 
 
-def postprocess_interface(state: LatinState) -> None:
-    """Extract starred interface fields from the fresh displacements."""
-    star = np.empty_like(state.hat)
+def postprocess_interface(
+    state: LatinState, u: list[np.ndarray], hat: np.ndarray
+) -> np.ndarray:
+    """The starred interface fields of displacements ``u`` under ``hat``."""
+    star = np.empty_like(hat)
     for pair, ops in state.operators.items():
         for side in pair:
-            trace = ops.gather[side] @ state.u[side]
+            trace = ops.gather[side] @ u[side]
             star[0, state.slots[(pair, side)]] = ops.scheme.from_bulk(trace)
-    star[1] = state.hat[1] + state.params.k * (state.hat[0] - star[0])
-    state.star = star
+    star[1] = hat[1] + state.params.k * (hat[0] - star[0])
+    return star
 
 
-def relax(state: LatinState, previous: Snapshot | None) -> None:
-    """Blend the starred fields with the previous iterate (skipped at it=0)."""
-    if previous is not None:
-        eta = state.params.eta
-        state.star = eta * state.star + (1.0 - eta) * previous[0]
+def relax(state: LatinState, star: np.ndarray, previous: Snapshot | None) -> np.ndarray:
+    """``star`` blended with the previous iterate's (unchanged at it=0)."""
+    if previous is None:
+        return star
+    eta = state.params.eta
+    return eta * star + (1.0 - eta) * previous[0]
 
 
-def local_stage(state: LatinState) -> float:
+def local_stage(state: LatinState, star: np.ndarray) -> tuple[np.ndarray, float]:
     """Enforce the contact law at quadrature points and rebuild hat fields.
 
-    Returns the fraction of interface quadrature points in contact.
+    Returns the hat fields and the fraction of interface quadrature points
+    in contact.
     """
     params = state.params
-    star = state.star
     hat = np.empty_like(star)
     n_active = 0
     n_total = 0
@@ -639,18 +633,16 @@ def local_stage(state: LatinState) -> float:
         hat[1, si] = f_hat_i
         hat[1, sj] = -f_hat_i
     hat[0] = star[0] + (hat[1] - star[1]) / params.k
-    state.hat = hat
-    return n_active / n_total if n_total else 0.0
+    return hat, n_active / n_total if n_total else 0.0
 
 
-def error_indicator(state: LatinState, previous: Snapshot | None) -> float:
+def error_indicator(state: LatinState, hat: np.ndarray, previous: Snapshot | None) -> float:
     """Interface-residual indicator: change of the hat fields between
     iterations in L2, with the displacement part weighted by k, normalized
     by the size of the current fields."""
     if previous is None:
         return float("inf")
     k2 = state.params.k ** 2
-    hat = state.hat
     change = hat - previous[1]
     num = 0.0
     den = 0.0
@@ -673,14 +665,13 @@ def error_indicator(state: LatinState, previous: Snapshot | None) -> float:
     return float(np.sqrt(num / den))
 
 
-def _divergence(state: LatinState) -> str | None:
+def _divergence(state: LatinState, hat: np.ndarray, previous: Snapshot | None) -> str | None:
     """Name the first pair whose hat fields are not finite or, once there is
     a previous iteration, whose indicator terms (squared norms of the hat
     fields and of their changes) are not finite and nonnegative.  Diverging
     fields can stay finite while such a norm, dominated by the near-kernel
     of the interface mass, rounds negative."""
-    hat = state.hat
-    change = None if state.previous is None else hat - state.previous[1]
+    change = None if previous is None else hat - previous[1]
     for pair, ops in sorted(state.operators.items()):
         sides = [state.slots[(pair, side)] for side in pair]
         if not all(np.isfinite(hat[:, s]).all() for s in sides):
@@ -693,10 +684,30 @@ def _divergence(state: LatinState) -> str | None:
     return None if change is None else "non-finite error indicator"
 
 
-def _snapshot(state: LatinState) -> Snapshot:
-    """The (star, hat) of the iteration just done, shared: no stage writes
-    into them (module docstring)."""
-    return state.star, state.hat
+def _snapshot(state: LatinState) -> Snapshot | None:
+    """The (star, hat) the last completed iteration left, shared with the
+    state (no stage writes into them), or None before the first."""
+    return (state.star, state.hat) if state.it else None
+
+
+def step(
+    state: LatinState,
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, IterationRecord]:
+    """One iteration from the state's (star, hat): the new displacements,
+    star, hat and record.  Writes nothing.  Divergence raises SolverFailure
+    naming the pair: a non-finite indicator, or, on the first iteration
+    (indicator inf by definition), non-finite hat fields; a finite indicator
+    proves the fields finite, so later iterations pay only for that test."""
+    previous = _snapshot(state)
+    u = linear_stage(state, state.hat)
+    star = relax(state, postprocess_interface(state, u, state.hat), previous)
+    hat, fraction = local_stage(state, star)
+    indicator = error_indicator(state, hat, previous)
+    if not math.isfinite(indicator):
+        failure = _divergence(state, hat, previous)
+        if failure is not None:
+            raise SolverFailure(failure)
+    return u, star, hat, IterationRecord(state.it + 1, indicator, fraction)
 
 
 def iterate(
@@ -704,38 +715,18 @@ def iterate(
     checkpoints: tuple[int, ...] = (),
     callback: Callable[[int, LatinState], None] | None = None,
 ) -> LatinState:
-    """Run LaTIn iterations in place until state.it reaches it_max.
-
-    A state that already ran some iterations resumes exactly: relaxation
-    and the indicator use the snapshot its last iteration left.
-    Divergence raises SolverFailure naming the iteration and the pair: a
-    non-finite indicator, or, on the first iteration (whose indicator is
-    inf by definition), non-finite hat fields.  A finite indicator proves
-    the fields finite, so later iterations pay only for that one test.
+    """Run `step` until state.it reaches it_max; the one writer of the state.
+    A step that raises SolverFailure (re-raised naming the iteration) leaves
+    the state at the last completed iteration, so it resumes exactly.
     ``callback(it, state)`` fires after every iteration listed in
-    ``checkpoints`` (1-based count, i.e. after `it+1` iterations are done).
-    """
-    params = state.params
-    for it in range(state.it, params.it_max):
+    ``checkpoints`` (1-based count, i.e. after `it+1` iterations are done)."""
+    for it in range(state.it, state.params.it_max):
         try:
-            linear_stage(state)
-            postprocess_interface(state)
-            relax(state, state.previous)
-            fraction = local_stage(state)
-        except StabilizationConfigError:
-            raise
+            u, star, hat, record = step(state)
         except SolverFailure as err:
             raise SolverFailure(f"iteration {it}: {err}") from err
-        indicator = error_indicator(state, state.previous)
-        if not math.isfinite(indicator):
-            failure = _divergence(state)
-            if failure is not None:
-                raise SolverFailure(f"iteration {it}: {failure}")
-        state.previous = _snapshot(state)
-        state.it = it + 1
-        state.history.append(
-            IterationRecord(it=state.it, indicator=indicator, contact_fraction=fraction)
-        )
+        state.u, state.star, state.hat, state.it = u, star, hat, record.it
+        state.history.append(record)
         if callback is not None and state.it in checkpoints:
             callback(state.it, state)
     return state

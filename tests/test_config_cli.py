@@ -544,11 +544,13 @@ def test_console_script_is_installed(tmp_path):
 
 # --- the keys each experiment reads ----------------------------------------------
 
-# every run-config key, and `latin.alpha`, which is library-only, each with
-# a valid value: every experiment must either read such a key or reject it
+# every run-config key, each with a valid value: every experiment must
+# either read such a key or reject it; and `latin.alpha`, the penalty of a
+# removed weak-Dirichlet path that older problem files carry, which every
+# experiment rejects
 CANDIDATE_KEYS = {
-    **LatinParams().to_flat(),
     **{key: default for key, (_, default, _) in KNOWN_KEYS.items()},
+    "latin.alpha": "10.0",
 }
 
 # A quick config of each experiment, and for each key it reads besides

@@ -47,7 +47,11 @@ def test_material_lame_constants():
     # plane-strain Lame parameters at E = 1, nu = 0.3, worked by hand
     assert MAT.lam == pytest.approx(0.3 / (1.3 * 0.4), rel=1e-14)
     assert MAT.mu == pytest.approx(1.0 / 2.6, rel=1e-14)
-    for bad in (dict(e=0.0, nu=0.3), dict(e=1.0, nu=0.5), dict(e=1.0, nu=-0.1)):
+    bad_inputs = (
+        dict(e=0.0, nu=0.3), dict(e=float("nan"), nu=0.3), dict(e=float("inf"), nu=0.3),
+        dict(e=1.0, nu=0.5), dict(e=1.0, nu=-0.1),
+    )
+    for bad in bad_inputs:
         with pytest.raises(InvalidGeometryError):
             Material(**bad)
 

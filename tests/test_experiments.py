@@ -142,7 +142,7 @@ def test_level_set_entries_validated_at_build():
 
 def round_trip_cases():
     custom = LatinParams(
-        eta=0.8, alpha=12.5, it_max=77, quad_points_per_segment=4, interface_scheme="p0"
+        eta=0.8, it_max=77, quad_points_per_segment=4, interface_scheme="p0"
     )
     return [
         ellipse_case(1, nu=1.0 / 3.0),
@@ -193,6 +193,12 @@ def setting(key, value, match):
         setting("bc.neumann.01.top", "0.0,0.0", "unknown problem-definition key"),
         setting("bc.neumann.x.top", "0.0,0.0", "unknown problem-definition key"),
         setting("bc.neumann.0.middle", "0.0,0.0", "unknown boundary side"),
+        # non-finite numbers, each named by its key
+        setting("material.e", "nan,1.0", "material.e must hold finite numbers"),
+        setting("material.e", "inf,1.0", "material.e must hold finite numbers"),
+        setting("bc.dirichlet.0.top", "nan,-1.0", "bc.dirichlet.0.top must hold finite"),
+        setting("material.nu", "nan", "material.nu must be finite"),
+        setting("mesh.rect", "-1.2,-1.2,nan,1.2", "mesh.rect must hold finite numbers"),
     ],
 )
 def test_problem_from_flat_rejects_broken_input(mutate):
@@ -209,6 +215,12 @@ def test_problem_from_flat_reads_the_legacy_k_pair():
     assert problem_from_flat({**flat, "latin.k_plus": k, "latin.k_minus": k}) == pdef
     with pytest.raises(ConfigError, match="require k_plus == k_minus"):
         problem_from_flat({**flat, "latin.k_plus": k, "latin.k_minus": "1.0"})
+
+
+def test_problem_from_flat_ignores_the_legacy_alpha():
+    # older files carry the penalty of a weak-Dirichlet path no problem used
+    pdef = crack_problem(0.25, 0.25, 12, 0.1)
+    assert problem_from_flat({**problem_to_flat(pdef), "latin.alpha": "10.0"}) == pdef
 
 
 def test_build_problem_collects_boundary_data():
