@@ -123,6 +123,9 @@ def heart_fields(state, pair):
         dict(gamma_pi=-1e-3),
         dict(gamma_pi=float("nan")),
         dict(gamma_pi=float("inf")),
+        dict(eta=float("inf")),
+        dict(it_max=-1),
+        dict(quad_points_per_segment=0),
         dict(it_max=0),
         dict(quad_points_per_segment=3),
         dict(interface_scheme="p2"),
