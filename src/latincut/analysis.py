@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import FESpace
+from .assembly import FESpace, physical_cell_areas
 from .cutgeom import InterfaceMesh
 from .errors import InvalidGeometryError, NonNestedMeshError
 from .levelset import barycentric_coordinates
@@ -99,12 +99,6 @@ def interpolate_to_fine(
     return out if np.ndim(u_coarse) == 2 else out[0]
 
 
-def _physical_cell_areas(space: FESpace) -> np.ndarray:
-    area = np.zeros(space.mesh.n_triangles)
-    np.add.at(area, space.domain.qcells, space.domain.qweights)
-    return area[space.domain.cells]
-
-
 def _cell_gradients(space: FESpace, u: np.ndarray) -> np.ndarray:
     """Per-cell displacement gradients (m, 2, 2) with entries du_i/dx_j."""
     cells = space.domain.cells
@@ -141,9 +135,7 @@ def h1_error(
         vy = np.einsum("mk,mk->m", bary, du[dofs[:, 1::2]])
         total += float(domain.qweights @ (vx**2 + vy**2))
         grad = _cell_gradients(space, du)
-        total += float(
-            _physical_cell_areas(space) @ np.einsum("mij,mij->m", grad, grad)
-        )
+        total += float(physical_cell_areas(space) @ np.einsum("mij,mij->m", grad, grad))
     return float(np.sqrt(total))
 
 
@@ -159,7 +151,7 @@ def energy_error(
         mat = space.domain.material
         tr = eps[:, 0, 0] + eps[:, 1, 1]
         dens = mat.lam * tr**2 + 2.0 * mat.mu * np.einsum("mij,mij->m", eps, eps)
-        total += float(_physical_cell_areas(space) @ dens)
+        total += float(physical_cell_areas(space) @ dens)
     return float(np.sqrt(total))
 
 

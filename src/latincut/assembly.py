@@ -101,16 +101,22 @@ def _scatter(element_matrices: np.ndarray, element_dofs: np.ndarray, n: int) -> 
     return SparseSym.from_coo(rows, cols, element_matrices.ravel(), n)
 
 
+def physical_cell_areas(space: FESpace) -> np.ndarray:
+    """|T ∩ Omega| per cell, the sum of its quadrature weights, ordered like
+    ``space.domain.cells``."""
+    domain = space.domain
+    area = np.zeros(space.mesh.n_triangles)
+    np.add.at(area, domain.qcells, domain.qweights)
+    return area[domain.cells]
+
+
 def assemble_elasticity(space: FESpace) -> SparseSym:
     """Stiffness of the physical region: sum over cells of |T ∩ Omega| B^T D B."""
-    domain = space.domain
-    mesh = space.mesh
-    phys_area = np.zeros(mesh.n_triangles)
-    np.add.at(phys_area, domain.qcells, domain.qweights)
-    cells = domain.cells
-    b, _ = strain_displacement(mesh.triangle_coords(cells))
-    d = elasticity_matrix(domain.material)
-    ke = np.einsum("eai,ab,ebj->eij", b, d, b, optimize=True) * phys_area[cells, None, None]
+    cells = space.domain.cells
+    b, _ = strain_displacement(space.mesh.triangle_coords(cells))
+    d = elasticity_matrix(space.domain.material)
+    area = physical_cell_areas(space)
+    ke = np.einsum("eai,ab,ebj->eij", b, d, b, optimize=True) * area[:, None, None]
     ke = 0.5 * (ke + ke.transpose(0, 2, 1))
     return _scatter(ke, space.element_dofs(cells), space.n_dofs)
 

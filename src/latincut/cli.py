@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, experiments, vtkout
 from .assembly import FESpace
-from .config import RunConfig, parse_config, render_flat
+from .config import RunConfig, format_value, parse_config, render_flat
 from .errors import ConfigError, LatinCutError
 
 USAGE = """usage: latincut <command> [args]
@@ -34,14 +34,10 @@ commands:
 """
 
 
-def _fmt(x) -> str:
-    return repr(float(x)) if isinstance(x, float) else str(x)
-
-
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(format_value, row)))
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

@@ -1,4 +1,9 @@
-"""Flat key = value configuration with typed validation.
+"""The package's one reader and writer of flat `key = value` text.
+
+Every value read goes through a typed parser of `PARSERS` and every value
+written through `format_value`.  The run config, the `latin.*` solver
+parameters (`params_to_flat`, `params_from_flat`) and the problem form
+(`experiments.problem_to_flat`, `problem_from_flat`) share them.
 
 A run config holds exactly the keys its experiment reads (`COMMON_KEYS`
 plus the experiment's entry in `cli.EXPERIMENTS`): sweep shapes, export
@@ -15,7 +20,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
 from .errors import ConfigError
-from .latin import LatinParams, merge_legacy_k
+from .latin import LatinParams
 
 ENV_PREFIX = "LATINCUT_"
 
@@ -41,6 +46,16 @@ def parse_flat(text: str) -> dict[str, str]:
 
 def render_flat(flat: Mapping[str, str]) -> str:
     return "".join(f"{k} = {flat[k]}\n" for k in sorted(flat))
+
+
+def format_value(v) -> str:
+    """The flat text of one value: floats by repr (bit-exact round trips),
+    sequences joined by commas, anything else by str."""
+    if isinstance(v, float):
+        return repr(float(v))
+    if isinstance(v, (tuple, list)):
+        return ",".join(map(format_value, v))
+    return str(v)
 
 
 # --- value parsers -------------------------------------------------------
@@ -84,7 +99,8 @@ def _parse_str(key: str, text: str) -> str:
     return text
 
 
-_PARSERS: dict[str, Callable[[str, str], object]] = {
+# kind -> parser(key, text); each error names the key
+PARSERS: dict[str, Callable[[str, str], object]] = {
     "bool": _parse_bool,
     "int": _parse_int,
     "float": _parse_float,
@@ -162,8 +178,8 @@ KNOWN_KEYS: dict[str, tuple[str, str, Callable | None]] = {
     "export.fields": ("bool", "false", None),
     "export.profiles": ("bool", "false", None),
     **{
-        f"latin.{f.name}": (type(f.default).__name__, text, None)
-        for f, text in zip(fields(LatinParams), LatinParams().to_flat().values())
+        f"latin.{f.name}": (type(f.default).__name__, format_value(f.default), None)
+        for f in fields(LatinParams)
     },
     "study.levels": ("int", "4", _at_least(1)),
     "study.base_nx": ("int", "40", _at_least(1)),
@@ -188,10 +204,46 @@ def check_key(key: str, text: str) -> object:
     """Validate one entry of a known key and return its typed value;
     ConfigError if the value is malformed."""
     kind, _, validate = KNOWN_KEYS[key]
-    value = _PARSERS[kind](key, text)
+    value = PARSERS[kind](key, text)
     if validate is not None:
         validate(key, value)
     return value
+
+
+def params_to_flat(params: LatinParams) -> dict[str, str]:
+    """The `latin.<field>` texts of ``params``.  A value `params_from_flat`
+    cannot read back raises ConfigError."""
+    flat = {f"latin.{f.name}": format_value(getattr(params, f.name)) for f in fields(params)}
+    params_from_flat(flat)
+    return flat
+
+
+def params_from_flat(flat: Mapping[str, str]) -> LatinParams:
+    """Read every `latin.<field>` text back; other keys are ignored and a
+    missing field is a ConfigError.  The problem form carries every field;
+    a run config holds only the fields its experiment reads, and
+    `RunConfig.latin_params` fills in the others from `LatinParams()`."""
+    values = {}
+    for f in fields(LatinParams):
+        key = f"latin.{f.name}"
+        if key not in flat:
+            raise ConfigError(f"missing {key!r}")
+        values[f.name] = check_key(key, flat[key])
+    return LatinParams(**values)
+
+
+def merge_legacy_k(flat: Mapping[str, str]) -> dict[str, str]:
+    """``flat`` with the ``latin.k_plus``/``latin.k_minus`` pair of older
+    files, which wrote both with the same text, read as ``latin.k``."""
+    out = dict(flat)
+    legacy = [out.pop(key) for key in ("latin.k_plus", "latin.k_minus") if key in flat]
+    if legacy:
+        if len(legacy) != 2 or legacy[0] != legacy[1]:
+            raise ConfigError("conjugate search directions require k_plus == k_minus")
+        if "latin.k" in out:
+            raise ConfigError("latin.k replaces latin.k_plus and latin.k_minus; give one")
+        out["latin.k"] = legacy[0]
+    return out
 
 
 def env_overrides(environ: Mapping[str, str]) -> dict[str, str]:
@@ -231,7 +283,10 @@ class RunConfig:
     def latin_params(self) -> LatinParams:
         """The solver parameters; the fields the experiment does not read
         keep their `LatinParams()` defaults."""
-        return LatinParams.from_flat({**LatinParams().to_flat(), **self.flat})
+        return LatinParams(**{
+            key.removeprefix("latin."): v for key, v in self.values.items()
+            if key.startswith("latin.")
+        })
 
 
 def build_run_config(

@@ -443,15 +443,13 @@ class InterfaceMesh:
     """Discrete interface between two subdomains.
 
     segments.normal points from the lower-indexed side into the higher one.
-    band_cells are the elements the interface crosses; interface fields are
-    carried by the vertices of those cells (band_vertices), and the gradient
-    jump stabilization acts on interior_faces, the faces with both neighbors
-    in the band.
+    Interface fields are carried by band_vertices, the vertices of the
+    elements the interface crosses, and the gradient jump stabilization acts
+    on interior_faces, the faces with both neighbors among those elements.
     """
 
     pair: tuple[int, int]
     segments: SegmentSet
-    band_cells: np.ndarray
     band_vertices: np.ndarray
     interior_faces: np.ndarray
 
@@ -488,7 +486,6 @@ def build_interface(
     return InterfaceMesh(
         pair=key,
         segments=segs,
-        band_cells=band_cells,
         band_vertices=band_vertices,
         interior_faces=np.flatnonzero(both),
     )

@@ -21,6 +21,7 @@ import numpy as np
 from . import analysis
 from .analysis import ConvergenceRecord, interpolate_to_fine
 from .assembly import FESpace
+from .config import PARSERS, format_value, merge_legacy_k, params_from_flat, params_to_flat
 from .cutgeom import InterfaceMesh, Material
 # perfbench/study.py wraps these names here; latin.build_geometry calls them
 from .cutgeom import build_cut_domain, build_interface, decompose_mesh  # noqa: F401
@@ -35,7 +36,6 @@ from .latin import (
     dirichlet_split,
     iterate,
     linear_stage_operators,
-    merge_legacy_k,
 )
 from .levelset import Circle, Ellipse, HalfPlane, interpolate_levelset
 from .linalg import InverseEstimate, SparseSym, condition_number, inverse_estimate
@@ -132,58 +132,37 @@ def problem_to_flat(pdef: ProblemDef) -> dict[str, str]:
     """Flat key/value form; floats via repr so round-trips are bit-exact."""
     flat: dict[str, str] = {
         "problem.name": pdef.name,
-        "mesh.rect": ",".join(repr(float(v)) for v in pdef.rect),
-        "mesh.nx": str(pdef.nx),
-        "mesh.ny": str(pdef.ny),
-        "material.e": ",".join(repr(float(e)) for e in pdef.e_moduli),
-        "material.nu": repr(float(pdef.nu)),
+        "mesh.rect": format_value([float(v) for v in pdef.rect]),
+        "mesh.nx": format_value(pdef.nx),
+        "mesh.ny": format_value(pdef.ny),
+        "material.e": format_value([float(e) for e in pdef.e_moduli]),
+        "material.nu": format_value(float(pdef.nu)),
     }
-    for i, entry in enumerate(pdef.levelsets):
-        kind, *vals = entry
-        flat[f"geometry.levelset.{i}"] = ",".join(
-            [kind] + [repr(float(v)) for v in vals]
-        )
+    for i, (kind, *vals) in enumerate(pdef.levelsets):
+        flat[f"geometry.levelset.{i}"] = format_value([kind, *map(float, vals)])
     if pdef.grouping is not None:
-        flat["geometry.grouping"] = ",".join(str(int(g)) for g in pdef.grouping)
+        flat["geometry.grouping"] = format_value([int(g) for g in pdef.grouping])
     for sub, side, ux, uy in pdef.dirichlet:
-        flat[f"bc.dirichlet.{sub}.{side}"] = f"{ux!r},{uy!r}"
+        flat[f"bc.dirichlet.{sub}.{side}"] = format_value((ux, uy))
     for sub, side, tx, ty in pdef.neumann:
-        flat[f"bc.neumann.{sub}.{side}"] = f"{tx!r},{ty!r}"
-    flat.update(pdef.params.to_flat())
+        flat[f"bc.neumann.{sub}.{side}"] = format_value((tx, ty))
+    flat.update(params_to_flat(pdef.params))
     return flat
-
-
-def _floats(key: str, text: str, kind: type = float) -> list:
-    """The comma-separated numbers of ``key``, each read with ``kind`` (float
-    or int); a non-finite one is a ConfigError."""
-    try:
-        values = [kind(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as err:
-        raise ConfigError(f"{key}: expected comma-separated numbers, got {text!r}") from err
-    if not np.isfinite(values).all():
-        raise ConfigError(f"{key} must hold finite numbers, got {text!r}")
-    return values
 
 
 def problem_from_flat(flat: Mapping[str, str]) -> ProblemDef:
     flat = merge_legacy_k(flat)
     flat.pop("latin.alpha", None)  # older files carry this unused Nitsche penalty
 
-    def need(key: str, kind: type = str):
+    def need(key: str) -> str:
         if key not in flat:
             raise ConfigError(f"problem definition is missing {key!r}")
-        try:
-            value = kind(flat[key])
-        except ValueError as err:
-            raise ConfigError(f"{key} must be {kind.__name__}, got {flat[key]!r}") from err
-        if kind is float and not np.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {flat[key]!r}")
-        return value
+        return flat[key]
 
-    nx, ny = need("mesh.nx", int), need("mesh.ny", int)
+    nx, ny = (PARSERS["int"](key, need(key)) for key in ("mesh.nx", "mesh.ny"))
     if nx < 1 or ny < 1:
         raise ConfigError("mesh.nx and mesh.ny must be at least 1")
-    rect_vals = _floats("mesh.rect", need("mesh.rect"))
+    rect_vals = PARSERS["float_list"]("mesh.rect", need("mesh.rect"))
     if len(rect_vals) != 4:
         raise ConfigError("mesh.rect takes four numbers")
     if rect_vals[2] <= rect_vals[0] or rect_vals[3] <= rect_vals[1]:
@@ -194,33 +173,33 @@ def problem_from_flat(flat: Mapping[str, str]) -> ProblemDef:
         if key not in flat:
             break
         kind, _, numbers = flat[key].partition(",")
-        entry = (kind.strip(), *_floats(key, numbers))
+        entry = (kind.strip(), *PARSERS["float_list"](key, numbers))
         _levelset_function(entry)  # checks the kind and its parameter count
         levelsets.append(entry)
     if not levelsets:
         raise ConfigError("problem definition needs at least one level set")
     grouping = None
     if "geometry.grouping" in flat:
-        grouping = tuple(_floats("geometry.grouping", flat["geometry.grouping"], int))
+        grouping = PARSERS["int_list"]("geometry.grouping", flat["geometry.grouping"])
     dirichlet = []
     neumann = []
     for key in sorted(flat):
         parts = key.split(".")
         if len(parts) == 4 and parts[0] == "bc" and parts[2].isdecimal():
-            vec = _floats(key, flat[key])
+            vec = PARSERS["float_list"](key, flat[key])
             if len(vec) != 2:
                 raise ConfigError(f"{key} takes two numbers")
             row = (int(parts[2]), parts[3], vec[0], vec[1])
             (dirichlet if parts[1] == "dirichlet" else neumann).append(row)
     pdef = ProblemDef(
         name=need("problem.name"),
-        rect=tuple(rect_vals),
+        rect=rect_vals,
         nx=nx,
         ny=ny,
         levelsets=tuple(levelsets),
-        e_moduli=tuple(_floats("material.e", need("material.e"))),
-        nu=need("material.nu", float),
-        params=LatinParams.from_flat(flat),
+        e_moduli=PARSERS["float_list"]("material.e", need("material.e")),
+        nu=PARSERS["float"]("material.nu", need("material.nu")),
+        params=params_from_flat(flat),
         grouping=grouping,
         dirichlet=tuple(dirichlet),
         neumann=tuple(neumann),

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -81,7 +81,8 @@ class LatinParams:
     The two search directions are conjugate, so one stiffness ``k`` serves
     both; the Robin closure of the local stage uses it too, which is what
     produces the factor 1/2 in the heart formula.  In configs and problem
-    files each field is the `latin.<field>` entry (`to_flat`, `from_flat`).
+    files each field is the `latin.<field>` entry (`config.params_to_flat`,
+    `config.params_from_flat`).
     """
 
     k: float = 1.0
@@ -110,48 +111,6 @@ class LatinParams:
             raise ConfigError(
                 f"interface_scheme must be one of {INTERFACE_SCHEMES}"
             )
-
-    def to_flat(self) -> dict[str, str]:
-        """`latin.<field>` texts: repr for floats (bit-exact), str otherwise.
-        A value `from_flat` cannot read back raises ConfigError."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        flat = {
-            f"latin.{name}": repr(v) if isinstance(v, float) else str(v)
-            for name, v in values.items()
-        }
-        self.from_flat(flat)
-        return flat
-
-    @classmethod
-    def from_flat(cls, flat: Mapping[str, str]) -> LatinParams:
-        """Read every `latin.<field>` text back; other keys are ignored and a
-        missing field is a ConfigError.  The problem form carries every
-        field; a run config holds only the fields its experiment reads, and
-        `RunConfig.latin_params` fills in the others from `LatinParams()`."""
-        values = {}
-        for f in fields(cls):
-            key, kind = f"latin.{f.name}", type(f.default)
-            if key not in flat:
-                raise ConfigError(f"missing {key!r}")
-            try:
-                values[f.name] = kind(flat[key])
-            except ValueError as err:
-                raise ConfigError(f"{key} must be {kind.__name__}, got {flat[key]!r}") from err
-        return cls(**values)
-
-
-def merge_legacy_k(flat: Mapping[str, str]) -> dict[str, str]:
-    """``flat`` with the ``latin.k_plus``/``latin.k_minus`` pair of older
-    files, which wrote both with the same text, read as ``latin.k``."""
-    out = dict(flat)
-    legacy = [out.pop(key) for key in ("latin.k_plus", "latin.k_minus") if key in flat]
-    if legacy:
-        if len(legacy) != 2 or legacy[0] != legacy[1]:
-            raise ConfigError("conjugate search directions require k_plus == k_minus")
-        if "latin.k" in out:
-            raise ConfigError("latin.k replaces latin.k_plus and latin.k_minus; give one")
-        out["latin.k"] = legacy[0]
-    return out
 
 
 class P1Scheme:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import FESpace, elasticity_matrix
+from .assembly import FESpace, elasticity_matrix, strain_displacement
 from .levelset import barycentric_coordinates
 
 
@@ -21,7 +21,7 @@ def physical_triangulation(space: FESpace) -> tuple[np.ndarray, np.ndarray]:
     """Corner coordinates (m, 3, 2) and parent element per physical triangle."""
     domain = space.domain
     mesh = domain.mesh
-    full_coords = mesh.triangle_coords()[domain.full_cells]
+    full_coords = mesh.triangle_coords(domain.full_cells)
     coords = np.concatenate([full_coords, domain.subtri_coords]) \
         if domain.subtri_coords.size else full_coords
     parents = np.concatenate([domain.full_cells, domain.subtri_cells])
@@ -40,7 +40,7 @@ def corner_displacements(
     out[:n_full] = nodal[:n_full]
     if coords.shape[0] > n_full:
         sub = np.arange(n_full, coords.shape[0])
-        parent_coords = mesh.triangle_coords()[parents[sub]]
+        parent_coords = mesh.triangle_coords(parents[sub])
         lam = barycentric_coordinates(
             coords[sub].reshape(-1, 2), np.repeat(parent_coords, 3, axis=0)
         ).reshape(-1, 3, 3)
@@ -51,10 +51,8 @@ def corner_displacements(
 def element_stresses(space: FESpace, u: np.ndarray) -> np.ndarray:
     """Constant plane-strain stress (sigma_xx, sigma_yy, sigma_xy) per
     active element, indexed like space.domain.cells."""
-    from .assembly import strain_displacement
-
     cells = space.domain.cells
-    coords = space.domain.mesh.triangle_coords()[cells]
+    coords = space.domain.mesh.triangle_coords(cells)
     b, _ = strain_displacement(coords)
     ue = u[space.element_dofs(cells)]
     strain = np.einsum("eij,ej->ei", b, ue)

@@ -179,13 +179,13 @@ def setting(key, value, match):
         setting("mesh.rect", "0,0,-1,1", "nonempty rectangle"),
         setting("geometry.levelset.0", "blob,1.0", "unknown level-set kind"),
         setting("geometry.levelset.0", "circle,1.0", "takes 3 parameters"),
-        setting("geometry.levelset.0", "circle,abc,0,1", "comma-separated numbers"),
-        setting("latin.it_max", "many", "latin.it_max must be int"),
+        setting("geometry.levelset.0", "circle,abc,0,1", "geometry.levelset.0 must be a number"),
+        setting("latin.it_max", "many", "latin.it_max must be an integer"),
         setting("latin.k_plus", "2.0", "require k_plus == k_minus"),
-        setting("mesh.nx", "abc", "mesh.nx must be int"),
+        setting("mesh.nx", "abc", "mesh.nx must be an integer"),
         setting("mesh.ny", "0", "at least 1"),
-        setting("material.nu", "x", "material.nu must be float"),
-        setting("geometry.grouping", "0,0.5", "comma-separated numbers"),
+        setting("material.nu", "x", "material.nu must be a number"),
+        setting("geometry.grouping", "0,0.5", "geometry.grouping must be an integer"),
         # keys problem_to_flat cannot write: a typo, a gap, an unknown key
         setting("bc.dirchlet.0.left", "0.0,0.0", "unknown problem-definition key"),
         setting("geometry.levelset.2", "circle,0,0,1", "unknown problem-definition key"),
@@ -194,11 +194,11 @@ def setting(key, value, match):
         setting("bc.neumann.x.top", "0.0,0.0", "unknown problem-definition key"),
         setting("bc.neumann.0.middle", "0.0,0.0", "unknown boundary side"),
         # non-finite numbers, each named by its key
-        setting("material.e", "nan,1.0", "material.e must hold finite numbers"),
-        setting("material.e", "inf,1.0", "material.e must hold finite numbers"),
-        setting("bc.dirichlet.0.top", "nan,-1.0", "bc.dirichlet.0.top must hold finite"),
+        setting("material.e", "nan,1.0", "material.e must be finite"),
+        setting("material.e", "inf,1.0", "material.e must be finite"),
+        setting("bc.dirichlet.0.top", "nan,-1.0", "bc.dirichlet.0.top must be finite"),
         setting("material.nu", "nan", "material.nu must be finite"),
-        setting("mesh.rect", "-1.2,-1.2,nan,1.2", "mesh.rect must hold finite numbers"),
+        setting("mesh.rect", "-1.2,-1.2,nan,1.2", "mesh.rect must be finite"),
     ],
 )
 def test_problem_from_flat_rejects_broken_input(mutate):

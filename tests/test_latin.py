@@ -23,6 +23,7 @@ from latincut.assembly import (
     dirichlet_constraints,
     scatter_band_to_space,
 )
+from latincut.config import params_from_flat, params_to_flat
 from latincut.cutgeom import Material, build_cut_domain, build_interface, decompose_mesh
 from latincut.errors import ConfigError, SolverFailure
 from latincut.experiments import build_problem, ellipse_case, two_inclusions_case
@@ -143,7 +144,7 @@ def test_params_defaults_valid():
 
 
 def test_params_flat_texts():
-    assert LatinParams().to_flat() == {
+    assert params_to_flat(LatinParams()) == {
         "latin.k": "1.0",
         "latin.eta": "0.85",
         "latin.gamma_g": "0.1",
@@ -153,14 +154,14 @@ def test_params_flat_texts():
         "latin.interface_scheme": "p1",
     }
     custom = LatinParams(k=0.1 + 0.2, eta=1 / 3, it_max=7, interface_scheme="p0")
-    assert LatinParams.from_flat({**custom.to_flat(), "other.key": "x"}) == custom
-    flat = custom.to_flat()
+    assert params_from_flat({**params_to_flat(custom), "other.key": "x"}) == custom
+    flat = params_to_flat(custom)
     with pytest.raises(ConfigError, match="missing 'latin.eta'"):
-        LatinParams.from_flat({k: v for k, v in flat.items() if k != "latin.eta"})
-    with pytest.raises(ConfigError, match="latin.it_max must be int"):
-        LatinParams.from_flat({**flat, "latin.it_max": "7.5"})
-    with pytest.raises(ConfigError, match="latin.it_max must be int"):
-        LatinParams(it_max=7.5).to_flat()
+        params_from_flat({k: v for k, v in flat.items() if k != "latin.eta"})
+    with pytest.raises(ConfigError, match="latin.it_max must be an integer"):
+        params_from_flat({**flat, "latin.it_max": "7.5"})
+    with pytest.raises(ConfigError, match="latin.it_max must be an integer"):
+        params_to_flat(LatinParams(it_max=7.5))
 
 
 def test_build_state_material_count_checked():
@@ -225,6 +226,24 @@ def test_two_block_compression_exact():
     np.testing.assert_allclose(-fn, P_EXACT, rtol=1e-6)
     assert np.abs(gap).max() < 1e-8
     assert state.history[-1].indicator < 1e-8
+    assert state.history[-1].contact_fraction == 1.0
+
+
+def test_two_block_neumann_load_exact():
+    # a traction (0, -p) on the top of block 1 and the exact plane-strain
+    # uniaxial field as Dirichlet data on every other outer side
+    p = 0.1
+    exx = (1.0 + MAT.nu) * MAT.nu * p / MAT.e
+    eyy = -(1.0 + MAT.nu) * (1.0 - MAT.nu) * p / MAT.e
+
+    def uniaxial(pts):
+        return pts * [exx, eyy]
+
+    problem = two_block_problem(squeeze_data=uniaxial)
+    del problem.dirichlet[1]["top"]
+    problem.neumann = {1: {"top": (0.0, -p)}}
+    state = run(problem, LatinParams(it_max=200))
+    assert displacement_error(state, uniaxial) < 1e-10
     assert state.history[-1].contact_fraction == 1.0
 
 
