@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import FESpace, physical_cell_areas
+from .assembly import FESpace, p1_derivatives, physical_cell_areas
 from .cutgeom import InterfaceMesh
 from .errors import InvalidGeometryError, NonNestedMeshError
 from .levelset import barycentric_coordinates
@@ -103,14 +103,9 @@ def _cell_gradients(space: FESpace, u: np.ndarray) -> np.ndarray:
     """Per-cell displacement gradients (m, 2, 2) with entries du_i/dx_j."""
     cells = space.domain.cells
     ue = u[space.element_dofs(cells)]
-    coords = space.mesh.triangle_coords(cells)
-    x = coords[..., 0]
-    y = coords[..., 1]
-    bq = np.stack((y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]), axis=1)
-    cq = np.stack((x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]), axis=1)
-    area2 = (bq[:, 0] * cq[:, 1] - bq[:, 1] * cq[:, 0])[:, None]
-    gx = bq / area2
-    gy = cq / area2
+    bq, cq, area2 = p1_derivatives(space.mesh.triangle_coords(cells))
+    gx = bq / area2[:, None]
+    gy = cq / area2[:, None]
     grad = np.empty((cells.size, 2, 2))
     for comp in range(2):
         vals = ue[:, comp::2]

@@ -19,7 +19,7 @@ from .cutgeom import CutDomain, Material, SegmentSet
 from .errors import InvalidGeometryError
 from .levelset import barycentric_coordinates
 from .linalg import SparseSym
-from .mesh import TriMesh, triangle_areas, triangle_diameters
+from .mesh import TriMesh, triangle_diameters
 
 VectorData = Callable[[np.ndarray], np.ndarray] | tuple[float, float] | list | np.ndarray
 
@@ -56,10 +56,16 @@ class FESpace:
         return out
 
 
+def _local_index(mesh: TriMesh, vertices: np.ndarray) -> np.ndarray:
+    """Mesh vertex -> its position in ``vertices``, or -1 if not listed."""
+    index = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    index[vertices] = np.arange(vertices.size)
+    return index
+
+
 def build_space(domain: CutDomain) -> FESpace:
     vertices = np.unique(domain.mesh.triangles[domain.cells])
-    vmap = np.full(domain.mesh.n_vertices, -1, dtype=np.int64)
-    vmap[vertices] = np.arange(vertices.size)
+    vmap = _local_index(domain.mesh, vertices)
     return FESpace(domain=domain, vertices=vertices, vmap=vmap, n_dofs=2 * vertices.size)
 
 
@@ -75,14 +81,21 @@ def elasticity_matrix(material: Material) -> np.ndarray:
     )
 
 
-def strain_displacement(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Constant strain-displacement matrices B (m, 3, 6) and areas (m,)."""
-    coords = np.asarray(coords, dtype=float)
+def p1_derivatives(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Basis-gradient parts of triangles (m, 3, 2): grad psi_i is
+    (bq[:, i], cq[:, i]) / area2, with area2 (m,) twice the signed area."""
     x = coords[..., 0]
     y = coords[..., 1]
     bq = np.stack((y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]), axis=1)
     cq = np.stack((x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]), axis=1)
-    area = 0.5 * (bq[:, 0] * cq[:, 1] - bq[:, 1] * cq[:, 0])
+    return bq, cq, bq[:, 0] * cq[:, 1] - bq[:, 1] * cq[:, 0]
+
+
+def strain_displacement(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Constant strain-displacement matrices B (m, 3, 6) and areas (m,)."""
+    coords = np.asarray(coords, dtype=float)
+    bq, cq, area2 = p1_derivatives(coords)
+    area = 0.5 * area2
     m = coords.shape[0]
     b = np.zeros((m, 3, 6))
     inv = 1.0 / (2.0 * area)
@@ -134,15 +147,19 @@ def _traction_maps(space: FESpace, cells: np.ndarray, normals: np.ndarray) -> np
     return np.einsum("mia,ab,mbj->mij", nmat, d, b, optimize=True)
 
 
-def _larger_neighbor_diameter(
-    mesh: TriMesh, left: np.ndarray, right: np.ndarray
-) -> np.ndarray:
-    """Per face, the diameter of the larger of its two cells; computed for
-    those cells only, not for the whole mesh."""
-    return np.maximum(
+def _interior_face_terms(mesh: TriMesh, face_ids: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per interior face: its left and right cells, unit normal, h_F (the
+    diameter of the larger of its two cells, computed for those cells only)
+    and length |F|."""
+    faces = mesh.faces[face_ids]
+    left = faces[:, 2]
+    right = faces[:, 3]
+    h_face = np.maximum(
         triangle_diameters(mesh.vertices, mesh.triangles[left]),
         triangle_diameters(mesh.vertices, mesh.triangles[right]),
     )
+    d = mesh.vertices[faces[:, 1]] - mesh.vertices[faces[:, 0]]
+    return left, right, mesh.face_normals[face_ids], h_face, np.hypot(d[:, 0], d[:, 1])
 
 
 def assemble_ghost_penalty(space: FESpace, gamma_g: float) -> SparseSym:
@@ -152,20 +169,12 @@ def assemble_ghost_penalty(space: FESpace, gamma_g: float) -> SparseSym:
     the diameter of the larger neighbor; the integrand is constant for P1.
     """
     domain = space.domain
-    mesh = space.mesh
-    faces = mesh.faces[domain.ghost_faces]
-    if faces.shape[0] == 0 or gamma_g == 0.0:
+    if domain.ghost_faces.size == 0 or gamma_g == 0.0:
         return SparseSym(csr=sp.csr_matrix((space.n_dofs, space.n_dofs)))
-    left = faces[:, 2]
-    right = faces[:, 3]
-    normals = mesh.face_normals[domain.ghost_faces]
+    left, right, normals, h_face, flen = _interior_face_terms(space.mesh, domain.ghost_faces)
     t_left = _traction_maps(space, left, normals)
     t_right = _traction_maps(space, right, normals)
     tjump = np.concatenate((t_left, -t_right), axis=2)  # (m, 2, 12)
-
-    h_face = _larger_neighbor_diameter(mesh, left, right)
-    d = mesh.vertices[faces[:, 1]] - mesh.vertices[faces[:, 0]]
-    flen = np.hypot(d[:, 0], d[:, 1])
     scale = gamma_g * h_face * flen / domain.material.e
 
     ke = np.einsum("mia,mib->mab", tjump, tjump) * scale[:, None, None]
@@ -283,11 +292,8 @@ def interface_eval_operator(
     Band fields store two components per band vertex; the result has one row
     pair (x, y) per quadrature point.
     """
-    bmap = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    bmap[band_vertices] = np.arange(band_vertices.size)
     cells = segs.qcells
-    verts = mesh.triangles[cells]
-    local = bmap[verts]
+    local = _local_index(mesh, band_vertices)[mesh.triangles[cells]]
     if np.any(local < 0):
         raise InvalidGeometryError("segment parent cell outside the band")
     corners = mesh.triangle_coords(cells)
@@ -328,32 +334,20 @@ def gradient_jump_matrix(
     n = 2 * band_vertices.size
     if face_ids.size == 0 or gamma_pi == 0.0:
         return SparseSym(csr=sp.csr_matrix((n, n)))
-    bmap = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    bmap[band_vertices] = np.arange(band_vertices.size)
-    faces = mesh.faces[face_ids]
-    left = faces[:, 2]
-    right = faces[:, 3]
-    normals = mesh.face_normals[face_ids]
+    left, right, normals, h_face, flen = _interior_face_terms(mesh, face_ids)
 
     def normal_gradient_rows(cells):
         # (m, 3): d psi_i / dn per adjacent cell, constant for P1
-        coords = mesh.triangle_coords(cells)
-        x = coords[..., 0]
-        y = coords[..., 1]
-        bq = np.stack((y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]), axis=1)
-        cq = np.stack((x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]), axis=1)
-        area2 = bq[:, 0] * cq[:, 1] - bq[:, 1] * cq[:, 0]
+        bq, cq, area2 = p1_derivatives(mesh.triangle_coords(cells))
         gx = bq / area2[:, None]
         gy = cq / area2[:, None]
         return gx * normals[:, 0:1] + gy * normals[:, 1:2]
 
     g = np.concatenate((normal_gradient_rows(left), -normal_gradient_rows(right)), axis=1)
-    h_face = _larger_neighbor_diameter(mesh, left, right)
-    d = mesh.vertices[faces[:, 1]] - mesh.vertices[faces[:, 0]]
-    flen = np.hypot(d[:, 0], d[:, 1])
     scale = gamma_pi * h_face**2 * flen
     ke = np.einsum("ma,mb->mab", g, g) * scale[:, None, None]
 
+    bmap = _local_index(mesh, band_vertices)
     vl = bmap[mesh.triangles[left]]
     vr = bmap[mesh.triangles[right]]
     if np.any(vl < 0) or np.any(vr < 0):

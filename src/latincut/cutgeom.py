@@ -71,21 +71,18 @@ class Material:
 class MeshDecomposition:
     """Partition of every element into per-subdomain regions plus interfaces."""
 
-    mesh: TriMesh
     n_subdomains: int
     status: np.ndarray  # (n_subdomains, nt) with OUTSIDE / CUT / INSIDE
     # physical sub-triangles of cut cells, per subdomain (flat arrays)
     subtri_cells: list[np.ndarray]  # (ns,) parent cell ids
     subtri_coords: list[np.ndarray]  # (ns, 3, 2)
-    # interface segments per subdomain pair (i, j), i < j
-    seg_p0: dict
-    seg_p1: dict
-    seg_cell: dict
-    seg_normal: dict
+    # interface segments (p0, p1 (ns, 2), parent cell (ns,), unit normal
+    # (ns, 2)) per subdomain pair (i, j), i < j
+    segments: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.seg_p0)
+        return sorted(self.segments)
 
 
 def _split_segments(p0, p1, v0, v1, k: int):
@@ -227,15 +224,11 @@ def decompose_mesh(
     if n_ls == 0:
         status[0, :] = INSIDE
         return MeshDecomposition(
-            mesh=mesh,
             n_subdomains=1,
             status=status,
             subtri_cells=[np.empty(0, dtype=np.int64)],
             subtri_coords=[np.empty((0, 3, 2))],
-            seg_p0={},
-            seg_p1={},
-            seg_cell={},
-            seg_normal={},
+            segments={},
         )
 
     corner_vals = np.stack([ls.cell_values() for ls in levelsets])  # (n_ls, nt, 3)
@@ -248,7 +241,7 @@ def decompose_mesh(
     status[labels, uniform] = INSIDE
 
     cells = np.flatnonzero(mixed)
-    (tri_cell, tris, aux), (seg_cell, p0, p1, adj, seg_k) = _split_cells(
+    (tri_cell, tris, aux), (segment_cell, p0, p1, adj, seg_k) = _split_cells(
         mesh.triangle_coords(cells),
         corner_vals[:, cells].transpose(1, 0, 2),
         ZERO_SHIFT * mesh.h,
@@ -276,7 +269,7 @@ def decompose_mesh(
 
     lo, hi = g[adj], g[seg_k + 1]
     d = p1 - p0
-    at = cells[seg_cell]
+    at = cells[segment_cell]
     # a segment only makes sense where both sides hold material; the area
     # filter above may have discarded a sliver partner
     live = (
@@ -287,7 +280,7 @@ def decompose_mesh(
     )
     p0, p1, lo, hi, at = p0[live], p1[live], lo[live], hi[live], at[live]
     grads = np.stack([ls.cell_gradients(cells) for ls in levelsets])
-    grad = grads[seg_k[live], seg_cell[live]]
+    grad = grads[seg_k[live], segment_cell[live]]
     # np.linalg.norm of each vector: a BLAS dot, which rounds differently
     # from an elementwise sqrt(x*x + y*y)
     norm = np.array([np.linalg.norm(v) for v in grad]).reshape(-1, 1)
@@ -303,16 +296,22 @@ def decompose_mesh(
         for code in codes[np.argsort(first)]
     }
     return MeshDecomposition(
-        mesh=mesh,
         n_subdomains=n_sub,
         status=status,
         subtri_cells=[cells[tri_cell[in_cut & (phys == s)]] for s in range(n_sub)],
         subtri_coords=[tris[in_cut & (phys == s)] for s in range(n_sub)],
-        seg_p0={k: p0[m] for k, m in by_pair.items()},
-        seg_p1={k: p1[m] for k, m in by_pair.items()},
-        seg_cell={k: at[m] for k, m in by_pair.items()},
-        seg_normal={k: normal[m] for k, m in by_pair.items()},
+        segments={k: (p0[m], p1[m], at[m], normal[m]) for k, m in by_pair.items()},
     )
+
+
+def _faces_within(mesh: TriMesh, in_set: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Interior faces with both cells in a cell set (mask over mesh.faces),
+    and every face's left and right cell (right is 0 on boundary faces)."""
+    faces = mesh.faces
+    interior = faces[:, 3] != BOUNDARY
+    left = faces[:, 2]
+    right = np.where(interior, faces[:, 3], 0)
+    return interior & in_set[left] & in_set[right], left, right
 
 
 @dataclass
@@ -359,14 +358,9 @@ def build_cut_domain(
     if cells.size == 0:
         raise EmptyDomainError(f"subdomain {index} covers no cells")
 
-    in_fict = status != OUTSIDE
     is_cut = status == CUT
-    faces = mesh.faces
-    interior = faces[:, 3] != BOUNDARY
-    left = faces[:, 2]
-    right = np.where(interior, faces[:, 3], 0)
-    ghost = interior & in_fict[left] & in_fict[right] & (is_cut[left] | is_cut[right])
-    ghost_faces = np.flatnonzero(ghost)
+    within, left, right = _faces_within(mesh, status != OUTSIDE)
+    ghost_faces = np.flatnonzero(within & (is_cut[left] | is_cut[right]))
 
     full_pts, full_w = quadrature.triangle_points(mesh.triangle_coords(full_cells))
     sub_cells = decomposition.subtri_cells[index]
@@ -465,29 +459,18 @@ def build_interface(
     if not i < j:
         raise InvalidGeometryError("interface pairs are keyed with i < j")
     key = (i, j)
-    if key not in decomposition.seg_p0 or decomposition.seg_p0[key].size == 0:
+    if key not in decomposition.segments:
         raise EmptyInterfaceError(f"subdomains {i} and {j} share no interface")
-    segs = _make_segment_set(
-        decomposition.seg_p0[key],
-        decomposition.seg_p1[key],
-        decomposition.seg_cell[key],
-        decomposition.seg_normal[key],
-        n_quad,
-    )
+    segs = _make_segment_set(*decomposition.segments[key], n_quad)
     band_cells = np.unique(segs.cell)
     band_vertices = np.unique(mesh.triangles[band_cells])
     in_band = np.zeros(mesh.n_triangles, dtype=bool)
     in_band[band_cells] = True
-    faces = mesh.faces
-    interior = faces[:, 3] != BOUNDARY
-    left = faces[:, 2]
-    right = np.where(interior, faces[:, 3], 0)
-    both = interior & in_band[left] & in_band[right]
     return InterfaceMesh(
         pair=key,
         segments=segs,
         band_vertices=band_vertices,
-        interior_faces=np.flatnonzero(both),
+        interior_faces=np.flatnonzero(_faces_within(mesh, in_band)[0]),
     )
 
 

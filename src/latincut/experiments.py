@@ -213,6 +213,24 @@ def problem_from_flat(flat: Mapping[str, str]) -> ProblemDef:
 
 # --- case builders ------------------------------------------------------
 
+def _inclusion_case(
+    level: int, base_nx: int, params: LatinParams | None, **fields
+) -> ProblemDef:
+    """Inclusions in a matrix on (-1.2, 1.2)^2, base_nx * 2**level cells per
+    side, pressed down at the top and held at the bottom."""
+    if level < 0:
+        raise ConfigError("mesh level must be nonnegative")
+    n = base_nx * 2**level
+    return ProblemDef(
+        rect=(-1.2, -1.2, 1.2, 1.2),
+        nx=n,
+        ny=n,
+        params=params if params is not None else LatinParams(),
+        dirichlet=((0, "top", 0.0, -1.0), (0, "bottom", 0.0, 0.0)),
+        **fields,
+    )
+
+
 def ellipse_case(
     level: int = 0,
     nu: float = 0.3,
@@ -220,19 +238,9 @@ def ellipse_case(
     params: LatinParams | None = None,
 ) -> ProblemDef:
     """Elliptical inclusion pressed into a matrix; two subdomains."""
-    if level < 0:
-        raise ConfigError("mesh level must be nonnegative")
-    n = base_nx * 2**level
-    return ProblemDef(
-        name="ellipse",
-        rect=(-1.2, -1.2, 1.2, 1.2),
-        nx=n,
-        ny=n,
-        levelsets=(("ellipse", 1.0, 0.5, 0.654545, 0.0, 0.0),),
-        e_moduli=(1.0, 1.0),
-        nu=nu,
-        params=params if params is not None else LatinParams(),
-        dirichlet=((0, "top", 0.0, -1.0), (0, "bottom", 0.0, 0.0)),
+    return _inclusion_case(
+        level, base_nx, params, name="ellipse", nu=nu,
+        levelsets=(("ellipse", 1.0, 0.5, 0.654545, 0.0, 0.0),), e_moduli=(1.0, 1.0),
     )
 
 
@@ -245,22 +253,10 @@ def two_inclusions_case(
 ) -> ProblemDef:
     """Two intersecting circular inclusions; the overlap lens belongs to the
     second inclusion, giving two triple junctions."""
-    if level < 0:
-        raise ConfigError("mesh level must be nonnegative")
-    n = base_nx * 2**level
-    return ProblemDef(
-        name="two_inclusions",
-        rect=(-1.2, -1.2, 1.2, 1.2),
-        nx=n,
-        ny=n,
-        levelsets=(
-            ("circle", -0.25, 0.0, 0.5),
-            ("circle", 0.25, 0.0, 0.5),
-        ),
+    return _inclusion_case(
+        level, base_nx, params, name="two_inclusions", nu=nu,
+        levelsets=(("circle", -0.25, 0.0, 0.5), ("circle", 0.25, 0.0, 0.5)),
         e_moduli=(1.0, contrast, contrast),
-        nu=nu,
-        params=params if params is not None else LatinParams(),
-        dirichlet=((0, "top", 0.0, -1.0), (0, "bottom", 0.0, 0.0)),
     )
 
 
@@ -322,7 +318,7 @@ def subdomain_operators(
     The geometry is built once.  A weight's operators are built when its
     list is requested, so only one weight's are held at a time.
     """
-    _, _, _, spaces, interfaces = problem_spaces(pdef)
+    spaces, interfaces = problem_spaces(pdef)
     gamma_g_values = list(gamma_g_values)
     frees, streams = [], []
     for i, space in enumerate(spaces):
@@ -451,11 +447,12 @@ def solve_problem(
     return result
 
 
-def problem_spaces(pdef: ProblemDef):
-    """Geometry pipeline without any solves: the problem, its decomposition,
-    domains, dof spaces and interfaces."""
-    problem = build_problem(pdef)
-    return (problem, *build_geometry(problem, pdef.params.quad_points_per_segment))
+def problem_spaces(
+    pdef: ProblemDef,
+) -> tuple[list[FESpace], dict[tuple[int, int], InterfaceMesh]]:
+    """Geometry pipeline without any solves: the dof spaces (each cut domain
+    is ``space.domain``) and interfaces."""
+    return build_geometry(build_problem(pdef), pdef.params.quad_points_per_segment)
 
 
 # --- studies ------------------------------------------------------------

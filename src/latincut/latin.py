@@ -44,10 +44,8 @@ import scipy.sparse as sp
 from . import assembly
 from .assembly import FESpace, VectorData, build_space
 from .cutgeom import (
-    CutDomain,
     InterfaceMesh,
     Material,
-    MeshDecomposition,
     boundary_segments,
     build_cut_domain,
     build_interface,
@@ -462,14 +460,10 @@ class LatinState:
 
 def build_geometry(
     problem: ContactProblem, quad_points_per_segment: int
-) -> tuple[
-    MeshDecomposition,
-    list[CutDomain],
-    list[FESpace],
-    dict[tuple[int, int], InterfaceMesh],
-]:
+) -> tuple[list[FESpace], dict[tuple[int, int], InterfaceMesh]]:
     """Decompose the mesh; build every subdomain's cut domain and dof space
-    and every interface.  The one geometry path of the package."""
+    (the domain is ``space.domain``) and every interface.  The one geometry
+    path of the package."""
     mesh = problem.mesh
     deco = decompose_mesh(mesh, problem.levelsets, problem.grouping)
     if len(problem.materials) != deco.n_subdomains:
@@ -485,12 +479,12 @@ def build_geometry(
         pair: build_interface(pair[0], pair[1], mesh, deco, quad_points_per_segment)
         for pair in deco.pairs
     }
-    return deco, domains, spaces, interfaces
+    return spaces, interfaces
 
 
 def build_state(problem: ContactProblem, params: LatinParams) -> LatinState:
     """Decompose, assemble and factorize; no iterations are run yet."""
-    _, _, spaces, interfaces = build_geometry(problem, params.quad_points_per_segment)
+    spaces, interfaces = build_geometry(problem, params.quad_points_per_segment)
     space_of = dict(enumerate(spaces))
     operators = {
         pair: build_interface_operators(problem.mesh, iface, space_of, params)

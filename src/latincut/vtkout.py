@@ -68,9 +68,8 @@ def _xy0_lines(pairs: np.ndarray) -> list[str]:
 def write_subdomain_vtk(path, space: FESpace, u: np.ndarray, title: str) -> None:
     coords, parents = physical_triangulation(space)
     disp = corner_displacements(space, u, coords, parents)
-    cell_index = {int(c): k for k, c in enumerate(space.domain.cells)}
-    stress_all = element_stresses(space, u)
-    stress = stress_all[[cell_index[int(p)] for p in parents]]
+    # domain.cells is sorted (np.flatnonzero), so searchsorted finds each parent
+    stress = element_stresses(space, u)[np.searchsorted(space.domain.cells, parents)]
 
     m = coords.shape[0]
     n_pts = 3 * m

@@ -65,7 +65,7 @@ def ladder():
 
 @pytest.fixture(scope="module")
 def reference_spaces(ladder):
-    return problem_spaces(ladder.reference.pdef)[3]
+    return problem_spaces(ladder.reference.pdef)[0]
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ def test_criterion_2_interface_quadrature_insensitivity(ladder, reference_spaces
     rec = ladder.record
     pdef4 = ellipse_case(0, params=LatinParams(quad_points_per_segment=4))
     res = solve_problem(pdef4)
-    coarse_spaces = problem_spaces(pdef4)[3]
+    coarse_spaces = problem_spaces(pdef4)[0]
     on_fine = [
         interpolate_to_fine(u, cs, fs)
         for u, cs, fs in zip(res.u, coarse_spaces, reference_spaces)
@@ -152,7 +152,7 @@ def test_criterion_5_error_plateau_after_thirty_iterations(ladder):
 def test_criterion_6_p0_tractions_oscillate_p1_tractions_settle(profile_runs):
     profiles = {}
     for scheme, res in profile_runs.items():
-        iface = problem_spaces(res.pdef)[4][res.profile_pair]
+        iface = problem_spaces(res.pdef)[1][res.profile_pair]
         profiles[scheme] = {
             it: traction_profile(iface, tr)
             for it, tr in res.checkpoint_traction.items()

@@ -302,7 +302,7 @@ export.profiles = true
     assert [p.nx for p in calls] == [12, 24, 48]
 
     monitored = solve(calls[1], (2, 4, 6), capture_traction=True)
-    iface = experiments.problem_spaces(monitored.pdef)[4][monitored.profile_pair]
+    iface = experiments.problem_spaces(monitored.pdef)[1][monitored.profile_pair]
     expect = tmp_path / "expect"
     expect.mkdir()
     for it, traction in monitored.checkpoint_traction.items():

@@ -38,7 +38,7 @@ from latincut.levelset import (
     classify_values,
     interpolate_levelset,
 )
-from latincut.mesh import build_structured_mesh, triangle_areas
+from latincut.mesh import BOUNDARY, build_structured_mesh, triangle_areas
 
 MAT = Material(e=1.0, nu=0.3)
 
@@ -476,17 +476,21 @@ def reference_decompose(mesh, levelsets, grouping=None) -> MeshDecomposition:
             rec.normal.append(normal)
 
     return MeshDecomposition(
-        mesh=mesh,
         n_subdomains=n_sub,
         status=status,
         subtri_cells=[np.asarray(c, dtype=np.int64) for c in sub_cells],
         subtri_coords=[
             np.asarray(c) if c else np.empty((0, 3, 2)) for c in sub_coords
         ],
-        seg_p0={k: np.asarray(v.p0) for k, v in pair_segs.items()},
-        seg_p1={k: np.asarray(v.p1) for k, v in pair_segs.items()},
-        seg_cell={k: np.asarray(v.cell, dtype=np.int64) for k, v in pair_segs.items()},
-        seg_normal={k: np.asarray(v.normal) for k, v in pair_segs.items()},
+        segments={
+            k: (
+                np.asarray(v.p0),
+                np.asarray(v.p1),
+                np.asarray(v.cell, dtype=np.int64),
+                np.asarray(v.normal),
+            )
+            for k, v in pair_segs.items()
+        },
     )
 
 
@@ -500,11 +504,11 @@ def assert_same_decomposition(got: MeshDecomposition, want: MeshDecomposition):
     assert len(got.subtri_cells) == len(got.subtri_coords) == want.n_subdomains
     for a, b in zip(got.subtri_cells + got.subtri_coords, want.subtri_cells + want.subtri_coords):
         same(a, b)
-    for name in ("seg_p0", "seg_p1", "seg_cell", "seg_normal"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert list(a) == list(b), name
-        for key in b:
-            same(a[key], b[key])
+    assert list(got.segments) == list(want.segments)
+    for key, arrays in want.segments.items():
+        assert len(got.segments[key]) == len(arrays) == 4
+        for a, b in zip(got.segments[key], arrays):
+            same(a, b)
 
 
 def assert_matches_loop(mesh, levelsets, grouping=None):
@@ -567,6 +571,49 @@ def test_array_pass_matches_loop_on_grouping_and_edge_cases():
     # the circle cuts
     flat = [interpolate_levelset(HalfPlane(1e-20, 0.0, 0.0), mesh), nested[1]]
     assert assert_matches_loop(mesh, flat) is None
+
+
+@pytest.mark.parametrize(
+    "pdef",
+    [
+        experiments.ellipse_case(base_nx=12),
+        experiments.two_inclusions_case(base_nx=16),
+        experiments.crack_problem(0.25, 1e-8, 12, 0.1),
+    ],
+    ids=lambda pdef: pdef.name,
+)
+def test_face_sets_match_face_loop(pdef):
+    """Ghost faces and interface band faces, against a plain loop over the
+    mesh faces."""
+    spaces, interfaces = experiments.problem_spaces(pdef)
+    mesh = spaces[0].mesh
+    interior = [
+        (f, left, right)
+        for f, (_, _, left, right) in enumerate(mesh.faces.tolist())
+        if right != BOUNDARY
+    ]
+    n_ghost = 0
+    for space in spaces:
+        status = space.domain.status.tolist()
+        want = [
+            f
+            for f, left, right in interior
+            if status[left] != OUTSIDE
+            and status[right] != OUTSIDE
+            and CUT in (status[left], status[right])
+        ]
+        assert space.domain.ghost_faces.tolist() == want
+        n_ghost += len(want)
+    assert n_ghost > 0
+    n_band = 0
+    for iface in interfaces.values():
+        band = set(iface.segments.cell.tolist())
+        want = [f for f, left, right in interior if left in band and right in band]
+        assert iface.interior_faces.tolist() == want
+        n_band += len(want)
+        vertices = {v for c in band for v in mesh.triangles[c].tolist()}
+        assert iface.band_vertices.tolist() == sorted(vertices)
+    assert n_band > 0
 
 
 @st.composite

@@ -86,11 +86,9 @@ def test_two_inclusions_case_topology():
     pdef = two_inclusions_case(contrast=5.0, base_nx=16)
     assert pdef.e_moduli == (1.0, 5.0, 5.0)
     assert pdef.levelsets == (("circle", -0.25, 0.0, 0.5), ("circle", 0.25, 0.0, 0.5))
-    _, deco, domains, spaces, interfaces = problem_spaces(pdef)
-    assert deco.n_subdomains == 3
-    assert set(deco.pairs) == {(0, 1), (0, 2), (1, 2)}
-    assert len(domains) == len(spaces) == 3
-    assert sorted(interfaces) == deco.pairs
+    spaces, interfaces = problem_spaces(pdef)
+    assert [s.domain.index for s in spaces] == [0, 1, 2]
+    assert sorted(interfaces) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_crack_problem_geometry():
@@ -99,11 +97,11 @@ def test_crack_problem_geometry():
     pdef = crack_problem(eps_x, eps_y, n, gamma_g=0.1)
     assert pdef.params.gamma_g == 0.1
     assert len(pdef.dirichlet) == 8  # top and bottom data on all four pieces
-    _, deco, domains, _, _ = problem_spaces(pdef)
-    assert deco.n_subdomains == 4
-    assert set(deco.pairs) == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)}
+    spaces, interfaces = problem_spaces(pdef)
+    assert [s.domain.index for s in spaces] == [0, 1, 2, 3]
+    assert sorted(interfaces) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
     h = 1.0 / n
-    areas = [d.qweights.sum() for d in domains]
+    areas = [s.domain.qweights.sum() for s in spaces]
     # vertical cuts sit at 1/3 + eps_x h and 2/3 + eps_x h
     assert areas[2] == pytest.approx(1.0 / 3.0 + eps_x * h, rel=1e-12)
     assert areas[3] == pytest.approx(1.0 / 3.0 - eps_x * h, rel=1e-12)
@@ -242,14 +240,14 @@ def test_solve_problem_snapshots_and_profile_pair():
     assert res.profile_pair == (0, 1)
     assert len(res.history) == 8 and res.history[-1].it == 8
     assert len(res.u) == 2
-    nq = problem_spaces(pdef)[4][(0, 1)].segments.qcells.size
+    nq = problem_spaces(pdef)[1][(0, 1)].segments.qcells.size
     assert res.checkpoint_traction[3].shape == (nq, 2)
     assert not np.array_equal(res.checkpoint_u[3][0], res.checkpoint_u[5][0])
 
 
 def test_interface_quadrature_sits_on_the_ellipse():
     pdef = ellipse_case(0, base_nx=12)
-    iface = problem_spaces(pdef)[4][(0, 1)]
+    iface = problem_spaces(pdef)[1][(0, 1)]
     phi = Ellipse(1.0, 0.5, 0.654545).evaluate(iface.segments.qpoints)
     assert np.max(np.abs(phi)) < grid_spacing(pdef)
 
