@@ -32,20 +32,32 @@ its dispatch and dtype checks.  The LaTIn loop applies a handful of small
 fixed operators thousands of times, and on matrices of a few hundred rows
 those checks cost about as much as the product.  The kernel is private to
 scipy, but calling it directly keeps every sum in the same order, so the
-results are bit-identical to the public product.  Because a scipy release
-may rename or drop it, and this module is imported by every command,
-`pyproject.toml` caps scipy below 1.18 (the kernel was checked against
-the public product on scipy 1.17).
+results are bit-identical to the public product.
+
+`factorize` reads the pivots, the diagonal of U, straight from SuperLU's
+supernodal L store through a `ctypes` view of scipy's factor object.  The
+public route, the diagonal of the factor's `U` attribute, makes scipy
+build CSC copies of both L and U (12 bytes per stored entry) and cache
+them on the factor for its whole life; those copies outweigh the
+operator many times over.  The view checks itself on every call against
+the factor's public attributes (shape, row and column permutations,
+stored-entry count) and raises `SolverFailure`, naming the scipy
+version, on any mismatch.  It was checked bit for bit against the public
+route on scipy 1.17.1.  Because a scipy release may rename or drop the
+kernel or change the factor's layout, and this module is imported by
+every command, `pyproject.toml` caps scipy below 1.18.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
@@ -172,9 +184,12 @@ class CsrOperator:
 class SpdFactor:
     """Cholesky-type factorization handle with a solve method.
 
-    ``pivot_ratio`` is min/max of the (positive) pivots: a factorization
-    can succeed with positive pivots on a matrix that is singular to
-    working precision, and a tiny ratio is what shows it.
+    ``_lu`` is the scipy `SuperLU` factor, and it holds SuperLU's own
+    storage of L and U only: the pivots were read in place (`_pivots`), so
+    no CSC copy of L or U is cached on it.  ``pivot_ratio`` is min/max of
+    the (positive) pivots: a factorization can succeed with positive pivots
+    on a matrix that is singular to working precision, and a tiny ratio is
+    what shows it.
     """
 
     n: int
@@ -185,8 +200,100 @@ class SpdFactor:
         return self._lu.solve(np.asarray(b, dtype=float))
 
 
+# A view of scipy's factor object (`SuperLUObject` in
+# scipy/sparse/linalg/_dsolve/_superluobject.h) and of the SuperLU structs
+# it holds, up to the last field `_pivots` reads.  SuperLU's int_t is a C
+# int in scipy's build.
+class _SuperMatrix(ctypes.Structure):
+    _fields_ = [
+        ("Stype", ctypes.c_int),
+        ("Dtype", ctypes.c_int),
+        ("Mtype", ctypes.c_int),
+        ("nrow", ctypes.c_int),
+        ("ncol", ctypes.c_int),
+        ("Store", ctypes.c_void_p),
+    ]
+
+
+class _SCformat(ctypes.Structure):
+    """The supernodal store of L.  Supernode s holds columns sup_to_col[s]
+    to sup_to_col[s + 1] - 1 as one dense block whose first rows are those
+    columns, so the diagonal of U, which the block holds too, is entry
+    j - sup_to_col[col_to_sup[j]] of column j, which starts at
+    nzval[nzval_colptr[j]].  nzval has nzval_colptr[n] entries, more than
+    ``nnz``, which counts the lower triangle only."""
+
+    _fields_ = [
+        ("nnz", ctypes.c_int),
+        ("nsuper", ctypes.c_int),
+        ("nzval", ctypes.POINTER(ctypes.c_double)),
+        ("nzval_colptr", ctypes.POINTER(ctypes.c_int)),
+        ("rowind", ctypes.POINTER(ctypes.c_int)),
+        ("rowind_colptr", ctypes.POINTER(ctypes.c_int)),
+        ("col_to_sup", ctypes.POINTER(ctypes.c_int)),
+        ("sup_to_col", ctypes.POINTER(ctypes.c_int)),
+    ]
+
+
+class _NCformat(ctypes.Structure):
+    _fields_ = [("nnz", ctypes.c_int)]  # the first field of U's store
+
+
+class _SuperLUObject(ctypes.Structure):
+    _fields_ = [
+        ("ob_base", ctypes.c_char * object.__basicsize__),
+        ("m", ctypes.c_ssize_t),
+        ("n", ctypes.c_ssize_t),
+        ("lower", _SuperMatrix),  # L
+        ("upper", _SuperMatrix),  # U
+        ("perm_r", ctypes.POINTER(ctypes.c_int)),
+        ("perm_c", ctypes.POINTER(ctypes.c_int)),
+    ]
+
+
+def _pivots(lu) -> np.ndarray:
+    """The diagonal of U of a scipy `SuperLU` factor, bit for bit the
+    diagonal of its `U` attribute, read in place from the supernodal L
+    store, so that scipy builds no CSC copy of L or U.
+
+    The view is checked against the factor's public attributes before its
+    numbers are read: the shape (and the order of L and U), then the
+    contents of ``perm_r`` and ``perm_c``, then nnz(L) + nnz(U) against
+    ``lu.nnz``.  Each step follows pointers only the one before vouched
+    for.  Any mismatch raises `SolverFailure` naming the scipy version.
+    """
+    n = lu.shape[1]
+    obj = _SuperLUObject.from_address(id(lu))
+
+    def check(ok: bool, what: str):
+        if not ok:
+            raise SolverFailure(
+                f"scipy {scipy.__version__}: the SuperLU factor's {what} differs "
+                "from the layout linalg reads its pivots from (checked on scipy "
+                "1.17.1)"
+            )
+
+    def ints(ptr, size: int) -> np.ndarray:
+        return np.ctypeslib.as_array(ptr, (size,))
+
+    dims = (obj.m, obj.n, obj.lower.nrow, obj.lower.ncol, obj.upper.nrow, obj.upper.ncol)
+    check(dims == lu.shape * 3, "shape")
+    check(np.array_equal(ints(obj.perm_r, n), lu.perm_r), "perm_r")
+    check(np.array_equal(ints(obj.perm_c, n), lu.perm_c), "perm_c")
+    store = _SCformat.from_address(obj.lower.Store)
+    check(store.nnz + _NCformat.from_address(obj.upper.Store).nnz == lu.nnz, "nnz")
+    colptr = ints(store.nzval_colptr, n + 1)
+    first = ints(store.sup_to_col, store.nsuper + 1)[ints(store.col_to_sup, n)]
+    nzval = np.ctypeslib.as_array(store.nzval, (int(colptr[n]),))
+    return nzval[colptr[:-1] + np.arange(n) - first]
+
+
 def factorize(a: SparseSym) -> SpdFactor:
-    """Factor an SPD matrix; raises NotSpdError on a non-positive pivot."""
+    """Factor an SPD matrix; raises NotSpdError on a non-positive pivot.
+
+    The pivots come from `_pivots`, which reads them in place and checks
+    its view of the factor first (`SolverFailure` if scipy's layout
+    differs), so the factor keeps no CSC copy of L or U."""
     if a.n == 0:
         raise SolverFailure("cannot factor an empty matrix")
     try:
@@ -200,7 +307,7 @@ def factorize(a: SparseSym) -> SpdFactor:
         )
     except RuntimeError as exc:  # exactly singular
         raise NotSpdError(f"factorization failed: {exc}") from exc
-    pivots = lu.U.diagonal()
+    pivots = _pivots(lu)
     if not np.all(np.isfinite(pivots)) or np.any(pivots <= 0.0):
         raise NotSpdError("matrix has a non-positive pivot; it is not SPD")
     return SpdFactor(n=a.n, _lu=lu, pivot_ratio=float(pivots.min() / pivots.max()))

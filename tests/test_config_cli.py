@@ -696,6 +696,16 @@ def test_each_unread_key_is_rejected(tmp_path, capsys, monkeypatch, name, key):
         ("study.nu = nan\n", "study.nu"),
         ("experiment = two_inclusions_convergence\nstudy.contrast = 0\n", "study.contrast"),
         ("experiment = crack_condition_sweep\ncrack.eps_x = nan\n", "crack.eps_x"),
+        # shifts that leave a crack subdomain empty
+        ("experiment = crack_condition_sweep\ncrack.n = 12\ncrack.eps_x = 10\n", "crack.eps_x"),
+        (
+            "experiment = crack_condition_sweep\ncrack.n = 12\ncrack.eps_values = 30\n",
+            "crack.eps_values",
+        ),
+        (
+            "experiment = crack_condition_scaling\nscaling.base_n = 12\nscaling.eps = 5\n",
+            "scaling.eps",
+        ),
     ],
 )
 def test_validate_rejects_what_run_would_reject(tmp_path, capsys, body, key):

@@ -17,12 +17,13 @@ from hypothesis import given, settings, strategies as st
 from latincut import experiments, latin, linalg
 from latincut.analysis import fit_rate
 from latincut.config import parse_flat, render_flat
-from latincut.errors import ConfigError
+from latincut.errors import ConfigError, EmptyDomainError
 from latincut.cli import EXPERIMENTS
 from latincut.experiments import (
     ProblemDef,
     KappaMemo,
     build_problem,
+    crack_empty_subdomains,
     crack_problem,
     ellipse_case,
     grid_spacing,
@@ -108,6 +109,23 @@ def test_crack_problem_geometry():
     assert sum(areas) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ConfigError):
         crack_problem(eps_x, eps_y, 13, gamma_g=0.1)
+
+
+def test_empty_crack_subdomains_match_the_built_geometry():
+    # shifts a half (eps_x) or a quarter (eps_y) grid step clear of every
+    # exact boundary, where rounding decides whether a sliver survives
+    first_empty = set()
+    for eps_x in np.arange(-9.5, 10.0):
+        for eps_y in np.arange(-14.25, 14.0, 1.5):
+            empty = crack_empty_subdomains(eps_x, eps_y, 12)
+            first_empty.add(tuple(empty[:1]))
+            try:
+                problem_spaces(crack_problem(eps_x, eps_y, 12, gamma_g=0.1))
+            except EmptyDomainError as err:
+                assert empty and str(err) == f"subdomain {empty[0]} covers no cells"
+            else:
+                assert empty == []
+    assert first_empty == {(), (0,), (1,), (2,), (3,)}
 
 
 def test_problem_def_rejects_bad_boundary_rows():

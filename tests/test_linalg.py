@@ -1,17 +1,24 @@
 """Symmetric sparse wrapper, Cholesky-style factorization, condition numbers."""
 
+import ctypes
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from latincut import linalg
 from latincut.errors import NotSpdError, SolverFailure
 from latincut.linalg import (
     BOUND_MARGIN,
     CsrOperator,
     DenseFactor,
     SparseSym,
+    _pivots,
     condition_number,
     factorize,
     factorize_dense,
@@ -163,6 +170,112 @@ def test_pivot_ratio():
     # singular to working precision, yet every pivot is positive
     tiny = SparseSym.finalize(sp.csr_matrix(np.diag([1.0, 1e-14])))
     assert factorize(tiny).pivot_ratio == 1e-14
+
+
+def symmetric_case(kind: str, n: int, seed: int, density: float) -> np.ndarray:
+    """A symmetric matrix with a random sparsity pattern: diagonally
+    dominant ("spd"), with a random diagonal ("indefinite"), or B B^T with
+    B of rank below n ("singular", so singular to working precision)."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+    if kind == "singular":
+        b[:, rng.integers(n)] = 0.0
+        return b @ b.T
+    a = b + b.T
+    np.fill_diagonal(a, rng.standard_normal(n))
+    if kind == "spd":
+        np.fill_diagonal(a, np.abs(a).sum(axis=1) + 1.0)
+    return a
+
+
+@given(
+    kind=st.sampled_from(["spd", "indefinite", "singular"]),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.02, 1.0),
+)
+@example(kind="spd", n=1, seed=0, density=1.0)
+@example(kind="indefinite", n=1, seed=1, density=1.0)
+@example(kind="singular", n=2, seed=0, density=1.0)
+def test_pivots_are_the_diagonal_of_u_byte_for_byte(kind, n, seed, density):
+    a = SparseSym.finalize(sp.csr_matrix(symmetric_case(kind, n, seed, density)))
+    seen = []
+
+    def spy(lu):
+        pivots = _pivots(lu)
+        seen.append((pivots.tobytes(), lu.U.diagonal()))
+        return pivots
+
+    with mock.patch.object(linalg, "_pivots", spy):
+        try:
+            factor = factorize(a)
+        except NotSpdError:
+            factor = None
+    if not seen:  # exactly singular: SuperLU stopped before any pivot was read
+        assert factor is None
+        return
+    (got, diagonal), = seen
+    assert got == diagonal.tobytes()
+    spd = np.all(np.isfinite(diagonal)) and np.all(diagonal > 0.0)
+    assert (factor is not None) == spd
+    if spd:
+        assert factor.pivot_ratio == float(diagonal.min() / diagonal.max())
+
+
+def layout(fields) -> type:
+    return type("Layout", (ctypes.Structure,), {"_fields_": fields})
+
+
+OBJECT = linalg._SuperLUObject._fields_
+STORE = linalg._SCformat._fields_
+# SuperLU built with a 64-bit int_t
+WIDE = layout([
+    (name, ctypes.c_int64 if name in ("nrow", "ncol") else kind)
+    for name, kind in linalg._SuperMatrix._fields_
+])
+
+
+@pytest.mark.parametrize(
+    "name, view, part",
+    [
+        # a factor object with one more field before m and n
+        ("_SuperLUObject", layout([OBJECT[0], ("extra", ctypes.c_void_p), *OBJECT[1:]]), "shape"),
+        (
+            "_SuperLUObject",
+            layout([(f, WIDE if f in ("lower", "upper") else kind) for f, kind in OBJECT]),
+            "shape",
+        ),
+        # nnz and nsuper swapped in the store of L
+        ("_SCformat", layout([STORE[1], STORE[0], *STORE[2:]]), "nnz"),
+    ],
+)
+def test_pivot_reader_rejects_a_layout_it_does_not_match(monkeypatch, name, view, part):
+    a = SparseSym.finalize(sp.csr_matrix(symmetric_case("spd", 30, 3, 0.2)))
+    assert factorize(a).n == 30
+    monkeypatch.setattr(linalg, name, view)
+    with pytest.raises(SolverFailure, match=f"scipy {scipy.__version__}") as err:
+        factorize(a)
+    assert f"factor's {part} differs" in str(err.value)
+
+
+def test_factor_retains_less_memory_than_its_input():
+    # reading lu.U would cache CSC copies of L and U on the factor: 7 MB here
+    m = 120
+    t = sp.diags([-np.ones(m - 1), 2.0 * np.ones(m), -np.ones(m - 1)], [-1, 0, 1])
+    a = SparseSym.finalize(sp.kronsum(t, t, format="csr"))
+    size = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        factor = factorize(a)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert factor.n == 14400 and size > 900_000
+    assert retained < size
 
 
 @given(n=st.integers(2, 12), seed=st.integers(0, 1000))
