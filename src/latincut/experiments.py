@@ -515,6 +515,12 @@ def run_convergence_study(
     are integrated over the reference cut geometry.  The monitored level
     (the finest ladder level) also records its error and its interface
     tractions at the monitored iterations.
+
+    The reference is submitted first: it is the largest solve, so it runs
+    while the least memory is in use, and in a pool it no longer starts
+    last and runs alone.  A failing reference therefore fails before any
+    ladder level runs.  Results still come back in ladder order, in
+    ``levels``, with the reference in ``reference``.
     """
     if levels < 1:
         raise ConfigError("convergence study needs at least one level")
@@ -530,13 +536,11 @@ def run_convergence_study(
         ref_params = replace(base_params, it_max=reference_it_max)
     monitors = tuple(sorted(set(int(i) for i in monitor_iterations)))
 
-    jobs = []
+    jobs = [(make(levels, ref_params), (), False)]
     for lv in range(levels):
         is_monitor = lv == levels - 1
         jobs.append((make(lv, base_params), monitors if is_monitor else (), is_monitor))
-    jobs.append((make(levels, ref_params), (), False))
-    results = _map_jobs(_solve_job, jobs, workers)
-    level_results, ref_result = results[:levels], results[levels]
+    ref_result, *level_results = _map_jobs(_solve_job, jobs, workers)
 
     fine_spaces = ref_result.spaces
     h_list: list[float] = []

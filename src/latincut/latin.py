@@ -365,7 +365,9 @@ def build_subdomain_system(
 
     The operator is `linear_stage_operators`' at ``params.gamma_g`` for
     every interface this subdomain touches.  Dirichlet sides are
-    eliminated.
+    eliminated.  The full operator is dropped once the lift and the
+    free-dof operator are taken from it, so it is not alive beside the
+    factorization, which sets the studies' peak resident size.
     """
     index = space.domain.index
     (a,) = linear_stage_operators(
@@ -376,16 +378,18 @@ def build_subdomain_system(
         segs = boundary_segments(space.mesh, [side], params.quad_points_per_segment)
         rhs += assembly.assemble_boundary_traction(space, segs, data)
     free, fixed, fixed_values = dirichlet_split(space, dirichlet or {})
-    try:
-        factor = factorize(a.submatrix(free))
-    except NotSpdError as err:
-        raise SolverFailure(
-            f"linear-stage operator of subdomain {index} is not positive definite"
-        ) from err
     if fixed.size:
         lift = a.csr[free][:, fixed] @ fixed_values
     else:
         lift = np.zeros(free.size)
+    a_free = a.submatrix(free)
+    del a
+    try:
+        factor = factorize(a_free)
+    except NotSpdError as err:
+        raise SolverFailure(
+            f"linear-stage operator of subdomain {index} is not positive definite"
+        ) from err
     return SubdomainSystem(
         space=space,
         rhs0=rhs,

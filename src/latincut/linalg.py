@@ -26,11 +26,13 @@ below an estimate already made.  Any Ritz value of A is also at most
 lambda_max(A) <= G(A), so the bound holds for any A-side method that
 returns one.
 
-`CsrOperator` applies a fixed CSR matrix through scipy's compiled kernel
-`_sparsetools.csr_matvec`, the routine `csr_matrix @ vector` ends in after
-its dispatch and dtype checks.  The LaTIn loop applies a handful of small
-fixed operators thousands of times, and on matrices of a few hundred rows
-those checks cost about as much as the product.  The kernel is private to
+`CsrOperator` and `SparseSym.matvec` apply a CSR matrix through one call
+of scipy's compiled kernel `_sparsetools.csr_matvec` (`_csr_product`), the
+routine `csr_matrix @ vector` ends in after its dispatch and dtype checks.
+The LaTIn loop applies a handful of small fixed operators thousands of
+times, and on matrices of a few hundred rows those checks cost about as
+much as the product; power iteration, on operators of a few thousand
+rows, would repeat them for every product too.  The kernel is private to
 scipy, but calling it directly keeps every sum in the same order, so the
 results are bit-identical to the public product.
 
@@ -121,7 +123,7 @@ class SparseSym:
         return self.csr.data
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.csr @ x
+        return _csr_product(self.csr, x)
 
     def toarray(self) -> np.ndarray:
         return self.csr.toarray()
@@ -145,6 +147,17 @@ class SparseSym:
         return SparseSym(csr=self.csr + other.csr)
 
 
+def _csr_product(a, x: np.ndarray) -> np.ndarray:
+    """a @ x for a float CSR matrix or `CsrOperator` ``a`` and a vector
+    ``x``, through the compiled kernel, bit for bit like `csr_matrix @ x`."""
+    n_row, n_col = a.shape
+    if x.shape != (n_col,):
+        raise ValueError(f"cannot apply a {a.shape} operator to shape {x.shape}")
+    y = np.zeros(n_row)
+    csr_matvec(n_row, n_col, a.indptr, a.indices, a.data, x, y)
+    return y
+
+
 class CsrOperator:
     """A fixed sparse matrix applied to float vectors by `op @ x`, bit for
     bit like `csr_matrix @ x`.  A float CSR matrix is held without copying
@@ -157,13 +170,7 @@ class CsrOperator:
         self.shape = a.shape
         self.indptr, self.indices, self.data = a.indptr, a.indices, a.data
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        n_row, n_col = self.shape
-        if x.shape != (n_col,):
-            raise ValueError(f"cannot apply a {self.shape} operator to shape {x.shape}")
-        y = np.zeros(n_row)
-        csr_matvec(n_row, n_col, self.indptr, self.indices, self.data, x, y)
-        return y
+    __matmul__ = _csr_product
 
     def take_rows(self, rows: np.ndarray) -> CsrOperator:
         """The operator whose row r is row rows[r] of this one, or empty

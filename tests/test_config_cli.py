@@ -298,10 +298,11 @@ export.profiles = true
 
     monkeypatch.setattr(experiments, "solve_problem", counted)
     assert cli.main(["run", str(cfg)]) == 0
-    # one solve per ladder level plus the reference; no re-solve for profiles
-    assert [p.nx for p in calls] == [12, 24, 48]
+    # one solve per ladder level plus the reference, which is solved first;
+    # no re-solve for profiles
+    assert [p.nx for p in calls] == [48, 12, 24]
 
-    monitored = solve(calls[1], (2, 4, 6), capture_traction=True)
+    monitored = solve(calls[2], (2, 4, 6), capture_traction=True)
     iface = experiments.problem_spaces(monitored.pdef)[1][monitored.profile_pair]
     expect = tmp_path / "expect"
     expect.mkdir()

@@ -339,6 +339,21 @@ def test_convergence_study_shrinks_errors():
     assert all(err > 0 and ind > 0 for _, err, ind in study.iteration_rows)
 
 
+def test_convergence_study_submits_the_reference_first(monkeypatch):
+    submitted = []
+    map_jobs = experiments._map_jobs
+
+    def recording(fn, jobs, workers):
+        submitted.extend(pdef.nx for pdef, _, _ in jobs)
+        return map_jobs(fn, jobs, workers)
+
+    monkeypatch.setattr(experiments, "_map_jobs", recording)
+    study = small_study()
+    assert submitted == [48, 12, 24]
+    assert [r.pdef.nx for r in study.levels] == [12, 24]
+    assert study.reference.pdef.nx == 48
+
+
 def test_convergence_study_validation():
     with pytest.raises(ConfigError):
         run_convergence_study(levels=0)

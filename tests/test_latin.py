@@ -8,6 +8,7 @@ system with the same stabilization.
 
 import logging
 import re
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from latincut import assembly
+from latincut import assembly, latin
 from latincut.assembly import (
     assemble_elasticity,
     assemble_ghost_penalty,
@@ -196,6 +197,35 @@ def test_first_linear_stage_matches_dense_solve():
         )
         np.testing.assert_allclose(u, expect, atol=1e-9)
         np.testing.assert_allclose(lift, sysm.lift, atol=1e-12)
+
+
+def test_full_operator_is_freed_before_factorization(monkeypatch):
+    # the factorization sets the peak resident size, so the full operator
+    # (and its CSR storage) must be gone once its free-dof part is taken
+    operators = latin.linear_stage_operators
+    factorize = latin.factorize
+    refs = []
+
+    def recording(*args, **kwargs):
+        for op in operators(*args, **kwargs):
+            refs.extend((weakref.ref(op), weakref.ref(op.csr)))
+            yield op
+
+    factorized = []  # (operators yielded so far, size) of each factorization
+
+    def checking(a):
+        assert all(ref() is None for ref in refs)
+        factorized.append((len(refs) // 2, a.n))
+        return factorize(a)
+
+    monkeypatch.setattr(latin, "linear_stage_operators", recording)
+    monkeypatch.setattr(latin, "factorize", checking)
+    state = build_state(two_block_problem(), LatinParams(it_max=1))
+    # both blocks have Dirichlet dofs, so each took its lift from the operator
+    assert all(s.fixed.size for s in state.systems)
+    # interface projections are factorized too, before any operator is yielded
+    subdomain_factors = [f for f in factorized if f[0]]
+    assert subdomain_factors == [(i + 1, s.free.size) for i, s in enumerate(state.systems)]
 
 
 def test_linear_stage_reports_only_numerical_failures(monkeypatch):

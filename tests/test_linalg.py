@@ -143,6 +143,14 @@ def test_sums_and_submatrices_are_stored_as_if_finalized(data):
         np.testing.assert_array_equal(sub.toarray(), m.toarray()[np.ix_(keep, keep)])
 
 
+@given(data=st.data())
+def test_matvec_matches_scipy_byte_for_byte(data):
+    n = data.draw(st.integers(1, 7))
+    a = data.draw(assembled(n))
+    x = data.draw(arrays(np.float64, n, elements=ENTRIES))
+    assert a.matvec(x).tobytes() == (a.csr @ x).tobytes()
+
+
 def test_submatrix_needs_a_strictly_increasing_index_set():
     a = SparseSym.finalize(sp.csr_matrix(spd_from(0, 4)))
     for keep in ([2, 0], [1, 1], [[0, 1]]):
