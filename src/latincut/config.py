@@ -1,9 +1,10 @@
 """The package's one reader and writer of flat `key = value` text.
 
 Every value read goes through a typed parser of `PARSERS` and every value
-written through `format_value`.  The run config, the `latin.*` solver
-parameters (`params_to_flat`, `params_from_flat`) and the problem form
-(`experiments.problem_to_flat`, `problem_from_flat`) share them.
+written through `format_value`.  The run config is read and written; the
+problem form (`experiments.problem_to_flat`, with the `latin.*` solver
+parameters from `params_to_flat`) is only written, as a record of what a
+run built, and each of its values parses back to its own bits.
 
 A run config holds exactly the keys its experiment reads (`COMMON_KEYS`
 plus the experiment's entry in `cli.EXPERIMENTS`): sweep shapes, export
@@ -211,30 +212,13 @@ def check_key(key: str, text: str) -> object:
 
 
 def params_to_flat(params: LatinParams) -> dict[str, str]:
-    """The `latin.<field>` texts of ``params``.  A value `params_from_flat`
-    cannot read back raises ConfigError."""
-    flat = {f"latin.{f.name}": format_value(getattr(params, f.name)) for f in fields(params)}
-    params_from_flat(flat)
-    return flat
-
-
-def params_from_flat(flat: Mapping[str, str]) -> LatinParams:
-    """Read every `latin.<field>` text back; other keys are ignored and a
-    missing field is a ConfigError.  The problem form carries every field;
-    a run config holds only the fields its experiment reads, and
-    `RunConfig.latin_params` fills in the others from `LatinParams()`."""
-    values = {}
-    for f in fields(LatinParams):
-        key = f"latin.{f.name}"
-        if key not in flat:
-            raise ConfigError(f"missing {key!r}")
-        values[f.name] = check_key(key, flat[key])
-    return LatinParams(**values)
+    """The `latin.<field>` texts of ``params``."""
+    return {f"latin.{f.name}": format_value(getattr(params, f.name)) for f in fields(params)}
 
 
 def merge_legacy_k(flat: Mapping[str, str]) -> dict[str, str]:
     """``flat`` with the ``latin.k_plus``/``latin.k_minus`` pair of older
-    files, which wrote both with the same text, read as ``latin.k``."""
+    run configs, which gave both the same text, read as ``latin.k``."""
     out = dict(flat)
     legacy = [out.pop(key) for key in ("latin.k_plus", "latin.k_minus") if key in flat]
     if legacy:
@@ -321,22 +305,35 @@ def build_run_config(
     late = [it for it in values.get("checkpoints", ()) if it > it_max]
     if late:
         raise ConfigError(f"checkpoints {late} come after latin.it_max = {it_max}")
-    _check_crack_shifts(values)
+    _check_empty_subdomains(values)
     return cfg
 
 
-def _check_crack_shifts(values: Mapping[str, object]) -> None:
-    """ConfigError if a crack experiment would build a geometry with an
-    empty subdomain; decided in closed form, without a mesh."""
-    from .experiments import crack_empty_subdomains, crack_sweep_shifts
+def _check_empty_subdomains(values: Mapping[str, object]) -> None:
+    """ConfigError if the experiment would build a geometry with an empty
+    subdomain.  The inclusion experiments ask the decomposition of their
+    level-0 mesh, the coarsest they build; the crack experiments decide in
+    closed form, without a mesh."""
+    from . import experiments as ex
 
-    if values["experiment"] == "crack_condition_sweep":
+    name = values["experiment"]
+    if name in ("ellipse_convergence", "two_inclusions_convergence", "p1p0_comparison"):
+        case = ex.two_inclusions_case if name == "two_inclusions_convergence" else ex.ellipse_case
+        nx = values["study.base_nx"]
+        empty = ex.empty_subdomains(case(base_nx=nx))
+        if empty:
+            raise ConfigError(
+                f"study.base_nx: the level-0 mesh of {nx} cells per side leaves "
+                f"subdomain {empty[0]} without cells"
+            )
+        return
+    if name == "crack_condition_sweep":
         keys = "crack.eps_x, crack.eps_values"
-        shifts = crack_sweep_shifts(
+        shifts = ex.crack_sweep_shifts(
             values["crack.mode"], values["crack.eps_values"], values["crack.eps_x"]
         )
         grids = [(values["crack.n"], shift) for shift in shifts]
-    elif values["experiment"] == "crack_condition_scaling":
+    elif name == "crack_condition_scaling":
         keys = "scaling.eps"
         eps = values["scaling.eps"]
         grids = [
@@ -346,7 +343,7 @@ def _check_crack_shifts(values: Mapping[str, object]) -> None:
     else:
         return
     for n, (eps_x, eps_y) in grids:
-        empty = crack_empty_subdomains(eps_x, eps_y, n)
+        empty = ex.crack_empty_subdomains(eps_x, eps_y, n)
         if empty:
             raise ConfigError(
                 f"{keys}: the shift eps_x = {eps_x!r}, eps_y = {eps_y!r} on the "

@@ -14,17 +14,17 @@ import logging
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import analysis
 from .analysis import ConvergenceRecord, interpolate_to_fine
 from .assembly import FESpace
-from .config import PARSERS, format_value, merge_legacy_k, params_from_flat, params_to_flat
-from .cutgeom import InterfaceMesh, Material
+from .config import format_value, params_to_flat
+from .cutgeom import OUTSIDE, InterfaceMesh, Material, decompose_mesh
 # perfbench/study.py wraps these names here; latin.build_geometry calls them
-from .cutgeom import build_cut_domain, build_interface, decompose_mesh  # noqa: F401
+from .cutgeom import build_cut_domain, build_interface  # noqa: F401
 from .errors import ConfigError
 from .latin import (
     ContactProblem,
@@ -48,9 +48,8 @@ log = logging.getLogger(__name__)
 class ProblemDef:
     """Complete, serializable description of one solve.
 
-    Boundary data is restricted to constant vectors so definitions
-    round-trip exactly through their flat form (`problem_to_flat`,
-    `problem_from_flat`).
+    Boundary data is restricted to constant vectors, so the flat form
+    (`problem_to_flat`) records a definition completely.
     """
 
     name: str
@@ -66,7 +65,7 @@ class ProblemDef:
     neumann: tuple[tuple[int, str, float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        # canonical ordering keeps serialization round trips exact
+        # canonical ordering: equal definitions write equal flat forms
         self.dirichlet = tuple(sorted(self.dirichlet))
         self.neumann = tuple(sorted(self.neumann))
         for sub, side, _, _ in self.dirichlet + self.neumann:
@@ -129,7 +128,8 @@ def grid_spacing(pdef: ProblemDef) -> float:
 # --- flat serialization -------------------------------------------------
 
 def problem_to_flat(pdef: ProblemDef) -> dict[str, str]:
-    """Flat key/value form; floats via repr so round-trips are bit-exact."""
+    """Flat key/value form, a written record that nothing reads back; floats
+    via repr, so each parses back to its own bits."""
     flat: dict[str, str] = {
         "problem.name": pdef.name,
         "mesh.rect": format_value([float(v) for v in pdef.rect]),
@@ -148,67 +148,6 @@ def problem_to_flat(pdef: ProblemDef) -> dict[str, str]:
         flat[f"bc.neumann.{sub}.{side}"] = format_value((tx, ty))
     flat.update(params_to_flat(pdef.params))
     return flat
-
-
-def problem_from_flat(flat: Mapping[str, str]) -> ProblemDef:
-    flat = merge_legacy_k(flat)
-    flat.pop("latin.alpha", None)  # older files carry this unused Nitsche penalty
-
-    def need(key: str) -> str:
-        if key not in flat:
-            raise ConfigError(f"problem definition is missing {key!r}")
-        return flat[key]
-
-    nx, ny = (PARSERS["int"](key, need(key)) for key in ("mesh.nx", "mesh.ny"))
-    if nx < 1 or ny < 1:
-        raise ConfigError("mesh.nx and mesh.ny must be at least 1")
-    rect_vals = PARSERS["float_list"]("mesh.rect", need("mesh.rect"))
-    if len(rect_vals) != 4:
-        raise ConfigError("mesh.rect takes four numbers")
-    if rect_vals[2] <= rect_vals[0] or rect_vals[3] <= rect_vals[1]:
-        raise ConfigError("mesh.rect must describe a nonempty rectangle")
-    levelsets = []
-    for i in range(len(flat)):
-        key = f"geometry.levelset.{i}"
-        if key not in flat:
-            break
-        kind, _, numbers = flat[key].partition(",")
-        entry = (kind.strip(), *PARSERS["float_list"](key, numbers))
-        _levelset_function(entry)  # checks the kind and its parameter count
-        levelsets.append(entry)
-    if not levelsets:
-        raise ConfigError("problem definition needs at least one level set")
-    grouping = None
-    if "geometry.grouping" in flat:
-        grouping = PARSERS["int_list"]("geometry.grouping", flat["geometry.grouping"])
-    dirichlet = []
-    neumann = []
-    for key in sorted(flat):
-        parts = key.split(".")
-        if len(parts) == 4 and parts[0] == "bc" and parts[2].isdecimal():
-            vec = PARSERS["float_list"](key, flat[key])
-            if len(vec) != 2:
-                raise ConfigError(f"{key} takes two numbers")
-            row = (int(parts[2]), parts[3], vec[0], vec[1])
-            (dirichlet if parts[1] == "dirichlet" else neumann).append(row)
-    pdef = ProblemDef(
-        name=need("problem.name"),
-        rect=rect_vals,
-        nx=nx,
-        ny=ny,
-        levelsets=tuple(levelsets),
-        e_moduli=PARSERS["float_list"]("material.e", need("material.e")),
-        nu=PARSERS["float"]("material.nu", need("material.nu")),
-        params=params_from_flat(flat),
-        grouping=grouping,
-        dirichlet=tuple(dirichlet),
-        neumann=tuple(neumann),
-    )
-    # reject keys problem_to_flat would not write: a typo must not change physics
-    unknown = sorted(set(flat) - set(problem_to_flat(pdef)))
-    if unknown:
-        raise ConfigError(f"unknown problem-definition keys {unknown}")
-    return pdef
 
 
 # --- case builders ------------------------------------------------------
@@ -312,6 +251,15 @@ def crack_empty_subdomains(eps_x: float, eps_y: float, n: int) -> list[int]:
     lo, hi = max(a, 0.0), min(b, 1.0)
     covered = (lo < hi and lo + d < 1.0, lo < hi and hi + d > 0.0, a > 0.0, b < 1.0)
     return [s for s, c in enumerate(covered) if not c]
+
+
+def empty_subdomains(pdef: ProblemDef) -> list[int]:
+    """The subdomains of ``pdef`` that hold no cell of its mesh, read from
+    the decomposition status `build_cut_domain` reads; no cut domain is
+    built."""
+    problem = build_problem(pdef)
+    status = decompose_mesh(problem.mesh, problem.levelsets, problem.grouping).status
+    return np.flatnonzero((status == OUTSIDE).all(axis=1)).tolist()
 
 
 def _operator_key(a: SparseSym) -> bytes:
@@ -426,7 +374,6 @@ class SolveResult:
     spaces: list[FESpace] = field(default_factory=list)
     checkpoint_u: dict[int, list[np.ndarray]] = field(default_factory=dict)
     checkpoint_traction: dict[int, np.ndarray] = field(default_factory=dict)
-    profile_pair: tuple[int, int] | None = None
     profile_interface: InterfaceMesh | None = None
 
 
@@ -458,7 +405,6 @@ def solve_problem(
     result.u = [v.copy() for v in state.u]
     result.history = list(state.history)
     if pair is not None:
-        result.profile_pair = pair
         result.profile_interface = state.operators[pair].iface
     return result
 

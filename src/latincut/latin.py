@@ -78,9 +78,10 @@ class LatinParams:
 
     The two search directions are conjugate, so one stiffness ``k`` serves
     both; the Robin closure of the local stage uses it too, which is what
-    produces the factor 1/2 in the heart formula.  In configs and problem
-    files each field is the `latin.<field>` entry (`config.params_to_flat`,
-    `config.params_from_flat`).
+    produces the factor 1/2 in the heart formula.  In run configs and the
+    problem form each field is the `latin.<field>` entry
+    (`config.params_to_flat`).  A relaxation ``eta`` of 0 would never leave
+    the first linear stage, while the indicator read 0, so it is refused.
     """
 
     k: float = 1.0
@@ -97,8 +98,8 @@ class LatinParams:
                 raise ConfigError(f"{name} must be finite")
         if not self.k > 0.0:
             raise ConfigError("search-direction stiffness k must be positive")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigError("relaxation eta must lie in [0, 1]")
+        if not 0.0 < self.eta <= 1.0:
+            raise ConfigError("relaxation eta must lie in (0, 1]")
         if not (self.gamma_g >= 0.0 and self.gamma_pi >= 0.0):
             raise ConfigError("stabilization parameters must be nonnegative")
         if self.it_max < 1:
@@ -687,14 +688,3 @@ def iterate(
         if callback is not None and state.it in checkpoints:
             callback(state.it, state)
     return state
-
-
-def run(
-    problem: ContactProblem,
-    params: LatinParams,
-    checkpoints: tuple[int, ...] = (),
-    callback: Callable[[int, LatinState], None] | None = None,
-) -> LatinState:
-    """Build the systems and run the full iteration."""
-    state = build_state(problem, params)
-    return iterate(state, checkpoints, callback)

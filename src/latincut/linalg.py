@@ -13,11 +13,13 @@ Rayleigh quotient is close to *an* eigenvalue; that need not be the extreme
 one, and since Rayleigh quotients never exceed the largest eigenvalue, the
 condition number is a lower bound.
 
-The two sides can run apart, bit for bit.  `condition_number(a, seed=s)`
-draws the A side's start vector first and the inverse side's second from
-one `default_rng(s)`; `inverse_estimate` draws and discards the first, and
-`condition_number(a, inverse=...)` uses the first draw of a fresh
-generator.  The inverse side also returns an upper bound on the whole
+Both sides stop at the relative tolerance `CONDITION_TOL` or after
+`CONDITION_MAX_ITER` iterations, and draw their start vectors from
+`default_rng(CONDITION_SEED)`.  The two sides can run apart, bit for bit.
+`condition_number(a)` draws the A side's start vector first and the inverse
+side's second from one generator; `inverse_estimate` draws and discards the
+first, and `condition_number(a, inverse=...)` uses the first draw of a
+fresh generator.  The inverse side also returns an upper bound on the whole
 estimate: the A side's Rayleigh quotient is at most the Gershgorin bound
 G(A) = max_i sum_j |a_ij|, so no estimate exceeds G(A) times the inverse
 side's, up to rounding that `BOUND_MARGIN` covers.  A caller that wants
@@ -345,28 +347,35 @@ def factorize_dense(a: np.ndarray) -> DenseFactor:
     return DenseFactor(n=a.shape[0], _c=c)
 
 
+# the settings of both sides of every condition number estimate
+CONDITION_TOL = 1e-3
+CONDITION_MAX_ITER = 10000
+CONDITION_SEED = 0
+
+
 def _norm(x: np.ndarray) -> float:
     """2-norm of a float vector, bit for bit what np.linalg.norm computes."""
     return math.sqrt(x.dot(x))
 
 
-def _extreme_eigenvalue(apply_op, n: int, rng, tol: float, max_iter: int):
+def _extreme_eigenvalue(apply_op, n: int, rng):
     """Estimate of the largest eigenvalue of a symmetric positive operator by
     power iteration.
 
-    Stops when the residual certifies, to a relative tolerance, that the
-    Rayleigh quotient is close to some eigenvalue.  It does not certify that
-    this is the largest one: an iterate can settle on a lower eigenvalue, so
-    the estimate is a lower bound.  Returns (estimate, converged).
+    Stops when the residual certifies, to `CONDITION_TOL` relative, that
+    the Rayleigh quotient is close to some eigenvalue.  It does not certify
+    that this is the largest one: an iterate can settle on a lower
+    eigenvalue, so the estimate is a lower bound.  Returns (estimate,
+    converged).
     """
     v = rng.standard_normal(n)
     v /= _norm(v)
     theta = 0.0
-    for _ in range(max_iter):
+    for _ in range(CONDITION_MAX_ITER):
         av = apply_op(v)
         theta = float(v @ av)
         resid = _norm(av - theta * v)
-        if theta > 0.0 and resid <= tol * theta:
+        if theta > 0.0 and resid <= CONDITION_TOL * theta:
             return theta, True
         nrm = _norm(av)
         if nrm == 0.0:
@@ -402,14 +411,9 @@ class InverseEstimate(NamedTuple):
     bound: float
 
 
-def inverse_estimate(
-    a: SparseSym,
-    tol: float = 1e-3,
-    max_iter: int = 10000,
-    seed: int = 0,
-) -> InverseEstimate:
+def inverse_estimate(a: SparseSym) -> InverseEstimate:
     """Factorize A and run the inverse side of `condition_number`, bit for
-    bit as that call runs it with the same settings."""
+    bit as that call runs it."""
     try:
         factor = factorize(a)
     except NotSpdError as exc:
@@ -417,54 +421,47 @@ def inverse_estimate(
         return InverseEstimate(np.inf, True, np.inf)
     if a.n == 1:
         return InverseEstimate(1.0, True, 1.0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CONDITION_SEED)
     rng.standard_normal(a.n)  # the A side's start vector: the first draw
-    value, converged = _extreme_eigenvalue(factor.solve, a.n, rng, tol, max_iter)
+    value, converged = _extreme_eigenvalue(factor.solve, a.n, rng)
     if value <= 0.0:
         raise SolverFailure("eigenvalue estimates must be positive for SPD input")
     gershgorin = float(abs(a.csr).sum(axis=1).max())
     return InverseEstimate(value, converged, gershgorin * value * (1.0 + BOUND_MARGIN))
 
 
-def condition_number(
-    a: SparseSym,
-    tol: float = 1e-3,
-    max_iter: int = 10000,
-    seed: int = 0,
-    inverse: InverseEstimate | None = None,
-) -> float:
+def condition_number(a: SparseSym, inverse: InverseEstimate | None = None) -> float:
     """2-norm condition number estimate of an SPD matrix.
 
     The product of power-iteration estimates of the largest eigenvalues of
     the matrix and of its inverse.  Each is a Rayleigh quotient, so the
     result is a lower bound on the true condition number.  Convergence only
     certifies eigenvalues, not the extreme ones, so even a converged estimate
-    can fall short by more than ``tol`` when an iteration stops at a lower
-    eigenvalue.
+    can fall short by more than `CONDITION_TOL` when an iteration stops at a
+    lower eigenvalue.
 
-    ``inverse``, when given, is `inverse_estimate(a, tol, max_iter, seed)`
-    computed earlier; only the A side then runs, and the result is the
-    same float.
+    ``inverse``, when given, is `inverse_estimate(a)` computed earlier; only
+    the A side then runs, and the result is the same float.
 
-    Deterministic for a fixed seed.  Returns 1.0 for a 1x1 matrix with a
-    positive finite entry and inf for any matrix that is not SPD.  If an
-    iteration hits the cap the current estimate is returned and a
-    diagnostic is logged.
+    Deterministic.  Returns 1.0 for a 1x1 matrix with a positive finite
+    entry and inf for any matrix that is not SPD.  If an iteration hits
+    `CONDITION_MAX_ITER` the current estimate is returned and a diagnostic
+    is logged.
     """
     if inverse is None:
-        inverse = inverse_estimate(a, tol, max_iter, seed)
+        inverse = inverse_estimate(a)
     if inverse.value == np.inf:  # not SPD
         return np.inf
     if a.n == 1:
         return 1.0
-    rng = np.random.default_rng(seed)
-    lam_max, ok_max = _extreme_eigenvalue(a.matvec, a.n, rng, tol, max_iter)
+    rng = np.random.default_rng(CONDITION_SEED)
+    lam_max, ok_max = _extreme_eigenvalue(a.matvec, a.n, rng)
     if lam_max <= 0.0:
         raise SolverFailure("eigenvalue estimates must be positive for SPD input")
     if not (ok_max and inverse.converged):
         log.warning(
             "condition number estimate did not converge in %d iterations; "
             "returning a lower bound",
-            max_iter,
+            CONDITION_MAX_ITER,
         )
     return float(lam_max * inverse.value)

@@ -226,7 +226,6 @@ class StructuredLocator:
     def __init__(self, mesh: TriMesh):
         if mesh.structured is None:
             raise InvalidMeshError("point location requires structured metadata")
-        self.mesh = mesh
         info = mesh.structured
         self.x0, self.y0, self.x1, self.y1 = info.rect
         self.nx, self.ny = info.nx, info.ny

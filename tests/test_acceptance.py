@@ -39,7 +39,7 @@ from latincut.experiments import (
     run_p1p0_comparison,
     solve_problem,
 )
-from latincut.latin import LatinParams, run
+from latincut.latin import LatinParams, build_state, iterate
 from latincut.levelset import Ellipse, interpolate_levelset
 from latincut.mesh import build_structured_mesh
 
@@ -76,7 +76,7 @@ def profile_runs():
 @pytest.fixture(scope="module")
 def ellipse_state():
     pdef = ellipse_case(0)
-    return run(build_problem(pdef), pdef.params)
+    return iterate(build_state(build_problem(pdef), pdef.params))
 
 
 def test_criterion_1_ellipse_ladder_converges_at_rate_one(ladder):
@@ -152,7 +152,7 @@ def test_criterion_5_error_plateau_after_thirty_iterations(ladder):
 def test_criterion_6_p0_tractions_oscillate_p1_tractions_settle(profile_runs):
     profiles = {}
     for scheme, res in profile_runs.items():
-        iface = problem_spaces(res.pdef)[1][res.profile_pair]
+        iface = problem_spaces(res.pdef)[1][res.profile_interface.pair]
         profiles[scheme] = {
             it: traction_profile(iface, tr)
             for it, tr in res.checkpoint_traction.items()

@@ -26,12 +26,12 @@ from latincut.config import (
     KNOWN_KEYS,
     build_run_config,
     env_overrides,
+    params_to_flat,
     parse_config,
     parse_flat,
     render_flat,
 )
 from latincut.errors import ConfigError
-from latincut.experiments import problem_from_flat
 from latincut.latin import LatinParams
 
 
@@ -168,8 +168,8 @@ def test_legacy_k_pair_reads_as_k():
         ({"export.fields": "yes"}, "true or false"),
         ({"experiment": "nope"}, "must be one of"),
         ({"experiment": "crack_condition_sweep", "crack.mode": "triple"}, "must be one of"),
-        # problem-definition entries are not run-config keys; problem_from_flat
-        # checks them (tests/test_experiments.py)
+        # problem-form entries are not run-config keys; the form is only
+        # written, as a record of the problem a run built
         ({"mesh.rect": "0,0,1"}, "unknown config key"),
         ({"mesh.rect": "0,0,-1,1"}, "unknown config key"),
         ({"bc.dirichlet.0.top": "1.0"}, "unknown config key"),
@@ -303,7 +303,7 @@ export.profiles = true
     assert [p.nx for p in calls] == [48, 12, 24]
 
     monitored = solve(calls[2], (2, 4, 6), capture_traction=True)
-    iface = experiments.problem_spaces(monitored.pdef)[1][monitored.profile_pair]
+    iface = experiments.problem_spaces(monitored.pdef)[1][monitored.profile_interface.pair]
     expect = tmp_path / "expect"
     expect.mkdir()
     for it, traction in monitored.checkpoint_traction.items():
@@ -333,8 +333,8 @@ crack.gamma_g_values = 0.0,0.001
     rows = (out / "condition.csv").read_text().splitlines()
     assert rows[0] == "eps,gamma_g,kappa"
     assert len(rows) == 5
-    exemplar = problem_from_flat(parse_flat((out / "crack_problem.cfg").read_text()))
-    assert exemplar.name == "crack" and exemplar.nx == 12
+    form = parse_flat((out / "crack_problem.cfg").read_text())
+    assert form["problem.name"] == "crack" and form["mesh.nx"] == "12"
 
 
 @pytest.mark.parametrize("mode", ["simple", "double"])
@@ -354,9 +354,9 @@ def test_condition_sweep_records_its_first_problem(tmp_path, monkeypatch, mode):
         "crack.gamma_g_values = 0.001,0.1\n",
     )
     assert cli.main(["run", str(cfg)]) == 0
-    exemplar = problem_from_flat(parse_flat((out / "crack_problem.cfg").read_text()))
     first = built[0]  # the sweep's first problem, built before the exemplar
-    assert exemplar == first
+    written = (out / "crack_problem.cfg").read_text(encoding="ascii")
+    assert written == render_flat(experiments.problem_to_flat(first))
     eps_x = 0.25 if mode == "double" else 0.375
     assert first == make(eps_x, 0.25, 12, 0.001)
 
@@ -371,13 +371,14 @@ def test_crack_sweep_honours_latin_params(tmp_path):
         )
         assert cli.main(["run", str(cfg)]) == 0
         kappa = float((out / "condition.csv").read_text().splitlines()[1].split(",")[2])
-        exemplar = problem_from_flat(parse_flat((out / "crack_problem.cfg").read_text()))
-        return kappa, exemplar.params
+        form = parse_flat((out / "crack_problem.cfg").read_text())
+        return kappa, {key: v for key, v in form.items() if key.startswith("latin.")}
 
     kappa_1, params_1 = sweep("k1", "")
     kappa_4, params_4 = sweep("k4", "latin.k = 4.0\nlatin.quad_points_per_segment = 4\n")
-    assert params_1 == LatinParams()
-    assert params_4 == LatinParams(k=4.0, quad_points_per_segment=4)
+    # gamma_g is the swept value, 0.1 here
+    assert params_1 == params_to_flat(LatinParams())
+    assert params_4 == params_to_flat(LatinParams(k=4.0, quad_points_per_segment=4))
     # the Robin augmentation k int u.v enters every operator the sweep estimates
     assert kappa_4 != pytest.approx(kappa_1, rel=1e-3)
     # the legacy pair in a file is the same run
@@ -474,6 +475,8 @@ profile.iterations = 2,5
 
 
 def test_run_numerical_failure_leaves_error_record(tmp_path, capsys):
+    # the inclusion touches no Dirichlet side, so with a vanishing search
+    # direction stiffness its operator is singular to rounding
     out = tmp_path / "out"
     cfg = run_cfg(
         tmp_path,
@@ -481,17 +484,18 @@ def test_run_numerical_failure_leaves_error_record(tmp_path, capsys):
 experiment = ellipse_convergence
 output.dir = {out}
 study.levels = 1
-study.base_nx = 1
+study.base_nx = 4
 latin.it_max = 2
+latin.k = 1e-300
 study.reference_it_max = 2
 """,
     )
     assert cli.main(["run", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("numerical failure:")
     record = json.loads((out / "error.json").read_text())
-    assert record["error"] == "EmptyDomainError"
+    assert record["error"] == "SolverFailure"
     assert record["experiment"] == "ellipse_convergence"
-    assert "covers no cells" in record["message"]
+    assert "subdomain 1 is not positive definite" in record["message"]
     assert (out / "resolved.cfg").exists()
 
 
@@ -707,6 +711,14 @@ def test_each_unread_key_is_rejected(tmp_path, capsys, monkeypatch, name, key):
             "experiment = crack_condition_scaling\nscaling.base_n = 12\nscaling.eps = 5\n",
             "scaling.eps",
         ),
+        # a relaxation that never leaves the first linear stage
+        ("latin.eta = 0\n", "eta"),
+        # a level-0 mesh too coarse to hold a cell of the inclusion
+        ("study.base_nx = 1\n", "study.base_nx"),
+        ("study.base_nx = 3\n", "study.base_nx"),
+        ("experiment = p1p0_comparison\nstudy.base_nx = 1\n", "study.base_nx"),
+        ("experiment = p1p0_comparison\nstudy.base_nx = 3\n", "study.base_nx"),
+        ("experiment = two_inclusions_convergence\nstudy.base_nx = 1\n", "study.base_nx"),
     ],
 )
 def test_validate_rejects_what_run_would_reject(tmp_path, capsys, body, key):

@@ -7,7 +7,7 @@ runs live in the acceptance suite.
 import logging
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from latincut import experiments, latin, linalg
 from latincut.analysis import fit_rate
-from latincut.config import parse_flat, render_flat
+from latincut.config import KNOWN_KEYS, PARSERS, parse_flat, render_flat
 from latincut.errors import ConfigError, EmptyDomainError
 from latincut.cli import EXPERIMENTS
 from latincut.experiments import (
@@ -27,7 +27,6 @@ from latincut.experiments import (
     crack_problem,
     ellipse_case,
     grid_spacing,
-    problem_from_flat,
     problem_spaces,
     problem_to_flat,
     run_condition_scaling,
@@ -128,6 +127,23 @@ def test_empty_crack_subdomains_match_the_built_geometry():
     assert first_empty == {(), (0,), (1,), (2,), (3,)}
 
 
+@pytest.mark.parametrize("case", [ellipse_case, two_inclusions_case])
+def test_empty_inclusion_subdomains_match_the_built_geometry(case):
+    failing = []
+    for nx in range(1, 21):
+        pdef = case(base_nx=nx)
+        empty = experiments.empty_subdomains(pdef)
+        try:
+            problem_spaces(pdef)
+        except EmptyDomainError as err:
+            assert empty and str(err) == f"subdomain {empty[0]} covers no cells"
+            failing.append(nx)
+        else:
+            assert empty == []
+    # the inclusion escapes the coarsest grids' cells
+    assert failing == ([1, 3] if case is ellipse_case else [1])
+
+
 def test_problem_def_rejects_bad_boundary_rows():
     kw = dict(
         name="x",
@@ -171,72 +187,27 @@ def round_trip_cases():
 
 @pytest.mark.parametrize("pdef", round_trip_cases(), ids=lambda p: p.name)
 def test_flat_round_trip_is_bit_exact(pdef):
-    flat = problem_to_flat(pdef)
-    assert problem_from_flat(flat) == pdef
-    assert problem_to_flat(problem_from_flat(flat)) == flat
-    # and through the text format used on disk
-    assert problem_from_flat(parse_flat(render_flat(flat))) == pdef
-
-
-def setting(key, value, match):
-    """A mutation that sets ``key = value``; the error must contain ``match``."""
-    mutate = lambda flat: flat.__setitem__(key, value)  # noqa: E731
-    mutate.match = match
-    return mutate
-
-
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda f: f.pop("latin.eta"),
-        lambda f: f.pop("geometry.levelset.0"),
-        setting("mesh.rect", "0,0,1", "four numbers"),
-        setting("bc.dirichlet.0.top", "1.0", "two numbers"),
-        setting("mesh.rect", "0,0,-1,1", "nonempty rectangle"),
-        setting("geometry.levelset.0", "blob,1.0", "unknown level-set kind"),
-        setting("geometry.levelset.0", "circle,1.0", "takes 3 parameters"),
-        setting("geometry.levelset.0", "circle,abc,0,1", "geometry.levelset.0 must be a number"),
-        setting("latin.it_max", "many", "latin.it_max must be an integer"),
-        setting("latin.k_plus", "2.0", "require k_plus == k_minus"),
-        setting("mesh.nx", "abc", "mesh.nx must be an integer"),
-        setting("mesh.ny", "0", "at least 1"),
-        setting("material.nu", "x", "material.nu must be a number"),
-        setting("geometry.grouping", "0,0.5", "geometry.grouping must be an integer"),
-        # keys problem_to_flat cannot write: a typo, a gap, an unknown key
-        setting("bc.dirchlet.0.left", "0.0,0.0", "unknown problem-definition key"),
-        setting("geometry.levelset.2", "circle,0,0,1", "unknown problem-definition key"),
-        setting("mesh.bogus", "1", "unknown problem-definition key"),
-        setting("bc.neumann.01.top", "0.0,0.0", "unknown problem-definition key"),
-        setting("bc.neumann.x.top", "0.0,0.0", "unknown problem-definition key"),
-        setting("bc.neumann.0.middle", "0.0,0.0", "unknown boundary side"),
-        # non-finite numbers, each named by its key
-        setting("material.e", "nan,1.0", "material.e must be finite"),
-        setting("material.e", "inf,1.0", "material.e must be finite"),
-        setting("bc.dirichlet.0.top", "nan,-1.0", "bc.dirichlet.0.top must be finite"),
-        setting("material.nu", "nan", "material.nu must be finite"),
-        setting("mesh.rect", "-1.2,-1.2,nan,1.2", "mesh.rect must be finite"),
-    ],
-)
-def test_problem_from_flat_rejects_broken_input(mutate):
-    flat = problem_to_flat(ellipse_case())
-    mutate(flat)
-    with pytest.raises(ConfigError, match=getattr(mutate, "match", None)):
-        problem_from_flat(flat)
-
-
-def test_problem_from_flat_reads_the_legacy_k_pair():
-    pdef = crack_problem(0.25, 0.25, 12, 0.1, params=LatinParams(k=2.0))
-    flat = problem_to_flat(pdef)
-    k = flat.pop("latin.k")
-    assert problem_from_flat({**flat, "latin.k_plus": k, "latin.k_minus": k}) == pdef
-    with pytest.raises(ConfigError, match="require k_plus == k_minus"):
-        problem_from_flat({**flat, "latin.k_plus": k, "latin.k_minus": "1.0"})
-
-
-def test_problem_from_flat_ignores_the_legacy_alpha():
-    # older files carry the penalty of a weak-Dirichlet path no problem used
-    pdef = crack_problem(0.25, 0.25, 12, 0.1)
-    assert problem_from_flat({**problem_to_flat(pdef), "latin.alpha": "10.0"}) == pdef
+    # the problem form is only written; read with the run config's parsers,
+    # each of its numbers gives back the bits of the definition's
+    flat = parse_flat(render_flat(problem_to_flat(pdef)))
+    floats = lambda key: [v.hex() for v in PARSERS["float_list"](key, flat.pop(key))]  # noqa: E731
+    hexes = lambda values: [float(v).hex() for v in values]  # noqa: E731
+    assert floats("mesh.rect") == hexes(pdef.rect)
+    assert floats("material.e") == hexes(pdef.e_moduli)
+    assert floats("material.nu") == hexes([pdef.nu])
+    for i, (kind, *vals) in enumerate(pdef.levelsets):
+        key = f"geometry.levelset.{i}"
+        text_kind, _, flat[key] = flat[key].partition(",")
+        assert text_kind == kind and floats(key) == hexes(vals)
+    for family, rows in (("dirichlet", pdef.dirichlet), ("neumann", pdef.neumann)):
+        for sub, side, x, y in rows:
+            assert floats(f"bc.{family}.{sub}.{side}") == hexes((x, y))
+    for f in fields(LatinParams):
+        key = f"latin.{f.name}"
+        value = PARSERS[KNOWN_KEYS[key][0]](key, flat.pop(key))
+        assert repr(value) == repr(getattr(pdef.params, f.name))
+    # the rest is text and integers
+    assert set(flat) <= {"problem.name", "mesh.nx", "mesh.ny", "geometry.grouping"}
 
 
 def test_build_problem_collects_boundary_data():
@@ -255,7 +226,7 @@ def test_solve_problem_snapshots_and_profile_pair():
     assert res.h_grid == pytest.approx(0.2, rel=1e-15)
     assert sorted(res.checkpoint_u) == [3, 5]
     assert sorted(res.checkpoint_traction) == [3, 5]
-    assert res.profile_pair == (0, 1)
+    assert res.profile_interface.pair == (0, 1)
     assert len(res.history) == 8 and res.history[-1].it == 8
     assert len(res.u) == 2
     nq = problem_spaces(pdef)[1][(0, 1)].segments.qcells.size
@@ -523,7 +494,7 @@ def test_p1p0_comparison_runs_both_schemes():
         assert sorted(r.checkpoint_traction) == [2, 5]
         # nothing is written after the last profile, so no scheme iterates past it
         assert len(r.history) == 5
-        assert r.profile_pair == (0, 1)
+        assert r.profile_interface.pair == (0, 1)
     assert not np.allclose(
         res["p1"].checkpoint_traction[5], res["p0"].checkpoint_traction[5]
     )

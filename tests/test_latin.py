@@ -24,7 +24,7 @@ from latincut.assembly import (
     dirichlet_constraints,
     scatter_band_to_space,
 )
-from latincut.config import params_from_flat, params_to_flat
+from latincut.config import params_to_flat
 from latincut.cutgeom import Material, build_cut_domain, build_interface, decompose_mesh
 from latincut.errors import ConfigError, SolverFailure
 from latincut.experiments import build_problem, ellipse_case, two_inclusions_case
@@ -35,7 +35,6 @@ from latincut.latin import (
     build_state,
     iterate,
     linear_stage,
-    run,
 )
 from latincut.levelset import HalfPlane, interpolate_levelset
 from latincut.linalg import DenseFactor
@@ -117,6 +116,7 @@ def heart_fields(state, pair):
         dict(k=float("nan")),
         dict(k=float("inf")),
         dict(eta=-0.1),
+        dict(eta=0.0),
         dict(eta=1.5),
         dict(eta=float("nan")),
         dict(gamma_g=-1e-3),
@@ -155,14 +155,8 @@ def test_params_flat_texts():
         "latin.interface_scheme": "p1",
     }
     custom = LatinParams(k=0.1 + 0.2, eta=1 / 3, it_max=7, interface_scheme="p0")
-    assert params_from_flat({**params_to_flat(custom), "other.key": "x"}) == custom
-    flat = params_to_flat(custom)
-    with pytest.raises(ConfigError, match="missing 'latin.eta'"):
-        params_from_flat({k: v for k, v in flat.items() if k != "latin.eta"})
-    with pytest.raises(ConfigError, match="latin.it_max must be an integer"):
-        params_from_flat({**flat, "latin.it_max": "7.5"})
-    with pytest.raises(ConfigError, match="latin.it_max must be an integer"):
-        params_to_flat(LatinParams(it_max=7.5))
+    assert params_to_flat(custom)["latin.k"] == "0.30000000000000004"
+    assert params_to_flat(custom)["latin.eta"] == "0.3333333333333333"
 
 
 def test_build_state_material_count_checked():
@@ -249,7 +243,7 @@ def test_linear_stage_reports_only_numerical_failures(monkeypatch):
 # --- two-block compression ---------------------------------------------------
 
 def test_two_block_compression_exact():
-    state = run(two_block_problem(), LatinParams(it_max=200))
+    state = iterate(build_state(two_block_problem(), LatinParams(it_max=200)))
     pair = state.pairs[0]
     assert displacement_error(state, squeeze) < 1e-10
     fn, gap = interface_fields(state, pair)
@@ -272,13 +266,13 @@ def test_two_block_neumann_load_exact():
     problem = two_block_problem(squeeze_data=uniaxial)
     del problem.dirichlet[1]["top"]
     problem.neumann = {1: {"top": (0.0, -p)}}
-    state = run(problem, LatinParams(it_max=200))
+    state = iterate(build_state(problem, LatinParams(it_max=200)))
     assert displacement_error(state, uniaxial) < 1e-10
     assert state.history[-1].contact_fraction == 1.0
 
 
 def test_action_reaction_is_exact():
-    state = run(two_block_problem(), LatinParams(it_max=5))
+    state = iterate(build_state(two_block_problem(), LatinParams(it_max=5)))
     for pair in state.pairs:
         np.testing.assert_array_equal(
             state.interface_field("f_hat", pair, pair[0]),
@@ -287,7 +281,7 @@ def test_action_reaction_is_exact():
 
 
 def test_hat_fields_satisfy_search_direction_identity():
-    state = run(two_block_problem(), LatinParams(it_max=7))
+    state = iterate(build_state(two_block_problem(), LatinParams(it_max=7)))
     k = state.params.k
     for pair in state.pairs:
         for side in pair:
@@ -299,7 +293,7 @@ def test_hat_fields_satisfy_search_direction_identity():
 
 
 def test_heart_complementarity_under_compression():
-    state = run(two_block_problem(), LatinParams(it_max=60))
+    state = iterate(build_state(two_block_problem(), LatinParams(it_max=60)))
     fn, gap = heart_fields(state, state.pairs[0])
     assert fn.max() <= 0.0
     assert gap.min() >= -1e-9
@@ -320,7 +314,7 @@ def test_two_block_separation():
         materials=[MAT, MAT],
         dirichlet={0: {"bottom": (0.0, 0.0)}, 1: {"top": lift_data}},
     )
-    state = run(problem, LatinParams(it_max=120))
+    state = iterate(build_state(problem, LatinParams(it_max=120)))
     pair = state.pairs[0]
     fn, gap = interface_fields(state, pair)
     assert np.abs(fn).max() < 1e-8  # traction-free open interface
@@ -338,7 +332,8 @@ def test_two_block_separation():
 def test_grid_aligned_cut_still_solves_displacement():
     # the cut lying on a mesh line degenerates the interface projection;
     # the deflated solve must keep the displacement field exact
-    state = run(two_block_problem(n=7, cut=4.0 / 7.0), LatinParams(it_max=200))
+    problem = two_block_problem(n=7, cut=4.0 / 7.0)
+    state = iterate(build_state(problem, LatinParams(it_max=200)))
     assert displacement_error(state, squeeze) < 1e-7
     _, gap = interface_fields(state, state.pairs[0])
     assert np.abs(gap).max() < 1e-7
@@ -347,8 +342,10 @@ def test_grid_aligned_cut_still_solves_displacement():
 def test_p0_interface_scheme_shows_unstable_traction():
     # P0 multipliers close the gap and get the resultant right but the
     # pointwise traction checkerboards instead of settling; P1 stays flat.
-    p0 = run(two_block_problem(), LatinParams(it_max=200, interface_scheme="p0"))
-    p1 = run(two_block_problem(), LatinParams(it_max=200))
+    p0 = iterate(
+        build_state(two_block_problem(), LatinParams(it_max=200, interface_scheme="p0"))
+    )
+    p1 = iterate(build_state(two_block_problem(), LatinParams(it_max=200)))
     assert displacement_error(p0, squeeze) < 1e-3
     fn0, gap0 = interface_fields(p0, p0.pairs[0])
     fn1, _ = interface_fields(p1, p1.pairs[0])
@@ -363,8 +360,8 @@ def test_p0_interface_scheme_shows_unstable_traction():
 # --- determinism and history --------------------------------------------------
 
 def test_run_is_deterministic():
-    a = run(two_block_problem(), LatinParams(it_max=25))
-    b = run(two_block_problem(), LatinParams(it_max=25))
+    a = iterate(build_state(two_block_problem(), LatinParams(it_max=25)))
+    b = iterate(build_state(two_block_problem(), LatinParams(it_max=25)))
     for ua, ub in zip(a.u, b.u):
         np.testing.assert_array_equal(ua, ub)
     assert [r.indicator for r in a.history[1:]] == [r.indicator for r in b.history[1:]]
@@ -372,8 +369,8 @@ def test_run_is_deterministic():
 
 
 def test_resumed_iteration_matches_a_straight_run():
-    straight = run(two_block_problem(), LatinParams(it_max=20))
-    state = run(two_block_problem(), LatinParams(it_max=10))
+    straight = iterate(build_state(two_block_problem(), LatinParams(it_max=20)))
+    state = iterate(build_state(two_block_problem(), LatinParams(it_max=10)))
     state.params = replace(state.params, it_max=20)
     iterate(state)
     assert state.it == 20
@@ -388,7 +385,9 @@ def test_history_and_checkpoints():
     def grab(it, st):
         seen[it] = [v.copy() for v in st.u]
 
-    state = run(two_block_problem(), LatinParams(it_max=10), checkpoints=(3, 7), callback=grab)
+    state = iterate(
+        build_state(two_block_problem(), LatinParams(it_max=10)), checkpoints=(3, 7), callback=grab
+    )
     assert sorted(seen) == [3, 7]
     assert [r.it for r in state.history] == list(range(1, 11))
     assert all(r.indicator > 0 for r in state.history)
@@ -632,7 +631,7 @@ def test_nonfinite_fields_on_first_iteration_fail(monkeypatch):
 
 
 def test_nonfinite_indicator_after_first_iteration_fails(monkeypatch):
-    state = run(two_block_problem(), LatinParams(it_max=2))
+    state = iterate(build_state(two_block_problem(), LatinParams(it_max=2)))
     state.params = replace(state.params, it_max=5)
     before = iterate_bytes(state)
     monkeypatch.setattr(state.systems[0].factor, "solve", nan_solve)
@@ -789,7 +788,7 @@ def test_bonded_matches_monolithic_saddle():
         mesh=mesh, levelsets=[cut], materials=[MAT, MAT],
         dirichlet=dirichlet, contact=False,
     )
-    state = run(problem, LatinParams(it_max=400, k=k, gamma_g=gg, gamma_pi=gp))
+    state = iterate(build_state(problem, LatinParams(it_max=400, k=k, gamma_g=gg, gamma_pi=gp)))
     spaces, u_mono = monolithic_bonded(n, dirichlet, k, gg, gp)
     num = den = 0.0
     for space, ui, um in zip(spaces, state.u, u_mono):

@@ -3,7 +3,7 @@
 import numpy as np
 
 from latincut.experiments import build_problem, ellipse_case
-from latincut.latin import LatinParams, run
+from latincut.latin import LatinParams, build_state, iterate
 from latincut.vtkout import (
     corner_displacements,
     element_stresses,
@@ -37,7 +37,7 @@ def reference_vtk(space, u, title):
 
 def test_written_file_matches_per_value_formatting(tmp_path):
     pdef = ellipse_case(base_nx=12, params=LatinParams(it_max=5))
-    state = run(build_problem(pdef), pdef.params)
+    state = iterate(build_state(build_problem(pdef), pdef.params))
     for i, (space, u) in enumerate(zip(state.spaces, state.u)):
         assert space.domain.subtri_coords.size  # cut cells are written too
         # a negative zero must keep its sign
