@@ -10,23 +10,25 @@ flags a non-SPD operator.  Condition numbers come from power iteration on
 the operator (the A side) and inverse iteration through its factorization
 (the inverse side).  Each stops when its residual certifies that the
 Rayleigh quotient is close to *an* eigenvalue; that need not be the extreme
-one, and since Rayleigh quotients never exceed the largest eigenvalue, the
-condition number is a lower bound.
+one.  A start vector nearly orthogonal to the top eigenvector settles on a
+lower eigenvalue, so each side then checks `CONDITION_CHECK_ITER` steps of
+power iteration orthogonal to its iterate and resumes from any vector whose
+Rayleigh quotient is higher.  The check can miss a higher eigenvalue, and
+since Rayleigh quotients never exceed the largest eigenvalue, the condition
+number is a lower bound.
 
 Both sides stop at the relative tolerance `CONDITION_TOL` or after
-`CONDITION_MAX_ITER` iterations, and draw their start vectors from
-`default_rng(CONDITION_SEED)`.  The two sides can run apart, bit for bit.
-`condition_number(a)` draws the A side's start vector first and the inverse
-side's second from one generator; `inverse_estimate` draws and discards the
-first, and `condition_number(a, inverse=...)` uses the first draw of a
-fresh generator.  The inverse side also returns an upper bound on the whole
-estimate: the A side's Rayleigh quotient is at most the Gershgorin bound
-G(A) = max_i sum_j |a_ij|, so no estimate exceeds G(A) times the inverse
-side's, up to rounding that `BOUND_MARGIN` covers.  A caller that wants
-only the largest of several estimates can skip every A side whose bound is
-below an estimate already made.  Any Ritz value of A is also at most
-lambda_max(A) <= G(A), so the bound holds for any A-side method that
-returns one.
+`CONDITION_MAX_ITER` iterations.  The two sides can run apart, bit for bit:
+the A side starts from the first draw of `default_rng(CONDITION_SEED)` and
+the inverse side from the second draw of its own such generator, and each
+draws the start vectors of its checks after that.  The inverse side also
+returns an upper bound on the whole estimate: the A side's Rayleigh
+quotient is at most the Gershgorin bound G(A) = max_i sum_j |a_ij|, so no
+estimate exceeds G(A) times the inverse side's, up to rounding that
+`BOUND_MARGIN` covers.  A caller that wants only the largest of several
+estimates can skip every A side whose bound is below an estimate already
+made.  Any Ritz value of A is also at most lambda_max(A) <= G(A), so the
+bound holds for any A-side method that returns one.
 
 `CsrOperator` and `SparseSym.matvec` apply a CSR matrix through one call
 of scipy's compiled kernel `_sparsetools.csr_matvec` (`_csr_product`), the
@@ -351,6 +353,7 @@ def factorize_dense(a: np.ndarray) -> DenseFactor:
 CONDITION_TOL = 1e-3
 CONDITION_MAX_ITER = 10000
 CONDITION_SEED = 0
+CONDITION_CHECK_ITER = 10
 
 
 def _norm(x: np.ndarray) -> float:
@@ -363,9 +366,10 @@ def _extreme_eigenvalue(apply_op, n: int, rng):
     power iteration.
 
     Stops when the residual certifies, to `CONDITION_TOL` relative, that
-    the Rayleigh quotient is close to some eigenvalue.  It does not certify
-    that this is the largest one: an iterate can settle on a lower
-    eigenvalue, so the estimate is a lower bound.  Returns (estimate,
+    the Rayleigh quotient is close to some eigenvalue and `_higher_direction`
+    finds no vector with a higher one; from such a vector it iterates on.
+    It does not certify that this is the largest eigenvalue: the check can
+    miss one, so the estimate is a lower bound.  Returns (estimate,
     converged).
     """
     v = rng.standard_normal(n)
@@ -376,12 +380,39 @@ def _extreme_eigenvalue(apply_op, n: int, rng):
         theta = float(v @ av)
         resid = _norm(av - theta * v)
         if theta > 0.0 and resid <= CONDITION_TOL * theta:
-            return theta, True
+            higher = _higher_direction(apply_op, v, theta, rng)
+            if higher is None:
+                return theta, True
+            v = higher
+            continue
         nrm = _norm(av)
         if nrm == 0.0:
             raise SolverFailure("power iteration hit a zero vector")
         v = av / nrm
     return theta, False
+
+
+def _higher_direction(apply_op, v: np.ndarray, theta: float, rng):
+    """A unit vector whose Rayleigh quotient exceeds ``theta`` by more than
+    `CONDITION_TOL` relative, or None if `CONDITION_CHECK_ITER` steps of
+    power iteration orthogonal to the unit vector ``v`` find none.
+
+    Every Rayleigh quotient orthogonal to ``v`` is at most the largest
+    eigenvalue, so a converged ``theta`` within `CONDITION_TOL` of it never
+    yields a vector and the estimate keeps its value.
+    """
+    w = rng.standard_normal(v.size)
+    for _ in range(CONDITION_CHECK_ITER):
+        w -= (v @ w) * v
+        nrm = _norm(w)
+        if nrm == 0.0:
+            return None
+        w /= nrm
+        aw = apply_op(w)
+        if w @ aw > (1.0 + CONDITION_TOL) * theta:
+            return w
+        w = aw
+    return None
 
 
 # Relative margin on the bound of `InverseEstimate`.  The A side returns

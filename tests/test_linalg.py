@@ -338,6 +338,15 @@ def test_condition_number_close_to_dense(n, seed):
     assert kappa == pytest.approx(np.linalg.cond(dense, 2), rel=5e-2)
 
 
+@pytest.mark.parametrize("n, seed", [(3, 10), (5, 92), (5, 163), (6, 190), (7, 139)])
+def test_condition_number_passes_a_lower_eigenvalue(n, seed):
+    # on these the start vector of one side is nearly orthogonal to its top
+    # eigenvector, and the residual first converges on a lower eigenvalue
+    dense = spd_from(seed, n)
+    a = SparseSym.finalize(sp.csr_matrix(dense))
+    assert condition_number(a) == pytest.approx(np.linalg.cond(dense, 2), rel=1e-3)
+
+
 def test_condition_number_edge_cases():
     one = SparseSym.finalize(sp.csr_matrix(np.array([[3.0]])))
     assert condition_number(one) == 1.0
