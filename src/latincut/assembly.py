@@ -108,15 +108,10 @@ def strain_displacement(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scatter(element_matrices: np.ndarray, element_dofs: np.ndarray, n: int) -> SparseSym:
-    """`SparseSym.from_coo` of the element matrices, bit for bit, with less
-    alive at once: the triplet indices are int32, as the result's are, and
-    they are freed before the result is symmetrized."""
     k = element_matrices.shape[1]
-    rows = np.repeat(element_dofs.astype(np.int32), k, axis=1).ravel()
-    cols = np.tile(element_dofs.astype(np.int32), (1, k)).ravel()
-    summed = sp.coo_matrix((element_matrices.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    del rows, cols
-    return SparseSym.finalize(summed)
+    rows = np.repeat(element_dofs, k, axis=1).ravel()
+    cols = np.tile(element_dofs, (1, k)).ravel()
+    return SparseSym.from_coo(rows, cols, element_matrices.ravel(), n)
 
 
 def physical_cell_areas(space: FESpace) -> np.ndarray:

@@ -222,6 +222,31 @@ EXPERIMENTS: dict[str, Experiment] = {
 }
 
 
+# the inclusion experiments and the case whose meshes each builds
+_INCLUSION_CASES = {
+    "ellipse_convergence": experiments.ellipse_case,
+    "two_inclusions_convergence": experiments.two_inclusions_case,
+    "p1p0_comparison": experiments.ellipse_case,
+}
+
+
+def _check_level0_mesh(cfg: RunConfig) -> None:
+    """ConfigError if an inclusion experiment's level-0 mesh, the coarsest it
+    builds, leaves a subdomain without cells, as that mesh's decomposition
+    reads.  Only `validate` builds this geometry ahead of the study; `run`
+    meets the same fault as an EmptyDomainError when it reaches level 0."""
+    case = _INCLUSION_CASES.get(cfg.experiment)
+    if case is None:
+        return
+    nx = cfg.values["study.base_nx"]
+    empty = experiments.empty_subdomains(case(base_nx=nx))
+    if empty:
+        raise ConfigError(
+            f"study.base_nx: the level-0 mesh of {nx} cells per side leaves "
+            f"subdomain {empty[0]} without cells"
+        )
+
+
 def run_experiment(cfg: RunConfig, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "resolved.cfg").write_text(render_flat(cfg.flat), encoding="ascii")
@@ -251,6 +276,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         cfg = _load(rest[0])
+        if command == "validate":
+            _check_level0_mesh(cfg)
     except ConfigError as err:
         sys.stderr.write(f"config error: {err}\n")
         return 1

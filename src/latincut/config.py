@@ -305,35 +305,22 @@ def build_run_config(
     late = [it for it in values.get("checkpoints", ()) if it > it_max]
     if late:
         raise ConfigError(f"checkpoints {late} come after latin.it_max = {it_max}")
-    _check_empty_subdomains(values)
+    _check_crack_shifts(values)
     return cfg
 
 
-def _check_empty_subdomains(values: Mapping[str, object]) -> None:
-    """ConfigError if the experiment would build a geometry with an empty
-    subdomain.  The inclusion experiments ask the decomposition of their
-    level-0 mesh, the coarsest they build; the crack experiments decide in
-    closed form, without a mesh."""
-    from . import experiments as ex
+def _check_crack_shifts(values: Mapping[str, object]) -> None:
+    """ConfigError if a crack experiment would build a geometry with an
+    empty subdomain; decided in closed form, without a mesh."""
+    from .experiments import crack_empty_subdomains, crack_sweep_shifts
 
-    name = values["experiment"]
-    if name in ("ellipse_convergence", "two_inclusions_convergence", "p1p0_comparison"):
-        case = ex.two_inclusions_case if name == "two_inclusions_convergence" else ex.ellipse_case
-        nx = values["study.base_nx"]
-        empty = ex.empty_subdomains(case(base_nx=nx))
-        if empty:
-            raise ConfigError(
-                f"study.base_nx: the level-0 mesh of {nx} cells per side leaves "
-                f"subdomain {empty[0]} without cells"
-            )
-        return
-    if name == "crack_condition_sweep":
+    if values["experiment"] == "crack_condition_sweep":
         keys = "crack.eps_x, crack.eps_values"
-        shifts = ex.crack_sweep_shifts(
+        shifts = crack_sweep_shifts(
             values["crack.mode"], values["crack.eps_values"], values["crack.eps_x"]
         )
         grids = [(values["crack.n"], shift) for shift in shifts]
-    elif name == "crack_condition_scaling":
+    elif values["experiment"] == "crack_condition_scaling":
         keys = "scaling.eps"
         eps = values["scaling.eps"]
         grids = [
@@ -343,7 +330,7 @@ def _check_empty_subdomains(values: Mapping[str, object]) -> None:
     else:
         return
     for n, (eps_x, eps_y) in grids:
-        empty = ex.crack_empty_subdomains(eps_x, eps_y, n)
+        empty = crack_empty_subdomains(eps_x, eps_y, n)
         if empty:
             raise ConfigError(
                 f"{keys}: the shift eps_x = {eps_x!r}, eps_y = {eps_y!r} on the "
