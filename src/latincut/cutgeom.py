@@ -118,7 +118,7 @@ def _split_cells(coords: np.ndarray, vals: np.ndarray, shift: float):
     (highest index first): a piece cut by a zero line splits into the
     triangle at its lone corner a and two on the other side, at
     ta = v_a / (v_a - v_b) and tc = v_a / (v_a - v_c) along its edges.
-    Returns the pieces (cell, coords (q, 3, 2), auxiliary subdomain) and
+    Returns the pieces (cell, coords (q, 3, 2), subdomain) and
     the zero-line pieces (cell, p0, p1, adj, k), a segment of level set k
     separating subdomain k + 1 from adj; cell indexes the m triangles.
     Both come cell by cell, each in the order clipping that cell produces.
@@ -187,36 +187,19 @@ def _run_sums(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndar
     return out
 
 
-def _validate_grouping(grouping, n_aux: int) -> np.ndarray:
-    g = np.asarray(grouping, dtype=np.int64)
-    if g.shape != (n_aux,):
-        raise InvalidGeometryError(
-            f"grouping table must list all {n_aux} auxiliary subdomains"
-        )
-    n_phys = int(g.max()) + 1
-    if g.min() < 0 or set(g.tolist()) != set(range(n_phys)):
-        raise InvalidGeometryError("grouping must map onto 0..P-1 without gaps")
-    return g
-
-
-def decompose_mesh(
-    mesh: TriMesh,
-    levelsets: list[DiscreteLevelSet],
-    grouping=None,
-) -> MeshDecomposition:
+def decompose_mesh(mesh: TriMesh, levelsets: list[DiscreteLevelSet]) -> MeshDecomposition:
     """Partition all elements and collect interface segments.
 
-    grouping optionally maps the auxiliary subdomains 0..n (one per level
-    set, plus the background) onto fewer physical subdomains; interfaces
-    internal to a group are dropped.
+    There is one subdomain per level set, plus the background: level set k
+    bounds subdomain k + 1, and subdomain 0 is where every level set is
+    nonnegative.  A segment of level set k separates subdomain k + 1 from a
+    lower one, so its pair is (adj, k + 1) with adj <= k.
     """
     n_ls = len(levelsets)
     for ls in levelsets:
         if ls.mesh is not mesh:
             raise InvalidGeometryError("all level sets must live on the same mesh")
-    n_aux = n_ls + 1
-    g = np.arange(n_aux) if grouping is None else _validate_grouping(grouping, n_aux)
-    n_sub = int(g.max()) + 1
+    n_sub = n_ls + 1
 
     nt = mesh.n_triangles
     status = np.zeros((n_sub, nt), dtype=np.uint8)
@@ -237,44 +220,40 @@ def decompose_mesh(
 
     # uniform elements: classify by their first corner
     uniform = np.flatnonzero(~mixed)
-    labels = g[classify_values(corner_vals[:, uniform, 0])]
-    status[labels, uniform] = INSIDE
+    status[classify_values(corner_vals[:, uniform, 0]), uniform] = INSIDE
 
     cells = np.flatnonzero(mixed)
-    (tri_cell, tris, aux), (segment_cell, p0, p1, adj, seg_k) = _split_cells(
+    (tri_cell, tris, sub), (segment_cell, p0, p1, lo, seg_k) = _split_cells(
         mesh.triangle_coords(cells),
         corner_vals[:, cells].transpose(1, 0, 2),
         ZERO_SHIFT * mesh.h,
     )
 
-    # merge auxiliary regions into physical subdomains: one run of pieces
-    # per (subdomain, cell), each in its cell's clipping order
-    phys = g[aux]
-    order = np.argsort(phys, kind="stable")
-    tris, tri_cell, phys = tris[order], tri_cell[order], phys[order]
+    # one run of pieces per (subdomain, cell), in its cell's clipping order
+    order = np.argsort(sub, kind="stable")
+    tris, tri_cell, sub = tris[order], tri_cell[order], sub[order]
     e1 = tris[:, 1] - tris[:, 0]
     e2 = tris[:, 2] - tris[:, 0]
-    new_run = np.ones(phys.size, dtype=bool)
-    new_run[1:] = (phys[1:] != phys[:-1]) | (tri_cell[1:] != tri_cell[:-1])
+    new_run = np.ones(sub.size, dtype=bool)
+    new_run[1:] = (sub[1:] != sub[:-1]) | (tri_cell[1:] != tri_cell[:-1])
     starts = np.flatnonzero(new_run)
-    lengths = np.diff(np.append(starts, phys.size))
+    lengths = np.diff(np.append(starts, sub.size))
     doubled = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     part = 0.5 * _run_sums(doubled, starts, lengths)
-    run_cell, run_phys = tri_cell[starts], phys[starts]
+    run_cell, run_sub = tri_cell[starts], sub[starts]
     cell_area = triangle_areas(mesh.vertices, mesh.triangles[cells])[run_cell]
     kept = part > MIN_REGION_AREA * cell_area
     full = part >= (1.0 - 1e-12) * cell_area
-    status[run_phys[kept], cells[run_cell[kept]]] = np.where(full[kept], INSIDE, CUT)
+    status[run_sub[kept], cells[run_cell[kept]]] = np.where(full[kept], INSIDE, CUT)
     in_cut = np.repeat(kept & ~full, lengths)
 
-    lo, hi = g[adj], g[seg_k + 1]
+    hi = seg_k + 1
     d = p1 - p0
     at = cells[segment_cell]
     # a segment only makes sense where both sides hold material; the area
     # filter above may have discarded a sliver partner
     live = (
-        (lo != hi)
-        & (np.hypot(d[:, 0], d[:, 1]) > MIN_SEGMENT * mesh.h)
+        (np.hypot(d[:, 0], d[:, 1]) > MIN_SEGMENT * mesh.h)
         & (status[lo, at] != OUTSIDE)
         & (status[hi, at] != OUTSIDE)
     )
@@ -286,10 +265,8 @@ def decompose_mesh(
     norm = np.array([np.linalg.norm(v) for v in grad]).reshape(-1, 1)
     if np.any(norm == 0.0):
         raise DegenerateCutError("level set gradient vanishes on a cut cell")
-    normal = -grad / norm  # points into the governing (owner) side
-    swap = lo > hi
-    normal[swap] = -normal[swap]
-    pair = np.minimum(lo, hi) * n_sub + np.maximum(lo, hi)
+    normal = -grad / norm  # points into the governing (owner) side, hi
+    pair = lo * n_sub + hi
     codes, first = np.unique(pair, return_index=True)
     by_pair = {
         (int(code // n_sub), int(code % n_sub)): pair == code
@@ -298,8 +275,8 @@ def decompose_mesh(
     return MeshDecomposition(
         n_subdomains=n_sub,
         status=status,
-        subtri_cells=[cells[tri_cell[in_cut & (phys == s)]] for s in range(n_sub)],
-        subtri_coords=[tris[in_cut & (phys == s)] for s in range(n_sub)],
+        subtri_cells=[cells[tri_cell[in_cut & (sub == s)]] for s in range(n_sub)],
+        subtri_coords=[tris[in_cut & (sub == s)] for s in range(n_sub)],
         segments={k: (p0[m], p1[m], at[m], normal[m]) for k, m in by_pair.items()},
     )
 

@@ -1,10 +1,9 @@
 """Reproducible experiment definitions and batch runners.
 
 Each study (ellipse contact, two intersecting inclusions, crack-cut
-condition numbers, interface-scheme comparison) is encoded as a
-serializable ProblemDef plus a runner that returns plain data, so sweep
-points can execute in worker processes and the orchestrator stays the only
-writer.
+condition numbers, interface-scheme comparison) is encoded as a picklable
+ProblemDef plus a runner that returns plain data, so sweep points can
+execute in worker processes and the orchestrator stays the only writer.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import hashlib
 import logging
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -37,7 +36,7 @@ from .latin import (
     iterate,
     linear_stage_operators,
 )
-from .levelset import Circle, Ellipse, HalfPlane, interpolate_levelset
+from .levelset import Circle, Ellipse, HalfPlane, LevelSetFunction, interpolate_levelset
 from .linalg import InverseEstimate, SparseSym, condition_number, inverse_estimate
 from .mesh import SIDES, build_structured_mesh
 
@@ -46,21 +45,23 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class ProblemDef:
-    """Complete, serializable description of one solve.
+    """Complete description of one solve.
 
-    Boundary data is restricted to constant vectors, so the flat form
-    (`problem_to_flat`) records a definition completely.
+    Level set k bounds subdomain k + 1 (`levelset` module: later level sets
+    take priority); subdomain 0 is the rest of the rectangle, so there is
+    one material per level set plus one.  Boundary data is restricted to
+    constant vectors, so the flat form (`problem_to_flat`) records a
+    definition completely.
     """
 
     name: str
     rect: tuple[float, float, float, float]
     nx: int
     ny: int
-    levelsets: tuple[tuple, ...]  # ("ellipse", a, b, r, cx, cy) etc.
+    levelsets: tuple[LevelSetFunction, ...]
     e_moduli: tuple[float, ...]
     nu: float
     params: LatinParams
-    grouping: tuple[int, ...] | None = None
     dirichlet: tuple[tuple[int, str, float, float], ...] = ()
     neumann: tuple[tuple[int, str, float, float], ...] = ()
 
@@ -75,34 +76,9 @@ class ProblemDef:
                 raise ConfigError(f"boundary data for undefined subdomain {sub}")
 
 
-_LEVELSET_ARITY = {"ellipse": 5, "circle": 3, "halfplane": 3}
-
-
-def _levelset_function(entry: tuple):
-    kind, *vals = entry
-    if kind not in _LEVELSET_ARITY:
-        raise ConfigError(f"unknown level-set kind {kind!r}")
-    if len(vals) != _LEVELSET_ARITY[kind]:
-        raise ConfigError(
-            f"level set {kind!r} takes {_LEVELSET_ARITY[kind]} parameters,"
-            f" got {len(vals)}"
-        )
-    if kind == "ellipse":
-        a, b, r, cx, cy = vals
-        return Ellipse(a=a, b=b, r=r, center=(cx, cy))
-    if kind == "circle":
-        cx, cy, r = vals
-        return Circle(center=(cx, cy), r=r)
-    a, b, c = vals
-    return HalfPlane(a=a, b=b, c=c)
-
-
 def build_problem(pdef: ProblemDef) -> ContactProblem:
     mesh = build_structured_mesh(pdef.rect, pdef.nx, pdef.ny)
-    levelsets = [
-        interpolate_levelset(_levelset_function(entry), mesh)
-        for entry in pdef.levelsets
-    ]
+    levelsets = [interpolate_levelset(f, mesh) for f in pdef.levelsets]
     materials = [Material(e, pdef.nu) for e in pdef.e_moduli]
     dirichlet: dict[int, dict[str, tuple[float, float]]] = {}
     for sub, side, ux, uy in pdef.dirichlet:
@@ -110,12 +86,10 @@ def build_problem(pdef: ProblemDef) -> ContactProblem:
     neumann: dict[int, dict[str, tuple[float, float]]] = {}
     for sub, side, tx, ty in pdef.neumann:
         neumann.setdefault(sub, {})[side] = (tx, ty)
-    grouping = np.asarray(pdef.grouping) if pdef.grouping is not None else None
     return ContactProblem(
         mesh=mesh,
         levelsets=levelsets,
         materials=materials,
-        grouping=grouping,
         dirichlet=dirichlet,
         neumann=neumann,
     )
@@ -129,7 +103,9 @@ def grid_spacing(pdef: ProblemDef) -> float:
 
 def problem_to_flat(pdef: ProblemDef) -> dict[str, str]:
     """Flat key/value form, a written record that nothing reads back; floats
-    via repr, so each parses back to its own bits."""
+    via repr, so each parses back to its own bits.  A level set is its kind
+    (``ellipse``, ``circle`` or ``halfplane``), then its fields in order,
+    a center as its two coordinates."""
     flat: dict[str, str] = {
         "problem.name": pdef.name,
         "mesh.rect": format_value([float(v) for v in pdef.rect]),
@@ -138,10 +114,9 @@ def problem_to_flat(pdef: ProblemDef) -> dict[str, str]:
         "material.e": format_value([float(e) for e in pdef.e_moduli]),
         "material.nu": format_value(float(pdef.nu)),
     }
-    for i, (kind, *vals) in enumerate(pdef.levelsets):
-        flat[f"geometry.levelset.{i}"] = format_value([kind, *map(float, vals)])
-    if pdef.grouping is not None:
-        flat["geometry.grouping"] = format_value([int(g) for g in pdef.grouping])
+    for i, f in enumerate(pdef.levelsets):
+        values = map(float, np.hstack(astuple(f)))
+        flat[f"geometry.levelset.{i}"] = format_value([type(f).__name__.lower(), *values])
     for sub, side, ux, uy in pdef.dirichlet:
         flat[f"bc.dirichlet.{sub}.{side}"] = format_value((ux, uy))
     for sub, side, tx, ty in pdef.neumann:
@@ -179,7 +154,7 @@ def ellipse_case(
     """Elliptical inclusion pressed into a matrix; two subdomains."""
     return _inclusion_case(
         level, base_nx, params, name="ellipse", nu=nu,
-        levelsets=(("ellipse", 1.0, 0.5, 0.654545, 0.0, 0.0),), e_moduli=(1.0, 1.0),
+        levelsets=(Ellipse(1.0, 0.5, 0.654545),), e_moduli=(1.0, 1.0),
     )
 
 
@@ -194,7 +169,7 @@ def two_inclusions_case(
     second inclusion, giving two triple junctions."""
     return _inclusion_case(
         level, base_nx, params, name="two_inclusions", nu=nu,
-        levelsets=(("circle", -0.25, 0.0, 0.5), ("circle", 0.25, 0.0, 0.5)),
+        levelsets=(Circle((-0.25, 0.0), 0.5), Circle((0.25, 0.0), 0.5)),
         e_moduli=(1.0, contrast, contrast),
     )
 
@@ -226,9 +201,9 @@ def crack_problem(
         nx=n,
         ny=n,
         levelsets=(
-            ("halfplane", -1.0, 1.0, -eps_y * h),
-            ("halfplane", 1.0, 0.0, -1.0 / 3.0 - eps_x * h),
-            ("halfplane", -1.0, 0.0, 2.0 / 3.0 + eps_x * h),
+            HalfPlane(-1.0, 1.0, -eps_y * h),
+            HalfPlane(1.0, 0.0, -1.0 / 3.0 - eps_x * h),
+            HalfPlane(-1.0, 0.0, 2.0 / 3.0 + eps_x * h),
         ),
         e_moduli=(1.0, 1.0, 1.0, 1.0),
         nu=nu,
@@ -258,7 +233,7 @@ def empty_subdomains(pdef: ProblemDef) -> list[int]:
     the decomposition status `build_cut_domain` reads; no cut domain is
     built."""
     problem = build_problem(pdef)
-    status = decompose_mesh(problem.mesh, problem.levelsets, problem.grouping).status
+    status = decompose_mesh(problem.mesh, problem.levelsets).status
     return np.flatnonzero((status == OUTSIDE).all(axis=1)).tolist()
 
 

@@ -98,6 +98,12 @@ class LatinParams:
                 raise ConfigError(f"{name} must be finite")
         if not self.k > 0.0:
             raise ConfigError("search-direction stiffness k must be positive")
+        try:
+            self.k ** 2  # as error_indicator weighs the displacements
+        except OverflowError:
+            raise ConfigError(
+                "search-direction stiffness k is too large: k ** 2 overflows"
+            ) from None
         if not 0.0 < self.eta <= 1.0:
             raise ConfigError("relaxation eta must lie in (0, 1]")
         if not (self.gamma_g >= 0.0 and self.gamma_pi >= 0.0):
@@ -416,7 +422,6 @@ class ContactProblem:
     mesh: TriMesh
     levelsets: list[DiscreteLevelSet]
     materials: list[Material]
-    grouping: np.ndarray | None = None
     dirichlet: dict[int, dict[str, VectorData]] = field(default_factory=dict)
     neumann: dict[int, dict[str, VectorData]] = field(default_factory=dict)
     contact: bool = True
@@ -470,7 +475,7 @@ def build_geometry(
     (the domain is ``space.domain``) and every interface.  The one geometry
     path of the package."""
     mesh = problem.mesh
-    deco = decompose_mesh(mesh, problem.levelsets, problem.grouping)
+    deco = decompose_mesh(mesh, problem.levelsets)
     if len(problem.materials) != deco.n_subdomains:
         raise ConfigError(
             f"{deco.n_subdomains} subdomains but {len(problem.materials)} materials"

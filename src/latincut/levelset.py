@@ -141,16 +141,12 @@ def classify_values(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def classify_point(
-    pts: np.ndarray,
-    levelsets: list[DiscreteLevelSet],
-    grouping: list[int] | None = None,
-) -> np.ndarray:
-    """Subdomain index of points under the discrete level sets.
+def classify_point(pts: np.ndarray, levelsets: list[DiscreteLevelSet]) -> np.ndarray:
+    """Subdomain index of points under the discrete level sets, by the
+    priority rule of `classify_values`.
 
     Points are evaluated through the P1 interpolants (with the zero shift),
-    so the answer matches the element classification exactly.  An optional
-    grouping table maps auxiliary subdomains to physical ones.
+    so the answer matches the element classification exactly.
     """
     pts = np.asarray(pts, dtype=float)
     single = pts.ndim == 1
@@ -170,8 +166,6 @@ def classify_point(
             nodal = ls.classification_values[mesh.triangles[tris]]
             vals[k] = np.einsum("pa,pa->p", bary, nodal)
         labels = classify_values(vals)
-    if grouping is not None:
-        labels = np.asarray(grouping, dtype=np.int64)[labels]
     return labels[0] if single else labels
 
 

@@ -499,6 +499,29 @@ study.reference_it_max = 2
     assert (out / "resolved.cfg").exists()
 
 
+def test_k_whose_square_overflows_is_a_config_error(tmp_path, capsys):
+    # error_indicator weighs the displacements by k ** 2, which overflows
+    out = tmp_path / "out"
+    cfg = run_cfg(
+        tmp_path,
+        f"""
+experiment = ellipse_convergence
+output.dir = {out}
+study.levels = 1
+study.base_nx = 4
+latin.it_max = 2
+latin.k = 1e200
+study.reference_it_max = 2
+""",
+    )
+    message = "config error: search-direction stiffness k is too large: k ** 2 overflows\n"
+    assert cli.main(["validate", str(cfg)]) == 1
+    assert capsys.readouterr().err == message
+    assert cli.main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_console_script_is_installed(tmp_path):
     """The declared ``latincut`` console script resolves to ``cli.main`` and
     works when run the way the installed script runs it.

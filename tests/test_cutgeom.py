@@ -1,4 +1,4 @@
-"""Cut-cell decomposition: areas, segments, normals, grouping."""
+"""Cut-cell decomposition: areas, segments, normals."""
 
 from dataclasses import dataclass, field
 
@@ -184,38 +184,6 @@ def test_boundary_segments_lengths_and_normals():
         boundary_segments(mesh, ["north"])
 
 
-def test_grouping_merges_subdomains():
-    mesh = build_structured_mesh((-1.0, -1.0, 1.0, 1.0), 10, 10)
-    ls = [
-        interpolate_levelset(Circle((0.0, 0.0), 0.6), mesh),
-        interpolate_levelset(Circle((0.0, 0.0), 0.3), mesh),
-    ]
-    plain = decompose_mesh(mesh, ls)
-    assert plain.n_subdomains == 3
-    assert plain.pairs == [(0, 1), (1, 2)]
-    merged = decompose_mesh(mesh, ls, grouping=[0, 1, 1])
-    assert merged.n_subdomains == 2
-    assert merged.pairs == [(0, 1)]
-    # merging must not change the total area
-    a_plain = sum(
-        build_cut_domain(i, mesh, MAT, plain).area for i in range(3)
-    )
-    a_merged = sum(
-        build_cut_domain(i, mesh, MAT, merged).area
-        for i in range(2)
-    )
-    assert a_plain == pytest.approx(4.0, abs=1e-10)
-    assert a_merged == pytest.approx(4.0, abs=1e-10)
-
-
-def test_grouping_validation():
-    mesh, ls = two_block(4)
-    with pytest.raises(InvalidGeometryError):
-        decompose_mesh(mesh, ls, grouping=[0])  # wrong length
-    with pytest.raises(InvalidGeometryError):
-        decompose_mesh(mesh, ls, grouping=[0, 2])  # gap in targets
-
-
 def test_empty_domain_and_interface():
     mesh = build_structured_mesh((0.0, 0.0, 1.0, 1.0), 4, 4)
     ls = [interpolate_levelset(Circle((10.0, 10.0), 0.5), mesh)]
@@ -232,12 +200,12 @@ UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def split_one(vals):
-    """One triangle through the array pass: its regions by auxiliary
-    subdomain and its (adj, owner, governing level set, p0, p1) segments."""
-    (_, tris, aux), (_, p0, p1, adj, k) = _split_cells(
+    """One triangle through the array pass: its regions by subdomain and
+    its (adj, owner, governing level set, p0, p1) segments."""
+    (_, tris, sub), (_, p0, p1, adj, k) = _split_cells(
         UNIT_TRI[None], np.asarray(vals, dtype=float)[None], 1e-12
     )
-    regions = {int(a): tris[aux == a] for a in np.unique(aux)}
+    regions = {int(a): tris[sub == a] for a in np.unique(sub)}
     return regions, list(zip(adj, k + 1, k, p0, p1))
 
 
@@ -356,9 +324,9 @@ def _decompose_element(
 ) -> tuple[dict, list]:
     """Partition one element.
 
-    Returns (regions, segments): regions maps auxiliary subdomain index to a
-    list of sub-triangle coords; segments is a list of
-    (aux_lo, aux_hi, governing_ls, p0, p1) pieces.
+    Returns (regions, segments): regions maps subdomain index to a list of
+    sub-triangle coords; segments is a list of (lo, hi, governing_ls, p0,
+    p1) pieces.
     """
     n_ls = vals.shape[0]
     if np.any(np.all(np.abs(vals) <= shift, axis=1)):
@@ -404,10 +372,8 @@ def _decompose_element(
     return regions, segments
 
 
-def reference_decompose(mesh, levelsets, grouping=None) -> MeshDecomposition:
-    n_aux = len(levelsets) + 1
-    g = np.arange(n_aux) if grouping is None else np.asarray(grouping, dtype=np.int64)
-    n_sub = int(g.max()) + 1
+def reference_decompose(mesh, levelsets) -> MeshDecomposition:
+    n_sub = len(levelsets) + 1
     nt = mesh.n_triangles
     status = np.zeros((n_sub, nt), dtype=np.uint8)
     sub_cells: list[list] = [[] for _ in range(n_sub)]
@@ -420,8 +386,7 @@ def reference_decompose(mesh, levelsets, grouping=None) -> MeshDecomposition:
 
     # uniform elements: classify by their first corner
     uniform = np.flatnonzero(~mixed)
-    labels = g[classify_values(corner_vals[:, uniform, 0])]
-    status[labels, uniform] = INSIDE
+    status[classify_values(corner_vals[:, uniform, 0]), uniform] = INSIDE
 
     gradients = np.stack([ls.cell_gradients() for ls in levelsets])  # (n_ls, nt, 2)
     areas = triangle_areas(mesh.vertices, mesh.triangles)
@@ -433,12 +398,8 @@ def reference_decompose(mesh, levelsets, grouping=None) -> MeshDecomposition:
         regions, segments = _decompose_element(
             all_coords[cell], corner_vals[:, cell, :], shift
         )
-        # merge auxiliary regions into physical subdomains
-        merged: dict[int, list] = {}
-        for aux, tris in regions.items():
-            merged.setdefault(int(g[aux]), []).extend(tris)
         cell_area = areas[cell]
-        for phys, tris in merged.items():
+        for sub, tris in regions.items():
             tri_arr = np.asarray(tris)
             e1 = tri_arr[:, 1] - tri_arr[:, 0]
             e2 = tri_arr[:, 2] - tri_arr[:, 0]
@@ -446,15 +407,14 @@ def reference_decompose(mesh, levelsets, grouping=None) -> MeshDecomposition:
             if part <= MIN_REGION_AREA * cell_area:
                 continue
             if part >= (1.0 - 1e-12) * cell_area:
-                status[phys, cell] = INSIDE
+                status[sub, cell] = INSIDE
             else:
-                status[phys, cell] = CUT
-                sub_cells[phys].extend([cell] * len(tris))
-                sub_coords[phys].extend(tris)
-        for adj, owner, k, p0, p1 in segments:
-            pi, pj = int(g[adj]), int(g[owner])
-            if pi == pj:
-                continue
+                status[sub, cell] = CUT
+                sub_cells[sub].extend([cell] * len(tris))
+                sub_coords[sub].extend(tris)
+        for pi, pj, k, p0, p1 in segments:
+            # a lower-priority subdomain across the owner's zero line
+            assert pi < pj
             if np.hypot(*(p1 - p0)) <= min_len:
                 continue
             # a segment only makes sense where both sides hold material;
@@ -466,9 +426,6 @@ def reference_decompose(mesh, levelsets, grouping=None) -> MeshDecomposition:
             if norm == 0.0:
                 raise DegenerateCutError("level set gradient vanishes on a cut cell")
             normal = -grad / norm  # points into the governing (owner) side
-            if pi > pj:
-                pi, pj = pj, pi
-                normal = -normal
             rec = pair_segs.setdefault((pi, pj), _PairSegments())
             rec.p0.append(p0)
             rec.p1.append(p1)
@@ -511,15 +468,15 @@ def assert_same_decomposition(got: MeshDecomposition, want: MeshDecomposition):
             same(a, b)
 
 
-def assert_matches_loop(mesh, levelsets, grouping=None):
+def assert_matches_loop(mesh, levelsets):
     """Both paths give the same decomposition, or the same DegenerateCutError."""
     try:
-        want = reference_decompose(mesh, levelsets, grouping)
+        want = reference_decompose(mesh, levelsets)
     except DegenerateCutError as err:
         with pytest.raises(DegenerateCutError, match=str(err)):
-            decompose_mesh(mesh, levelsets, grouping)
+            decompose_mesh(mesh, levelsets)
         return None
-    got = decompose_mesh(mesh, levelsets, grouping)
+    got = decompose_mesh(mesh, levelsets)
     assert_same_decomposition(got, want)
     return got
 
@@ -538,7 +495,7 @@ def study_geometry(case):
     else:
         pdef = experiments.two_inclusions_case(base_nx=args[0])
     problem = experiments.build_problem(pdef)
-    return problem.mesh, problem.levelsets, problem.grouping
+    return problem.mesh, problem.levelsets
 
 
 @pytest.mark.parametrize(
@@ -563,7 +520,7 @@ def test_array_pass_matches_loop_on_grouping_and_edge_cases():
         interpolate_levelset(Circle((0.0, 0.0), 0.6), mesh),
         interpolate_levelset(Circle((0.0, 0.0), 0.3), mesh),
     ]
-    assert assert_matches_loop(mesh, nested, [0, 1, 1]).pairs == [(0, 1)]
+    assert assert_matches_loop(mesh, nested).pairs == [(0, 1), (1, 2)]
     # no mixed cell at all
     far = [interpolate_levelset(Circle((10.0, 10.0), 0.5), mesh)]
     assert assert_matches_loop(mesh, far).subtri_coords[1].shape == (0, 3, 2)
@@ -619,7 +576,7 @@ def test_face_sets_match_face_loop(pdef):
 @st.composite
 def level_set_family(draw):
     """1-4 half-planes and circles on a small mesh, some lines through a
-    vertex, with an optional grouping of the auxiliary subdomains."""
+    vertex."""
     nx = draw(st.integers(3, 10))
     mesh = build_structured_mesh((-1.0, -1.0, 1.0, 1.0), nx, nx)
     coef = st.floats(-1.0, 1.0)
@@ -636,13 +593,7 @@ def level_set_family(draw):
         else:
             x, y = mesh.vertices[draw(st.integers(0, mesh.n_vertices - 1))]
             funcs.append(HalfPlane(a, b, -(a * x + b * y)))
-    levelsets = [interpolate_levelset(f, mesh) for f in funcs]
-    grouping = None
-    if draw(st.booleans()):
-        n_aux = len(funcs) + 1
-        raw = draw(st.lists(st.integers(0, n_aux - 1), min_size=n_aux, max_size=n_aux))
-        grouping = np.unique(raw, return_inverse=True)[1].tolist()
-    return mesh, levelsets, grouping
+    return mesh, [interpolate_levelset(f, mesh) for f in funcs]
 
 
 @settings(max_examples=200)

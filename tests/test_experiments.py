@@ -7,7 +7,7 @@ runs live in the acceptance suite.
 import logging
 import math
 import re
-from dataclasses import fields, replace
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -38,7 +38,7 @@ from latincut.experiments import (
     two_inclusions_case,
 )
 from latincut.latin import LatinParams, build_state
-from latincut.levelset import Ellipse
+from latincut.levelset import Circle, Ellipse, HalfPlane
 from latincut.linalg import SparseSym, condition_number, factorize, inverse_estimate
 
 
@@ -70,7 +70,7 @@ def test_ellipse_case_defaults():
     assert pdef.name == "ellipse"
     assert pdef.rect == (-1.2, -1.2, 1.2, 1.2)
     assert pdef.nx == pdef.ny == 40
-    assert pdef.levelsets == (("ellipse", 1.0, 0.5, 0.654545, 0.0, 0.0),)
+    assert pdef.levelsets == (Ellipse(1.0, 0.5, 0.654545),)
     assert pdef.e_moduli == (1.0, 1.0)
     assert pdef.nu == 0.3
     # canonical sort puts bottom before top
@@ -85,7 +85,7 @@ def test_ellipse_case_defaults():
 def test_two_inclusions_case_topology():
     pdef = two_inclusions_case(contrast=5.0, base_nx=16)
     assert pdef.e_moduli == (1.0, 5.0, 5.0)
-    assert pdef.levelsets == (("circle", -0.25, 0.0, 0.5), ("circle", 0.25, 0.0, 0.5))
+    assert pdef.levelsets == (Circle((-0.25, 0.0), 0.5), Circle((0.25, 0.0), 0.5))
     spaces, interfaces = problem_spaces(pdef)
     assert [s.domain.index for s in spaces] == [0, 1, 2]
     assert sorted(interfaces) == [(0, 1), (0, 2), (1, 2)]
@@ -150,7 +150,7 @@ def test_problem_def_rejects_bad_boundary_rows():
         rect=(0.0, 0.0, 1.0, 1.0),
         nx=4,
         ny=4,
-        levelsets=(("halfplane", 0.0, -1.0, 0.5),),
+        levelsets=(HalfPlane(0.0, -1.0, 0.5),),
         e_moduli=(1.0, 1.0),
         nu=0.3,
         params=LatinParams(),
@@ -161,13 +161,6 @@ def test_problem_def_rejects_bad_boundary_rows():
         ProblemDef(**kw, neumann=((2, "top", 0.0, 0.0),))
     pdef = ProblemDef(**kw, dirichlet=((0, "top", 0.0, -1.0), (0, "bottom", 0.0, 0.0)))
     assert pdef.dirichlet[0][1] == "bottom"
-
-
-def test_level_set_entries_validated_at_build():
-    with pytest.raises(ConfigError):
-        build_problem(replace(ellipse_case(), levelsets=(("blob", 1.0),)))
-    with pytest.raises(ConfigError):
-        build_problem(replace(ellipse_case(), levelsets=(("circle", 0.0, 0.0),)))
 
 
 # --- serialization -----------------------------------------------------------
@@ -181,7 +174,6 @@ def round_trip_cases():
         ellipse_case(0, params=custom),
         two_inclusions_case(contrast=2.5, base_nx=16),
         crack_problem(1e-4, 1e-8, 24, gamma_g=1e-3),
-        replace(two_inclusions_case(base_nx=16), grouping=(0, 1, 1), name="merged"),
     ]
 
 
@@ -195,10 +187,11 @@ def test_flat_round_trip_is_bit_exact(pdef):
     assert floats("mesh.rect") == hexes(pdef.rect)
     assert floats("material.e") == hexes(pdef.e_moduli)
     assert floats("material.nu") == hexes([pdef.nu])
-    for i, (kind, *vals) in enumerate(pdef.levelsets):
+    for i, f in enumerate(pdef.levelsets):
         key = f"geometry.levelset.{i}"
         text_kind, _, flat[key] = flat[key].partition(",")
-        assert text_kind == kind and floats(key) == hexes(vals)
+        assert text_kind == type(f).__name__.lower()
+        assert floats(key) == hexes(np.hstack(astuple(f)))
     for family, rows in (("dirichlet", pdef.dirichlet), ("neumann", pdef.neumann)):
         for sub, side, x, y in rows:
             assert floats(f"bc.{family}.{sub}.{side}") == hexes((x, y))
@@ -207,7 +200,35 @@ def test_flat_round_trip_is_bit_exact(pdef):
         value = PARSERS[KNOWN_KEYS[key][0]](key, flat.pop(key))
         assert repr(value) == repr(getattr(pdef.params, f.name))
     # the rest is text and integers
-    assert set(flat) <= {"problem.name", "mesh.nx", "mesh.ny", "geometry.grouping"}
+    assert set(flat) <= {"problem.name", "mesh.nx", "mesh.ny"}
+
+
+@pytest.mark.parametrize(
+    "pdef, lines",
+    [
+        (ellipse_case(), ["geometry.levelset.0 = ellipse,1.0,0.5,0.654545,0.0,0.0"]),
+        (
+            two_inclusions_case(),
+            [
+                "geometry.levelset.0 = circle,-0.25,0.0,0.5",
+                "geometry.levelset.1 = circle,0.25,0.0,0.5",
+            ],
+        ),
+        (
+            crack_problem(1e-4, 1e-8, 24, 1e-3),
+            [
+                "geometry.levelset.0 = halfplane,-1.0,1.0,-4.166666666666667e-10",
+                "geometry.levelset.1 = halfplane,1.0,0.0,-0.3333375",
+                "geometry.levelset.2 = halfplane,-1.0,0.0,0.6666708333333333",
+            ],
+        ),
+    ],
+    ids=["ellipse", "two_inclusions", "crack"],
+)
+def test_problem_form_level_set_lines(pdef, lines):
+    # each level set is its kind, then its values: a center as x, y
+    text = render_flat(problem_to_flat(pdef))
+    assert [line for line in text.splitlines() if line.startswith("geometry.")] == lines
 
 
 def test_build_problem_collects_boundary_data():

@@ -115,6 +115,7 @@ def heart_fields(state, pair):
         dict(k=-1.0),
         dict(k=float("nan")),
         dict(k=float("inf")),
+        dict(k=1e200),  # k ** 2 overflows
         dict(eta=-0.1),
         dict(eta=0.0),
         dict(eta=1.5),
@@ -569,11 +570,10 @@ def test_iteration_matches_reference_loop(case):
 
 
 def test_subdomain_without_interfaces_matches_reference_loop():
-    # grouping every region into one body leaves a subdomain with no
-    # interface load at all
+    # with no level set the one subdomain has no interface load at all
     pdef = replace(
         two_inclusions_case(base_nx=12, params=LatinParams(it_max=2)),
-        grouping=(0, 0, 0),
+        levelsets=(),
         e_moduli=(1.0,),
     )
     state = iterate(build_state(build_problem(pdef), pdef.params))

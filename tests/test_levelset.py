@@ -114,19 +114,14 @@ def test_classify_point_matches_nodal_signs():
     assert labels[0] == 1  # deep inside the ellipse
     assert labels[1] == 0
     assert labels[2] == 1
-
-
-def test_classify_point_with_grouping():
+    # the later level set wins where both are negative
     m = build_structured_mesh((-1.0, -1.0, 1.0, 1.0), 8, 8)
     ls = [
         interpolate_levelset(HalfPlane(1.0, 0.0, 0.0), m),
         interpolate_levelset(HalfPlane(0.0, 1.0, 0.0), m),
     ]
     pts = np.array([[-0.5, -0.5], [0.5, -0.5], [-0.5, 0.5], [0.5, 0.5]])
-    plain = classify_point(pts, ls)
-    np.testing.assert_array_equal(plain, [2, 2, 1, 0])
-    merged = classify_point(pts, ls, grouping=[0, 1, 1])
-    np.testing.assert_array_equal(merged, [1, 1, 1, 0])
+    np.testing.assert_array_equal(classify_point(pts, ls), [2, 2, 1, 0])
 
 
 def test_barycentric_identity_and_affine_invariance():
