@@ -17,7 +17,7 @@ import os
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -174,9 +174,47 @@ def _run_p1p0(cfg: RunConfig, outdir: Path) -> None:
             _write_fields(sub / "fields", res.spaces, {last: res.checkpoint_u[last]})
 
 
+# (the keys and the mesh a message names, problem) of each distinct geometry
+Geometries = Iterator[tuple[str, experiments.ProblemDef]]
+
+
 class Experiment(NamedTuple):
     run: Callable[[RunConfig, Path], None]
     reads: tuple[str, ...]  # run-config keys read besides config.COMMON_KEYS
+    geometries: Callable[[dict], Geometries]  # values -> what `check_geometry` decomposes
+
+
+def _level0_geometry(case: Callable[..., experiments.ProblemDef]):
+    """The level-0 case, the coarsest mesh an inclusion study builds."""
+
+    def geometries(v: dict) -> Geometries:
+        nx = v["study.base_nx"]
+        yield f"study.base_nx: the level-0 mesh of {nx} cells per side", case(base_nx=nx)
+
+    return geometries
+
+
+def _sweep_geometries(v: dict) -> Geometries:
+    n = v["crack.n"]
+    shifts = experiments.crack_sweep_shifts(
+        v["crack.mode"], v["crack.eps_values"], v["crack.eps_x"]
+    )
+    for eps_x, eps_y in dict.fromkeys(shifts):
+        yield (
+            f"crack.eps_x, crack.eps_values: the shift eps_x = {eps_x!r}, "
+            f"eps_y = {eps_y!r} on the n = {n} grid",
+            experiments.crack_problem(eps_x, eps_y, n, 0.0),  # gamma_g cuts nothing
+        )
+
+
+def _scaling_geometries(v: dict) -> Geometries:
+    eps = v["scaling.eps"]
+    for lv in range(v["scaling.levels"]):
+        n = v["scaling.base_n"] * 2**lv
+        yield (
+            f"scaling.eps: the shift eps_x = eps_y = {eps!r} on the n = {n} grid",
+            experiments.crack_problem(eps, eps, n, 0.0),
+        )
 
 
 _ITERATION_KEYS = (
@@ -194,60 +232,53 @@ _CONVERGENCE_KEYS = (
 # are swept keys of their own
 _CRACK_KEYS = ("study.nu", "latin.k", "latin.quad_points_per_segment")
 
-# name -> runner and the keys it reads, in `list-experiments` order
+# name -> runner, the keys it reads and the geometries it must not leave
+# empty, in `list-experiments` order
 EXPERIMENTS: dict[str, Experiment] = {
     "ellipse_convergence": Experiment(
-        partial(_run_convergence, case="ellipse"), _CONVERGENCE_KEYS
+        partial(_run_convergence, case="ellipse"), _CONVERGENCE_KEYS,
+        _level0_geometry(experiments.ellipse_case),
     ),
     "two_inclusions_convergence": Experiment(
         partial(_run_convergence, case="two_inclusions"),
         _CONVERGENCE_KEYS + ("study.contrast",),
+        _level0_geometry(experiments.two_inclusions_case),
     ),
     "crack_condition_sweep": Experiment(
         _run_condition_sweep,
         ("crack.n", "crack.mode", "crack.eps_x", "crack.eps_values",
          "crack.gamma_g_values", *_CRACK_KEYS),
+        _sweep_geometries,
     ),
     "crack_condition_scaling": Experiment(
         _run_condition_scaling,
         ("scaling.base_n", "scaling.levels", "scaling.eps", "scaling.gamma_g",
          *_CRACK_KEYS),
+        _scaling_geometries,
     ),
     # each scheme iterates to the last profile, with its own interface scheme
     "p1p0_comparison": Experiment(
         _run_p1p0,
         ("export.fields", "study.base_nx", "study.nu", "profile.iterations",
          *_ITERATION_KEYS),
+        _level0_geometry(experiments.ellipse_case),
     ),
 }
 
 
-# the inclusion experiments and the case whose meshes each builds
-_INCLUSION_CASES = {
-    "ellipse_convergence": experiments.ellipse_case,
-    "two_inclusions_convergence": experiments.two_inclusions_case,
-    "p1p0_comparison": experiments.ellipse_case,
-}
-
-
-def _check_level0_mesh(cfg: RunConfig) -> None:
-    """ConfigError if an inclusion experiment's level-0 mesh, the coarsest it
-    builds, leaves a subdomain without cells, as that mesh's decomposition
-    reads.  Only `validate` builds this geometry ahead of the study; `run`
-    meets the same fault as an EmptyDomainError when it reaches level 0."""
-    case = _INCLUSION_CASES.get(cfg.experiment)
-    if case is None:
-        return
-    nx = cfg.values["study.base_nx"]
-    empty = experiments.empty_subdomains(case(base_nx=nx))
-    if empty:
-        raise ConfigError(
-            f"study.base_nx: the level-0 mesh of {nx} cells per side leaves "
-            f"subdomain {empty[0]} without cells"
-        )
+def check_geometry(cfg: RunConfig) -> None:
+    """ConfigError if a mesh the experiment builds leaves a subdomain
+    without cells, as that mesh's decomposition reads
+    (`experiments.empty_subdomains`).  `validate` and `run_experiment` both
+    call it, so `run` rejects such a config before it writes anything."""
+    for where, pdef in EXPERIMENTS[cfg.experiment].geometries(cfg.values):
+        empty = experiments.empty_subdomains(pdef)
+        if empty:
+            raise ConfigError(f"{where} leaves subdomain {empty[0]} without cells")
 
 
 def run_experiment(cfg: RunConfig, outdir: Path) -> None:
+    check_geometry(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "resolved.cfg").write_text(render_flat(cfg.flat), encoding="ascii")
     EXPERIMENTS[cfg.experiment].run(cfg, outdir)
@@ -277,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load(rest[0])
         if command == "validate":
-            _check_level0_mesh(cfg)
+            check_geometry(cfg)
     except ConfigError as err:
         sys.stderr.write(f"config error: {err}\n")
         return 1

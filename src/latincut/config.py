@@ -276,7 +276,8 @@ class RunConfig:
 def build_run_config(
     file_entries: Mapping[str, str], environ: Mapping[str, str] | None = None
 ) -> RunConfig:
-    """Merge defaults, file entries and environment; validate everything.
+    """Merge defaults, file entries and environment; validate every value
+    (`cli.check_geometry` checks the meshes the values describe).
 
     The experiment (from the environment, else the file, else its default)
     fixes the keys: those it reads get their defaults, and any other key is
@@ -305,37 +306,7 @@ def build_run_config(
     late = [it for it in values.get("checkpoints", ()) if it > it_max]
     if late:
         raise ConfigError(f"checkpoints {late} come after latin.it_max = {it_max}")
-    _check_crack_shifts(values)
     return cfg
-
-
-def _check_crack_shifts(values: Mapping[str, object]) -> None:
-    """ConfigError if a crack experiment would build a geometry with an
-    empty subdomain; decided in closed form, without a mesh."""
-    from .experiments import crack_empty_subdomains, crack_sweep_shifts
-
-    if values["experiment"] == "crack_condition_sweep":
-        keys = "crack.eps_x, crack.eps_values"
-        shifts = crack_sweep_shifts(
-            values["crack.mode"], values["crack.eps_values"], values["crack.eps_x"]
-        )
-        grids = [(values["crack.n"], shift) for shift in shifts]
-    elif values["experiment"] == "crack_condition_scaling":
-        keys = "scaling.eps"
-        eps = values["scaling.eps"]
-        grids = [
-            (values["scaling.base_n"] * 2**lv, (eps, eps))
-            for lv in range(values["scaling.levels"])
-        ]
-    else:
-        return
-    for n, (eps_x, eps_y) in grids:
-        empty = crack_empty_subdomains(eps_x, eps_y, n)
-        if empty:
-            raise ConfigError(
-                f"{keys}: the shift eps_x = {eps_x!r}, eps_y = {eps_y!r} on the "
-                f"n = {n} grid leaves crack subdomain {empty[0]} empty"
-            )
 
 
 def parse_config(text: str, environ: Mapping[str, str] | None = None) -> RunConfig:

@@ -212,22 +212,6 @@ def crack_problem(
     )
 
 
-def crack_empty_subdomains(eps_x: float, eps_y: float, n: int) -> list[int]:
-    """The subdomains of `crack_problem(eps_x, eps_y, n, ...)` that cover
-    no area of the unit square, in closed form: no mesh is built.
-
-    The vertical cuts sit at x = a = 1/3 + eps_x h and x = b = 2/3 + eps_x h,
-    the diagonal at y = x + eps_y h.  Subdomain 2 is x < a, 3 is x > b, and
-    the band between holds 0 above the diagonal and 1 below it.  Where a
-    cut falls within rounding of the square's edge or of a grid vertex,
-    this is the continuum answer, which the mesh need not match."""
-    h = 1.0 / n
-    a, b, d = 1.0 / 3.0 + eps_x * h, 2.0 / 3.0 + eps_x * h, eps_y * h
-    lo, hi = max(a, 0.0), min(b, 1.0)
-    covered = (lo < hi and lo + d < 1.0, lo < hi and hi + d > 0.0, a > 0.0, b < 1.0)
-    return [s for s, c in enumerate(covered) if not c]
-
-
 def empty_subdomains(pdef: ProblemDef) -> list[int]:
     """The subdomains of ``pdef`` that hold no cell of its mesh, read from
     the decomposition status `build_cut_domain` reads; no cut domain is

@@ -5,7 +5,8 @@ SPANS and COUNTED tables; a site renamed or deleted in `latincut` breaks the
 traced run only when it starts.  The tables are read from the file without
 importing it as a module, so nothing under `perfbench/` is written.  A
 traced solve checks that the LaTIn spans and counts land where the
-benchmark's per-layer breakdown expects them.
+benchmark's per-layer breakdown expects them, and traced runs that the
+geometry a run builds, its config check's included, falls inside the study.
 """
 
 from pathlib import Path
@@ -51,6 +52,14 @@ def install_tracer(monkeypatch):
     return tracer
 
 
+def ancestors(spans, index):
+    """Names of the spans that enclose span ``index``, innermost first."""
+    parent = spans[index][3]
+    while parent >= 0:
+        yield spans[parent][0]
+        parent = spans[parent][3]
+
+
 def test_tracer_installs_on_every_site(monkeypatch):
     install_tracer(monkeypatch)
 
@@ -68,13 +77,6 @@ def test_tracer_attributes_iteration_work(monkeypatch, scheme, solves):
     assert record["counts"]["latin.iterations"] == 3
     assert record["counts"]["linalg.solve.calls"] == solves
     spans = record["spans"]
-
-    def ancestors(index):
-        parent = spans[index][3]
-        while parent >= 0:
-            yield spans[parent][0]
-            parent = spans[parent][3]
-
     stages = {
         "latin.linear_stage", "latin.postprocess", "latin.local_stage",
         "latin.projection", "latin.indicator", "latin.relax_snapshot",
@@ -82,4 +84,31 @@ def test_tracer_attributes_iteration_work(monkeypatch, scheme, solves):
     latin = [i for i, span in enumerate(spans) if span[0].startswith("latin.")]
     assert {spans[i][0] for i in latin} == stages | {"latin.build_state", "latin.iterate"}
     inside = [i for i in latin if spans[i][0] in stages]
-    assert [spans[i][0] for i in inside if "latin.iterate" not in ancestors(i)] == []
+    assert [spans[i][0] for i in inside if "latin.iterate" not in ancestors(spans, i)] == []
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "experiment = ellipse_convergence\nstudy.levels = 1\nstudy.base_nx = 8\n"
+        "latin.it_max = 2\nstudy.reference_it_max = 2\n",
+        "experiment = crack_condition_sweep\ncrack.n = 6\ncrack.eps_values = 0.25,1e-8\n"
+        "crack.gamma_g_values = 0.1\n",
+    ],
+)
+def test_geometry_is_built_inside_the_study(monkeypatch, tmp_path, body):
+    # the benchmark counts parsing as set-up and run_experiment as the
+    # study, so the geometry the config check builds belongs to the study
+    tracer = install_tracer(monkeypatch)
+    from latincut import cli
+
+    path = tmp_path / "run.cfg"
+    path.write_text(f"output.dir = {tmp_path / 'out'}\n{body}")
+    assert cli.main(["run", str(path)]) == 0
+    spans = tracer.record()["spans"]
+    geometry = [i for i, span in enumerate(spans)
+                if span[0] in ("mesh.build", "cutgeom.decompose")]
+    assert {spans[i][0] for i in geometry} == {"mesh.build", "cutgeom.decompose"}
+    for i in geometry:
+        outer = set(ancestors(spans, i))
+        assert "cli.run_experiment" in outer and "config.parse" not in outer

@@ -354,7 +354,11 @@ def test_condition_sweep_records_its_first_problem(tmp_path, monkeypatch, mode):
         "crack.gamma_g_values = 0.001,0.1\n",
     )
     assert cli.main(["run", str(cfg)]) == 0
-    first = built[0]  # the sweep's first problem, built before the exemplar
+    # the config check builds each geometry first, with gamma_g = 0; the
+    # sweep's first problem is the first with its first weight, built
+    # before the exemplar
+    first = next(p for p in built if p.params.gamma_g == 0.001)
+    assert first is not built[-1]
     written = (out / "crack_problem.cfg").read_text(encoding="ascii")
     assert written == render_flat(experiments.problem_to_flat(first))
     eps_x = 0.25 if mode == "double" else 0.375
@@ -734,6 +738,17 @@ def test_each_unread_key_is_rejected(tmp_path, capsys, monkeypatch, name, key):
             "experiment = crack_condition_scaling\nscaling.base_n = 12\nscaling.eps = 5\n",
             "scaling.eps",
         ),
+        # a cut within rounding of the square's edge: no cell lies beyond it
+        (
+            "experiment = crack_condition_sweep\ncrack.n = 12\n"
+            "crack.eps_x = -3.9999999999999\ncrack.eps_values = 0.25\n",
+            "crack.eps_x",
+        ),
+        (
+            "experiment = crack_condition_scaling\nscaling.base_n = 12\n"
+            "scaling.levels = 2\nscaling.eps = -3.9999999999999\n",
+            "scaling.eps",
+        ),
         # a relaxation that never leaves the first linear stage
         ("latin.eta = 0\n", "eta"),
         # a level-0 mesh too coarse to hold a cell of the inclusion
@@ -745,9 +760,15 @@ def test_each_unread_key_is_rejected(tmp_path, capsys, monkeypatch, name, key):
     ],
 )
 def test_validate_rejects_what_run_would_reject(tmp_path, capsys, body, key):
-    assert cli.main(["validate", str(run_cfg(tmp_path, body))]) == 1
+    out = tmp_path / "out"
+    path = run_cfg(tmp_path, f"output.dir = {out}\n{body}")
+    assert cli.main(["validate", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+    # run rejects it with the same message before it writes anything
+    assert cli.main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == err
+    assert not out.exists()
 
 
 def test_readme_key_table_matches_the_experiments():

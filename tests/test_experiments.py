@@ -23,7 +23,6 @@ from latincut.experiments import (
     ProblemDef,
     KappaMemo,
     build_problem,
-    crack_empty_subdomains,
     crack_problem,
     ellipse_case,
     grid_spacing,
@@ -110,20 +109,37 @@ def test_crack_problem_geometry():
         crack_problem(eps_x, eps_y, 13, gamma_g=0.1)
 
 
+def _at_and_beside(values):
+    """Each value, one ulp either side of it and 1e-13 either side of it."""
+    out = []
+    for v in map(float, values):
+        out += [v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf), v - 1e-13, v + 1e-13]
+    return out
+
+
 def test_empty_crack_subdomains_match_the_built_geometry():
-    # shifts a half (eps_x) or a quarter (eps_y) grid step clear of every
-    # exact boundary, where rounding decides whether a sliver survives
+    # a grid a half (eps_x) or a quarter (eps_y) step clear of every exact
+    # boundary, then shifts on and within rounding of those boundaries: the
+    # vertical cuts reach the square's edge or each other at eps_x = +-n/3,
+    # +-2n/3, and the diagonal passes a corner of the band between them at
+    # eps_y = 0, +-n/3, +-2n/3, +-n
+    n = 12
+    grid_x, grid_y = np.arange(-9.5, 10.0), np.arange(-14.25, 14.0, 1.5)
+    edge_x = _at_and_beside([-2 * n / 3, -n / 3, n / 3, 2 * n / 3])
+    edge_y = _at_and_beside([0, -n / 3, n / 3, -2 * n / 3, 2 * n / 3, -n, n])
+    shifts = [(x, y) for x in [*grid_x, *edge_x] for y in grid_y]
+    shifts += [(x, y) for x in [0.0, *edge_x] for y in edge_y]
     first_empty = set()
-    for eps_x in np.arange(-9.5, 10.0):
-        for eps_y in np.arange(-14.25, 14.0, 1.5):
-            empty = crack_empty_subdomains(eps_x, eps_y, 12)
-            first_empty.add(tuple(empty[:1]))
-            try:
-                problem_spaces(crack_problem(eps_x, eps_y, 12, gamma_g=0.1))
-            except EmptyDomainError as err:
-                assert empty and str(err) == f"subdomain {empty[0]} covers no cells"
-            else:
-                assert empty == []
+    for eps_x, eps_y in shifts:
+        pdef = crack_problem(eps_x, eps_y, n, gamma_g=0.1)
+        empty = experiments.empty_subdomains(pdef)
+        first_empty.add(tuple(empty[:1]))
+        try:
+            problem_spaces(pdef)
+        except EmptyDomainError as err:
+            assert empty and str(err) == f"subdomain {empty[0]} covers no cells"
+        else:
+            assert empty == [], (eps_x, eps_y)
     assert first_empty == {(), (0,), (1,), (2,), (3,)}
 
 
