@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -25,6 +24,7 @@ from . import analysis, experiments, vtkout
 from .assembly import FESpace
 from .config import RunConfig, format_value, parse_config, render_flat
 from .errors import ConfigError, LatinCutError
+from .experiments import Built
 
 USAGE = """usage: latincut <command> [args]
 commands:
@@ -75,18 +75,13 @@ def _write_fields(
             )
 
 
-def _run_convergence(cfg: RunConfig, outdir: Path, case: str) -> None:
+def _run_convergence(cfg: RunConfig, outdir: Path, built: list[Built]) -> None:
     v = cfg.values
     monitors = set(v["study.monitor_iterations"]) | set(v["checkpoints"])
     monitors.add(cfg.latin_params().it_max)
     study = experiments.run_convergence_study(
-        case=case,
+        built[0],
         levels=v["study.levels"],
-        base_nx=v["study.base_nx"],
-        nu=v["study.nu"],
-        # only the two-inclusions experiment reads it; ellipse_case has no contrast
-        contrast=v.get("study.contrast", 1.0),
-        params=cfg.latin_params(),
         reference_it_max=v["study.reference_it_max"],
         monitor_iterations=sorted(monitors),
         workers=cfg.workers,
@@ -114,57 +109,36 @@ def _run_convergence(cfg: RunConfig, outdir: Path, case: str) -> None:
         _write_fields(outdir / "fields", monitored.spaces, snaps)
 
 
-def _run_condition_sweep(cfg: RunConfig, outdir: Path) -> None:
-    v = cfg.values
+def _sweep_shifts(v: dict) -> list[tuple[float, float]]:
+    return experiments.crack_sweep_shifts(v["crack.mode"], v["crack.eps_values"], v["crack.eps_x"])
+
+
+def _run_condition_sweep(cfg: RunConfig, outdir: Path, built: list[Built]) -> None:
+    shifts = _sweep_shifts(cfg.values)
+    geometries = dict(zip(dict.fromkeys(shifts), built))  # as `_sweep_geometries` yields them
     rows = experiments.run_condition_sweep(
-        n=v["crack.n"],
-        mode=v["crack.mode"],
-        eps_values=v["crack.eps_values"],
-        gamma_g_values=v["crack.gamma_g_values"],
-        eps_x_fixed=v["crack.eps_x"],
-        nu=v["study.nu"],
-        workers=cfg.workers,
-        params=cfg.latin_params(),
+        shifts, geometries, cfg.values["crack.gamma_g_values"], cfg.workers
     )
     write_csv(outdir / "condition.csv", ["eps", "gamma_g", "kappa"], rows)
     # record the first swept problem, with the boundary conditions it assumes
-    eps_x, eps_y = experiments.crack_sweep_shifts(
-        v["crack.mode"], v["crack.eps_values"], v["crack.eps_x"]
-    )[0]
-    exemplar = experiments.crack_problem(
-        eps_x, eps_y, v["crack.n"], v["crack.gamma_g_values"][0], v["study.nu"],
-        cfg.latin_params(),
-    )
     (outdir / "crack_problem.cfg").write_text(
-        render_flat(experiments.problem_to_flat(exemplar)), encoding="ascii"
+        render_flat(experiments.problem_to_flat(built[0][0])), encoding="ascii"
     )
 
 
-def _run_condition_scaling(cfg: RunConfig, outdir: Path) -> None:
+def _run_condition_scaling(cfg: RunConfig, outdir: Path, built: list[Built]) -> None:
     v = cfg.values
     rows = experiments.run_condition_scaling(
-        base_n=v["scaling.base_n"],
-        levels=v["scaling.levels"],
-        eps=v["scaling.eps"],
-        gamma_g=v["scaling.gamma_g"],
-        nu=v["study.nu"],
-        workers=cfg.workers,
-        params=cfg.latin_params(),
+        built, v["scaling.eps"], v["scaling.gamma_g"], cfg.workers
     )
     write_csv(
         outdir / "condition_scaling.csv", ["h", "eps", "gamma_g", "kappa"], rows
     )
 
 
-def _run_p1p0(cfg: RunConfig, outdir: Path) -> None:
+def _run_p1p0(cfg: RunConfig, outdir: Path, built: list[Built]) -> None:
     v = cfg.values
-    results = experiments.run_p1p0_comparison(
-        base_nx=v["study.base_nx"],
-        nu=v["study.nu"],
-        profile_iterations=v["profile.iterations"],
-        params=cfg.latin_params(),
-        workers=cfg.workers,
-    )
+    results = experiments.run_p1p0_comparison(built[0], v["profile.iterations"], cfg.workers)
     for scheme, res in results.items():
         sub = outdir / scheme
         sub.mkdir(parents=True, exist_ok=True)
@@ -174,46 +148,56 @@ def _run_p1p0(cfg: RunConfig, outdir: Path) -> None:
             _write_fields(sub / "fields", res.spaces, {last: res.checkpoint_u[last]})
 
 
-# (the keys and the mesh a message names, problem) of each distinct geometry
+# (the keys and the mesh an error message names, definition) of each geometry
 Geometries = Iterator[tuple[str, experiments.ProblemDef]]
 
 
 class Experiment(NamedTuple):
-    run: Callable[[RunConfig, Path], None]
+    run: Callable[[RunConfig, Path, list[Built]], None]  # takes the built geometries
     reads: tuple[str, ...]  # run-config keys read besides config.COMMON_KEYS
-    geometries: Callable[[dict], Geometries]  # values -> what `check_geometry` decomposes
+    geometries: Callable[[RunConfig], Geometries]  # what `check_geometry` builds
 
 
-def _level0_geometry(case: Callable[..., experiments.ProblemDef]):
-    """The level-0 case, the coarsest mesh an inclusion study builds."""
+def _level0_geometry(case: Callable[..., experiments.ProblemDef], **keys: str):
+    """The level-0 case, the coarsest mesh an inclusion study builds;
+    ``keys`` maps the case's other arguments to the keys that give them."""
 
-    def geometries(v: dict) -> Geometries:
+    def geometries(cfg: RunConfig) -> Geometries:
+        v = cfg.values
         nx = v["study.base_nx"]
-        yield f"study.base_nx: the level-0 mesh of {nx} cells per side", case(base_nx=nx)
+        pdef = case(
+            level=0, nu=v["study.nu"], base_nx=nx, params=cfg.latin_params(),
+            **{arg: v[key] for arg, key in keys.items()},
+        )
+        yield f"study.base_nx: the level-0 mesh of {nx} cells per side", pdef
 
     return geometries
 
 
-def _sweep_geometries(v: dict) -> Geometries:
+def _sweep_geometries(cfg: RunConfig) -> Geometries:
+    v = cfg.values
     n = v["crack.n"]
-    shifts = experiments.crack_sweep_shifts(
-        v["crack.mode"], v["crack.eps_values"], v["crack.eps_x"]
-    )
-    for eps_x, eps_y in dict.fromkeys(shifts):
+    for eps_x, eps_y in dict.fromkeys(_sweep_shifts(v)):
         yield (
             f"crack.eps_x, crack.eps_values: the shift eps_x = {eps_x!r}, "
             f"eps_y = {eps_y!r} on the n = {n} grid",
-            experiments.crack_problem(eps_x, eps_y, n, 0.0),  # gamma_g cuts nothing
+            experiments.crack_problem(
+                eps_x, eps_y, n, v["crack.gamma_g_values"][0], v["study.nu"],
+                cfg.latin_params(),
+            ),
         )
 
 
-def _scaling_geometries(v: dict) -> Geometries:
+def _scaling_geometries(cfg: RunConfig) -> Geometries:
+    v = cfg.values
     eps = v["scaling.eps"]
     for lv in range(v["scaling.levels"]):
         n = v["scaling.base_n"] * 2**lv
         yield (
             f"scaling.eps: the shift eps_x = eps_y = {eps!r} on the n = {n} grid",
-            experiments.crack_problem(eps, eps, n, 0.0),
+            experiments.crack_problem(
+                eps, eps, n, v["scaling.gamma_g"], v["study.nu"], cfg.latin_params()
+            ),
         )
 
 
@@ -236,13 +220,11 @@ _CRACK_KEYS = ("study.nu", "latin.k", "latin.quad_points_per_segment")
 # empty, in `list-experiments` order
 EXPERIMENTS: dict[str, Experiment] = {
     "ellipse_convergence": Experiment(
-        partial(_run_convergence, case="ellipse"), _CONVERGENCE_KEYS,
-        _level0_geometry(experiments.ellipse_case),
+        _run_convergence, _CONVERGENCE_KEYS, _level0_geometry(experiments.ellipse_case)
     ),
     "two_inclusions_convergence": Experiment(
-        partial(_run_convergence, case="two_inclusions"),
-        _CONVERGENCE_KEYS + ("study.contrast",),
-        _level0_geometry(experiments.two_inclusions_case),
+        _run_convergence, _CONVERGENCE_KEYS + ("study.contrast",),
+        _level0_geometry(experiments.two_inclusions_case, contrast="study.contrast"),
     ),
     "crack_condition_sweep": Experiment(
         _run_condition_sweep,
@@ -266,22 +248,30 @@ EXPERIMENTS: dict[str, Experiment] = {
 }
 
 
-def check_geometry(cfg: RunConfig) -> None:
-    """ConfigError if a mesh the experiment builds leaves a subdomain
-    without cells, as that mesh's decomposition reads
+def check_geometry(cfg: RunConfig) -> list[Built]:
+    """Build the problems the experiment's `geometries` names, one
+    background mesh per distinct grid; ConfigError if one leaves a
+    subdomain without cells, as its decomposition reads
     (`experiments.empty_subdomains`).  `validate` and `run_experiment` both
-    call it, so `run` rejects such a config before it writes anything."""
-    for where, pdef in EXPERIMENTS[cfg.experiment].geometries(cfg.values):
-        empty = experiments.empty_subdomains(pdef)
+    call it, so `run` rejects such a config before it writes anything, and
+    its study takes the problems built here."""
+    built, meshes = [], {}
+    for where, pdef in EXPERIMENTS[cfg.experiment].geometries(cfg):
+        grid = (pdef.rect, pdef.nx, pdef.ny)
+        problem = experiments.build_problem(pdef, meshes.get(grid))
+        meshes[grid] = problem.mesh
+        empty = experiments.empty_subdomains(problem)
         if empty:
             raise ConfigError(f"{where} leaves subdomain {empty[0]} without cells")
+        built.append((pdef, problem))
+    return built
 
 
 def run_experiment(cfg: RunConfig, outdir: Path) -> None:
-    check_geometry(cfg)
+    built = check_geometry(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "resolved.cfg").write_text(render_flat(cfg.flat), encoding="ascii")
-    EXPERIMENTS[cfg.experiment].run(cfg, outdir)
+    EXPERIMENTS[cfg.experiment].run(cfg, outdir, built)
 
 
 def _load(path: str) -> RunConfig:

@@ -276,8 +276,9 @@ class RunConfig:
 def build_run_config(
     file_entries: Mapping[str, str], environ: Mapping[str, str] | None = None
 ) -> RunConfig:
-    """Merge defaults, file entries and environment; validate every value
-    (`cli.check_geometry` checks the meshes the values describe).
+    """Merge defaults, file entries and environment; validate every value.
+    No geometry is built here: `cli.check_geometry` builds and checks the
+    problems the values describe, as the study's first stage.
 
     The experiment (from the environment, else the file, else its default)
     fixes the keys: those it reads get their defaults, and any other key is

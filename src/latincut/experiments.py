@@ -21,9 +21,11 @@ from . import analysis
 from .analysis import ConvergenceRecord, interpolate_to_fine
 from .assembly import FESpace
 from .config import format_value, params_to_flat
-from .cutgeom import OUTSIDE, InterfaceMesh, Material, decompose_mesh
-# perfbench/study.py wraps these names here; latin.build_geometry calls them
-from .cutgeom import build_cut_domain, build_interface  # noqa: F401
+from .cutgeom import OUTSIDE, InterfaceMesh, Material
+# nothing in this module calls these three or `problem_spaces` below; they
+# stay only because perfbench/study.py wraps them here (SPANS these three,
+# COUNTED `problem_spaces`), and tests also call `problem_spaces`
+from .cutgeom import build_cut_domain, build_interface, decompose_mesh  # noqa: F401
 from .errors import ConfigError
 from .latin import (
     ContactProblem,
@@ -38,7 +40,7 @@ from .latin import (
 )
 from .levelset import Circle, Ellipse, HalfPlane, LevelSetFunction, interpolate_levelset
 from .linalg import InverseEstimate, SparseSym, condition_number, inverse_estimate
-from .mesh import SIDES, build_structured_mesh
+from .mesh import SIDES, TriMesh, build_structured_mesh
 
 log = logging.getLogger(__name__)
 
@@ -76,8 +78,16 @@ class ProblemDef:
                 raise ConfigError(f"boundary data for undefined subdomain {sub}")
 
 
-def build_problem(pdef: ProblemDef) -> ContactProblem:
-    mesh = build_structured_mesh(pdef.rect, pdef.nx, pdef.ny)
+# a definition and the problem built from it, which a study takes in place of
+# building the problem again
+Built = tuple[ProblemDef, ContactProblem]
+
+
+def build_problem(pdef: ProblemDef, mesh: TriMesh | None = None) -> ContactProblem:
+    """The problem ``pdef`` defines, on ``mesh`` if given (its grid must be
+    ``pdef``'s), else on a mesh built here."""
+    if mesh is None:
+        mesh = build_structured_mesh(pdef.rect, pdef.nx, pdef.ny)
     levelsets = [interpolate_levelset(f, mesh) for f in pdef.levelsets]
     materials = [Material(e, pdef.nu) for e in pdef.e_moduli]
     dirichlet: dict[int, dict[str, tuple[float, float]]] = {}
@@ -212,13 +222,10 @@ def crack_problem(
     )
 
 
-def empty_subdomains(pdef: ProblemDef) -> list[int]:
-    """The subdomains of ``pdef`` that hold no cell of its mesh, read from
-    the decomposition status `build_cut_domain` reads; no cut domain is
-    built."""
-    problem = build_problem(pdef)
-    status = decompose_mesh(problem.mesh, problem.levelsets).status
-    return np.flatnonzero((status == OUTSIDE).all(axis=1)).tolist()
+def empty_subdomains(problem: ContactProblem) -> list[int]:
+    """The subdomains that hold no cell of the problem's mesh, read from the
+    decomposition status `build_cut_domain` reads."""
+    return np.flatnonzero((problem.deco.status == OUTSIDE).all(axis=1)).tolist()
 
 
 def _operator_key(a: SparseSym) -> bytes:
@@ -233,15 +240,17 @@ def _operator_key(a: SparseSym) -> bytes:
 
 
 def subdomain_operators(
-    pdef: ProblemDef, gamma_g_values: Iterable[float]
+    geometry: Built, gamma_g_values: Iterable[float]
 ) -> Iterator[list[SparseSym]]:
     """Every subdomain's `latin.linear_stage_operators`, with the strong
     Dirichlet dofs eliminated, for each ghost-penalty weight in turn.
 
-    The geometry is built once.  A weight's operators are built when its
-    list is requested, so only one weight's are held at a time.
+    The cut domains and interfaces are built once.  A weight's operators
+    are built when its list is requested, so only one weight's are held at
+    a time.
     """
-    spaces, interfaces = problem_spaces(pdef)
+    pdef, problem = geometry
+    spaces, interfaces = build_geometry(problem, pdef.params.quad_points_per_segment)
     gamma_g_values = list(gamma_g_values)
     frees, streams = [], []
     for i, space in enumerate(spaces):
@@ -298,12 +307,11 @@ class KappaMemo:
 
 def _crack_kappas(args) -> list[float]:
     """Worst-subproblem kappa of one crack geometry for each gamma_g."""
-    eps_x, eps_y, n, gamma_g_values, nu, params, memo = args
+    (eps_x, eps_y), geometry, gamma_g_values, memo = args
     memo = KappaMemo() if memo is None else memo
-    pdef = crack_problem(eps_x, eps_y, n, gamma_g_values[0], nu, params)
     known, a_sides, built = len(memo.inverse), len(memo.kappa), 0
     kappas = []
-    for operators in subdomain_operators(pdef, gamma_g_values):
+    for operators in subdomain_operators(geometry, gamma_g_values):
         built += len(operators)
         kappas.append(memo.worst(operators))
     new = list(memo.inverse)[known:]
@@ -346,9 +354,11 @@ def solve_problem(
     pdef: ProblemDef,
     monitor_iterations: Iterable[int] = (),
     capture_traction: bool = False,
+    problem: ContactProblem | None = None,
 ) -> SolveResult:
-    """Run the full iteration, snapshotting fields at monitor iterations."""
-    state = build_state(build_problem(pdef), pdef.params)
+    """Run the full iteration, snapshotting fields at monitor iterations, on
+    ``problem`` (built from ``pdef``) if given."""
+    state = build_state(problem if problem is not None else build_problem(pdef), pdef.params)
     result = SolveResult(
         pdef=pdef, h_grid=grid_spacing(pdef), u=[], history=[], spaces=state.spaces
     )
@@ -387,8 +397,8 @@ class ConvergenceStudy:
 
 
 def _solve_job(args) -> SolveResult:
-    pdef, monitors, capture = args
-    return solve_problem(pdef, monitors, capture)
+    pdef, problem, monitors, capture = args
+    return solve_problem(pdef, monitors, capture, problem)
 
 
 def _map_jobs(fn, jobs: list, workers: int) -> list:
@@ -404,22 +414,20 @@ def _map_jobs(fn, jobs: list, workers: int) -> list:
 
 
 def run_convergence_study(
-    case: str = "ellipse",
+    level0: Built,
     levels: int = 3,
-    base_nx: int = 40,
-    nu: float = 0.3,
-    contrast: float = 1.0,
-    params: LatinParams | None = None,
     reference_it_max: int | None = None,
     monitor_iterations: Iterable[int] = (),
     workers: int = 1,
 ) -> ConvergenceStudy:
     """Mesh ladder plus one-finer reference solved on the next level down.
 
-    Coarse solutions are interpolated to the reference mesh and both norms
-    are integrated over the reference cut geometry.  The monitored level
-    (the finest ladder level) also records its error and its interface
-    tractions at the monitored iterations.
+    Level lv is the level-0 definition on a grid 2**lv times finer; level 0
+    solves the problem ``level0`` holds.  Coarse solutions are interpolated
+    to the reference mesh and both norms are integrated over the reference
+    cut geometry.  The monitored level (the finest ladder level) also
+    records its error and its interface tractions at the monitored
+    iterations.
 
     The reference is submitted first: it is the largest solve, so it runs
     while the least memory is in use, and in a pool it no longer starts
@@ -429,22 +437,18 @@ def run_convergence_study(
     """
     if levels < 1:
         raise ConfigError("convergence study needs at least one level")
-    if case == "ellipse":
-        make = lambda lv, p: ellipse_case(lv, nu, base_nx, p)
-    elif case == "two_inclusions":
-        make = lambda lv, p: two_inclusions_case(contrast, lv, nu, base_nx, p)
-    else:
-        raise ConfigError(f"unknown convergence case {case!r}")
-    base_params = params if params is not None else LatinParams()
-    ref_params = base_params
+    pdef0 = level0[0]
+    make = lambda lv, p: replace(pdef0, nx=pdef0.nx * 2**lv, ny=pdef0.ny * 2**lv, params=p)
+    ref_params = pdef0.params
     if reference_it_max is not None:
-        ref_params = replace(base_params, it_max=reference_it_max)
+        ref_params = replace(pdef0.params, it_max=reference_it_max)
     monitors = tuple(sorted(set(int(i) for i in monitor_iterations)))
 
-    jobs = [(make(levels, ref_params), (), False)]
-    for lv in range(levels):
+    ladder = [level0] + [(make(lv, pdef0.params), None) for lv in range(1, levels)]
+    jobs = [(make(levels, ref_params), None, (), False)]
+    for lv, (pdef, problem) in enumerate(ladder):
         is_monitor = lv == levels - 1
-        jobs.append((make(lv, base_params), monitors if is_monitor else (), is_monitor))
+        jobs.append((pdef, problem, monitors if is_monitor else (), is_monitor))
     ref_result, *level_results = _map_jobs(_solve_job, jobs, workers)
 
     fine_spaces = ref_result.spaces
@@ -496,23 +500,18 @@ def crack_sweep_shifts(
 
 
 def run_condition_sweep(
-    n: int = 24,
-    mode: str = "simple",
-    eps_values: Iterable[float] = (0.25, 1e-2, 1e-4, 1e-6, 1e-8, 1e-11),
+    shifts: list[tuple[float, float]],
+    geometries: dict[tuple[float, float], Built],
     gamma_g_values: Iterable[float] = (0.0, 1e-3, 0.1),
-    eps_x_fixed: float = 0.5,
-    nu: float = 0.3,
     workers: int = 1,
-    params: LatinParams | None = None,
 ) -> list[tuple[float, float, float]]:
     """Worst-subproblem kappa over the (eps, gamma_g) grid.
 
-    The shifts of each point come from `crack_sweep_shifts`: mode "simple"
-    sweeps the diagonal shift alone, mode "double" moves all three
-    interfaces together.  Rows run over eps for each gamma_g in turn; each
-    (eps_x, eps) geometry is built once, and is one job for the worker pool.
-    ``params`` (default `LatinParams()`) supplies every solver parameter but
-    gamma_g, which the grid sets.
+    ``shifts`` are the (eps_x, eps) shifts of the sweep points, in sweep
+    order (`crack_sweep_shifts`), and ``geometries`` holds each distinct
+    shift's crack geometry, built once; each is one job for the worker
+    pool.  Rows run over eps for each gamma_g in turn.  The definitions
+    supply every solver parameter but gamma_g, which the grid sets.
 
     Each point reports max_s kappa_s over the subdomains, through one
     `KappaMemo` that lives for this call: every distinct operator is
@@ -524,15 +523,9 @@ def run_condition_sweep(
     bit.  Serial jobs share the memo; each pooled job gets its own (empty)
     copy.  Each job logs its operator and A-side counts at DEBUG.
     """
-    shifts = crack_sweep_shifts(mode, eps_values, eps_x_fixed)
-    gammas = [float(g) for g in gamma_g_values]
-    if not gammas:
-        return []
-    geometries = list(dict.fromkeys(shifts))
+    gammas = tuple(float(g) for g in gamma_g_values)
     memo = KappaMemo()
-    jobs = [
-        (eps_x, eps, n, tuple(gammas), nu, params, memo) for eps_x, eps in geometries
-    ]
+    jobs = [(shift, geometry, gammas, memo) for shift, geometry in geometries.items()]
     kappa = {}
     for shift, kappas in zip(geometries, _map_jobs(_crack_kappas, jobs, workers)):
         kappa.update(((shift, g), k) for g, k in zip(gammas, kappas))
@@ -540,48 +533,43 @@ def run_condition_sweep(
 
 
 def run_condition_scaling(
-    base_n: int = 12,
-    levels: int = 4,
+    levels: list[Built],
     eps: float = 0.25,
     gamma_g: float = 0.1,
-    nu: float = 0.3,
     workers: int = 1,
-    params: LatinParams | None = None,
 ) -> list[tuple[float, float, float, float]]:
     """Kappa against mesh size at a fixed good cut: rows (h, eps, gamma_g, kappa).
 
-    Kappa is the worst subdomain's, selected as in `run_condition_sweep`
-    with one `KappaMemo` per mesh.  ``params`` (default `LatinParams()`)
-    supplies every solver parameter but gamma_g."""
-    if levels < 2:
+    ``levels`` are the crack geometries at the shift eps_x = eps_y = ``eps``,
+    one per mesh.  Kappa is the worst subdomain's, selected as in
+    `run_condition_sweep` with one `KappaMemo` per mesh.  The definitions
+    supply every solver parameter but gamma_g."""
+    if len(levels) < 2:
         raise ConfigError("condition scaling needs at least two levels")
-    jobs = [
-        (eps, eps, base_n * 2**lv, (gamma_g,), nu, params, None) for lv in range(levels)
-    ]
+    jobs = [((eps, eps), geometry, (gamma_g,), None) for geometry in levels]
     kappas = _map_jobs(_crack_kappas, jobs, workers)
     return [
-        (1.0 / job[2], eps, gamma_g, kappa)
-        for job, (kappa,) in zip(jobs, kappas)
+        (grid_spacing(pdef), eps, gamma_g, kappa)
+        for (pdef, _), (kappa,) in zip(levels, kappas)
     ]
 
 
 def run_p1p0_comparison(
-    base_nx: int = 40,
-    nu: float = 0.3,
+    geometry: Built,
     profile_iterations: Iterable[int] = (5, 27, 210),
-    params: LatinParams | None = None,
     workers: int = 1,
 ) -> dict[str, SolveResult]:
-    """Ellipse contact under both interface schemes with traction snapshots.
+    """The contact problem ``geometry`` holds, under both interface schemes,
+    with traction snapshots; both schemes solve that one problem.
 
-    Each scheme iterates exactly to the last profile iteration, so
-    ``params.it_max`` and ``params.interface_scheme`` are not used."""
+    Each scheme iterates exactly to the last profile iteration, so the
+    definition's ``it_max`` and ``interface_scheme`` are not used."""
     its = tuple(sorted(set(int(i) for i in profile_iterations)))
-    base = params if params is not None else LatinParams()
-    base = replace(base, it_max=its[-1])
-    jobs = []
-    for scheme in ("p1", "p0"):
-        pdef = ellipse_case(0, nu, base_nx, replace(base, interface_scheme=scheme))
-        jobs.append((pdef, its, True))
-    results = _map_jobs(_solve_job, jobs, workers)
-    return {"p1": results[0], "p0": results[1]}
+    pdef, problem = geometry
+    base = replace(pdef.params, it_max=its[-1])
+    jobs = [
+        (replace(pdef, params=replace(base, interface_scheme=scheme)), problem, its, True)
+        for scheme in ("p1", "p0")
+    ]
+    p1, p0 = _map_jobs(_solve_job, jobs, workers)
+    return {"p1": p1, "p0": p0}

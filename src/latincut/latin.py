@@ -46,6 +46,7 @@ from .assembly import FESpace, VectorData, build_space
 from .cutgeom import (
     InterfaceMesh,
     Material,
+    MeshDecomposition,
     boundary_segments,
     build_cut_domain,
     build_interface,
@@ -416,7 +417,8 @@ class ContactProblem:
     Boundary data dicts map background-mesh side tags to constant vectors
     or callables of the point coordinates.  ``contact=False`` keeps the
     interfaces perfectly bonded (the clip step is skipped), which is the
-    configuration the monolithic oracle reproduces.
+    configuration the monolithic oracle reproduces.  ``deco`` is the mesh's
+    cut decomposition, made once, when the problem is constructed.
     """
 
     mesh: TriMesh
@@ -425,6 +427,10 @@ class ContactProblem:
     dirichlet: dict[int, dict[str, VectorData]] = field(default_factory=dict)
     neumann: dict[int, dict[str, VectorData]] = field(default_factory=dict)
     contact: bool = True
+    deco: MeshDecomposition = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.deco = decompose_mesh(self.mesh, self.levelsets)
 
 
 @dataclass
@@ -471,11 +477,10 @@ class LatinState:
 def build_geometry(
     problem: ContactProblem, quad_points_per_segment: int
 ) -> tuple[list[FESpace], dict[tuple[int, int], InterfaceMesh]]:
-    """Decompose the mesh; build every subdomain's cut domain and dof space
-    (the domain is ``space.domain``) and every interface.  The one geometry
-    path of the package."""
-    mesh = problem.mesh
-    deco = decompose_mesh(mesh, problem.levelsets)
+    """Every subdomain's cut domain and dof space (the domain is
+    ``space.domain``) and every interface, from the problem's decomposition.
+    The one geometry path of the package."""
+    mesh, deco = problem.mesh, problem.deco
     if len(problem.materials) != deco.n_subdomains:
         raise ConfigError(
             f"{deco.n_subdomains} subdomains but {len(problem.materials)} materials"
@@ -493,7 +498,7 @@ def build_geometry(
 
 
 def build_state(problem: ContactProblem, params: LatinParams) -> LatinState:
-    """Decompose, assemble and factorize; no iterations are run yet."""
+    """Assemble and factorize; no iterations are run yet."""
     spaces, interfaces = build_geometry(problem, params.quad_points_per_segment)
     space_of = dict(enumerate(spaces))
     operators = {

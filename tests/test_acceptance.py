@@ -15,6 +15,7 @@ from scipy.integrate import quad
 
 import test_assembly
 import test_latin
+from test_experiments import built, scaling, sweep
 from latincut.analysis import (
     energy_error,
     fit_rate,
@@ -33,8 +34,6 @@ from latincut.experiments import (
     build_problem,
     ellipse_case,
     problem_spaces,
-    run_condition_scaling,
-    run_condition_sweep,
     run_convergence_study,
     run_p1p0_comparison,
     solve_problem,
@@ -55,9 +54,8 @@ MONITORS = (30, 50, 80, 120, 160, 200)
 @pytest.fixture(scope="module")
 def ladder():
     return run_convergence_study(
-        case="ellipse",
+        built(ellipse_case(0)),
         levels=4,
-        base_nx=40,
         reference_it_max=200,
         monitor_iterations=MONITORS,
     )
@@ -70,7 +68,7 @@ def reference_spaces(ladder):
 
 @pytest.fixture(scope="module")
 def profile_runs():
-    return run_p1p0_comparison(base_nx=40, profile_iterations=(27, 210))
+    return run_p1p0_comparison(built(ellipse_case(0)), profile_iterations=(27, 210))
 
 
 @pytest.fixture(scope="module")
@@ -115,9 +113,7 @@ def test_criterion_2_interface_quadrature_insensitivity(ladder, reference_spaces
 
 def test_criterion_3_ghost_penalty_controls_bad_cuts():
     eps_values = (0.25, 1e-2, 1e-4, 1e-6, 1e-8, 1e-11)
-    rows = run_condition_sweep(
-        n=24, eps_values=eps_values, gamma_g_values=(0.0, 1e-3)
-    )
+    rows = sweep(n=24, eps_values=eps_values, gamma_g_values=(0.0, 1e-3))
     kappa = {(e, g): k for e, g, k in rows}
     raw = kappa[(1e-6, 0.0)] / kappa[(0.25, 0.0)]
     assert math.isinf(raw) or raw >= 1e3
@@ -130,7 +126,7 @@ def test_criterion_3_ghost_penalty_controls_bad_cuts():
 
 
 def test_criterion_4_condition_number_scales_like_inverse_square():
-    rows = run_condition_scaling(base_n=12, levels=4, eps=0.25, gamma_g=0.1)
+    rows = scaling(base_n=12, levels=4, eps=0.25, gamma_g=0.1)
     slope = fit_rate([r[0] for r in rows], [r[3] for r in rows])
     assert slope == pytest.approx(-2.0, abs=0.4)
     print(f"CRITERION 4 PASS: kappa(h) log-log slope {slope:.3f}")

@@ -5,7 +5,9 @@ file stays in the sub-second range; output schemas are asserted exactly
 because downstream plotting scripts parse them by header name.
 """
 
+import contextlib
 import importlib.metadata
+import io
 import json
 import os
 import pkgutil
@@ -13,13 +15,16 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import ModuleType
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import latincut
-from latincut import analysis, cli, experiments
+from latincut import analysis, cli, experiments, latin
 from latincut.cli import EXPERIMENTS
 from latincut.config import (
     COMMON_KEYS,
@@ -769,6 +774,100 @@ def test_validate_rejects_what_run_would_reject(tmp_path, capsys, body, key):
     assert cli.main(["run", str(path)]) == 1
     assert capsys.readouterr().err == err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "body, meshes, decompositions",
+    [
+        ("experiment = crack_condition_sweep\ncrack.n = 12\n", 1, 6),
+        (
+            "experiment = crack_condition_scaling\nscaling.base_n = 12\n"
+            "scaling.levels = 2\n",
+            2, 2,
+        ),
+        (
+            "experiment = p1p0_comparison\nstudy.base_nx = 8\n"
+            "profile.iterations = 2,5\n",
+            1, 1,
+        ),
+    ],
+)
+def test_run_builds_each_geometry_once(monkeypatch, tmp_path, body, meshes, decompositions):
+    # the study takes the problems the empty-subdomain check built: one mesh
+    # per distinct grid (the six sweep shifts share one), one decomposition
+    # per geometry, and P1 and P0 share theirs
+    counts = {"mesh": 0, "decompose": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(
+        experiments, "build_structured_mesh",
+        counting("mesh", experiments.build_structured_mesh),
+    )
+    for module in (latin, experiments):
+        monkeypatch.setattr(
+            module, "decompose_mesh", counting("decompose", module.decompose_mesh)
+        )
+    path = run_cfg(tmp_path, f"output.dir = {tmp_path / 'out'}\n{body}")
+    assert cli.main(["run", str(path)]) == 0
+    assert counts == {"mesh": meshes, "decompose": decompositions}
+
+
+def _shift(n):
+    """A crack shift on the n grid: a cut on the square's edge, another cut
+    or a grid corner (0, +-n/3, +-2n/3, +-n), a float next to one, or an
+    ordinary value."""
+    edges = [sign * k * n / 3 for k in range(4) for sign in (1.0, -1.0)]
+    near = [np.nextafter(e, to) for e in edges for to in (-np.inf, np.inf)]
+    return st.one_of(
+        st.sampled_from(edges + [float(v) for v in near]),
+        st.floats(-1.2 * n, 1.2 * n, allow_nan=False),
+    )
+
+
+@st.composite
+def crack_configs(draw):
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([3, 6, 9, 12]))
+        eps_values = draw(st.lists(_shift(n), min_size=1, max_size=2))
+        return (
+            f"experiment = crack_condition_sweep\ncrack.n = {n}\n"
+            f"crack.eps_x = {draw(_shift(n))!r}\n"
+            f"crack.eps_values = {','.join(map(repr, eps_values))}\n"
+        )
+    n = draw(st.sampled_from([3, 6, 12]))
+    return (
+        f"experiment = crack_condition_scaling\nscaling.base_n = {n}\n"
+        f"scaling.levels = 2\nscaling.eps = {draw(_shift(n))!r}\n"
+    )
+
+
+def _main_stderr(args):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(args)
+    return code, err.getvalue()
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(body=crack_configs())
+def test_validate_and_run_agree_on_crack_shifts(body):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        path = Path(tmp) / "run.cfg"
+        path.write_text(f"output.dir = {out}\n{body}")
+        code, err = _main_stderr(["validate", str(path)])
+        run_code, run_err = _main_stderr(["run", str(path)])
+        assert "Traceback" not in err + run_err
+        if code == 1:
+            assert (run_code, run_err) == (1, err) and not out.exists()
+        else:
+            assert code == 0
+            assert run_code == 0 or (run_code == 2 and (out / "error.json").is_file())
 
 
 def test_readme_key_table_matches_the_experiments():

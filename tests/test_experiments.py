@@ -22,8 +22,10 @@ from latincut.cli import EXPERIMENTS
 from latincut.experiments import (
     ProblemDef,
     KappaMemo,
+    Built,
     build_problem,
     crack_problem,
+    crack_sweep_shifts,
     ellipse_case,
     grid_spacing,
     problem_spaces,
@@ -41,12 +43,43 @@ from latincut.levelset import Circle, Ellipse, HalfPlane
 from latincut.linalg import SparseSym, condition_number, factorize, inverse_estimate
 
 
+def built(pdef: ProblemDef) -> Built:
+    """``pdef`` with the problem built from it, as a study takes them."""
+    return pdef, build_problem(pdef)
+
+
+def sweep(
+    n=24,
+    mode="simple",
+    eps_values=(0.25, 1e-2, 1e-4, 1e-6, 1e-8, 1e-11),
+    gamma_g_values=(0.0, 1e-3, 0.1),
+    eps_x_fixed=0.5,
+    workers=1,
+):
+    """`run_condition_sweep` over these crack shifts, each distinct shift's
+    geometry built once, with the definition `cli` writes as the exemplar."""
+    shifts = crack_sweep_shifts(mode, eps_values, eps_x_fixed)
+    geometries = {
+        (eps_x, eps_y): built(crack_problem(eps_x, eps_y, n, gamma_g_values[0]))
+        for eps_x, eps_y in dict.fromkeys(shifts)
+    }
+    return run_condition_sweep(shifts, geometries, gamma_g_values, workers)
+
+
+def scaling(base_n=12, levels=4, eps=0.25, gamma_g=0.1):
+    """`run_condition_scaling` on crack geometries of ``levels`` meshes."""
+    geometries = [
+        built(crack_problem(eps, eps, base_n * 2**lv, gamma_g)) for lv in range(levels)
+    ]
+    return run_condition_scaling(geometries, eps, gamma_g)
+
+
 # --- the all-subdomain oracle ---------------------------------------------
 
 def linear_stage_condition_numbers(pdef: ProblemDef) -> dict[int, float]:
     """The full `condition_number` of every subdomain's linear-stage operator,
     with no memo and no selection."""
-    (operators,) = subdomain_operators(pdef, (pdef.params.gamma_g,))
+    (operators,) = subdomain_operators(built(pdef), (pdef.params.gamma_g,))
     return {i: condition_number(a) for i, a in enumerate(operators)}
 
 
@@ -132,10 +165,11 @@ def test_empty_crack_subdomains_match_the_built_geometry():
     first_empty = set()
     for eps_x, eps_y in shifts:
         pdef = crack_problem(eps_x, eps_y, n, gamma_g=0.1)
-        empty = experiments.empty_subdomains(pdef)
+        problem = build_problem(pdef)
+        empty = experiments.empty_subdomains(problem)
         first_empty.add(tuple(empty[:1]))
         try:
-            problem_spaces(pdef)
+            latin.build_geometry(problem, pdef.params.quad_points_per_segment)
         except EmptyDomainError as err:
             assert empty and str(err) == f"subdomain {empty[0]} covers no cells"
         else:
@@ -148,9 +182,10 @@ def test_empty_inclusion_subdomains_match_the_built_geometry(case):
     failing = []
     for nx in range(1, 21):
         pdef = case(base_nx=nx)
-        empty = experiments.empty_subdomains(pdef)
+        problem = build_problem(pdef)
+        empty = experiments.empty_subdomains(problem)
         try:
-            problem_spaces(pdef)
+            latin.build_geometry(problem, pdef.params.quad_points_per_segment)
         except EmptyDomainError as err:
             assert empty and str(err) == f"subdomain {empty[0]} covers no cells"
             failing.append(nx)
@@ -310,7 +345,7 @@ def test_condition_numbers_describe_the_factorized_operators(pdef, monkeypatch):
         return inverse_estimate(a, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "inverse_estimate", recording)
-    (operators,) = subdomain_operators(pdef, (pdef.params.gamma_g,))
+    (operators,) = subdomain_operators(built(pdef), (pdef.params.gamma_g,))
     KappaMemo().worst(operators)
     assert [storage(a) for a in operators] == solved
     assert set(estimated) == set(solved)
@@ -320,10 +355,8 @@ def test_condition_numbers_describe_the_factorized_operators(pdef, monkeypatch):
 
 def small_study(workers=1):
     return run_convergence_study(
-        case="ellipse",
+        built(ellipse_case(base_nx=12, params=LatinParams(it_max=10))),
         levels=2,
-        base_nx=12,
-        params=LatinParams(it_max=10),
         reference_it_max=12,
         monitor_iterations=(2, 10),
         workers=workers,
@@ -352,7 +385,7 @@ def test_convergence_study_submits_the_reference_first(monkeypatch):
     map_jobs = experiments._map_jobs
 
     def recording(fn, jobs, workers):
-        submitted.extend(pdef.nx for pdef, _, _ in jobs)
+        submitted.extend(pdef.nx for pdef, *_ in jobs)
         return map_jobs(fn, jobs, workers)
 
     monkeypatch.setattr(experiments, "_map_jobs", recording)
@@ -364,9 +397,7 @@ def test_convergence_study_submits_the_reference_first(monkeypatch):
 
 def test_convergence_study_validation():
     with pytest.raises(ConfigError):
-        run_convergence_study(levels=0)
-    with pytest.raises(ConfigError):
-        run_convergence_study(case="wedge")
+        run_convergence_study(built(ellipse_case(base_nx=12)), levels=0)
 
 
 def test_worker_pool_results_are_deterministic():
@@ -380,7 +411,7 @@ def test_worker_pool_results_are_deterministic():
 
 
 def test_condition_sweep_shows_stabilization():
-    rows = run_condition_sweep(n=12, eps_values=(0.25, 1e-8), gamma_g_values=(0.0, 1e-3))
+    rows = sweep(n=12, eps_values=(0.25, 1e-8), gamma_g_values=(0.0, 1e-3))
     assert [(e, g) for e, g, _ in rows] == [
         (0.25, 0.0),
         (1e-8, 0.0),
@@ -393,16 +424,14 @@ def test_condition_sweep_shows_stabilization():
     good = kappa[(1e-8, 1e-3)] / kappa[(0.25, 1e-3)]
     assert good < 1e2
     with pytest.raises(ConfigError):
-        run_condition_sweep(mode="triple")
+        sweep(mode="triple")
 
 
 @pytest.mark.parametrize("mode", ["simple", "double"])
 def test_condition_sweep_matches_per_point_cases(mode):
     eps_values = (0.25, 1e-8, 0.25)
     gamma_g_values = (0.0, 1e-3, 0.1)
-    rows = run_condition_sweep(
-        n=12, mode=mode, eps_values=eps_values, gamma_g_values=gamma_g_values
-    )
+    rows = sweep(n=12, mode=mode, eps_values=eps_values, gamma_g_values=gamma_g_values)
     expect = []
     for gamma_g in gamma_g_values:
         for eps in eps_values:
@@ -413,7 +442,7 @@ def test_condition_sweep_matches_per_point_cases(mode):
 
 def test_condition_sweep_worker_pool_matches_serial():
     kwargs = dict(n=12, eps_values=(0.25, 1e-8), gamma_g_values=(0.0,))
-    assert run_condition_sweep(**kwargs) == run_condition_sweep(workers=2, **kwargs)
+    assert sweep(**kwargs) == sweep(workers=2, **kwargs)
 
 
 def test_condition_sweep_estimates_each_distinct_operator_once(monkeypatch):
@@ -432,7 +461,7 @@ def test_condition_sweep_estimates_each_distinct_operator_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "factorize", factorizing)
     monkeypatch.setattr(experiments, "condition_number", estimating)
-    rows = run_condition_sweep(n=12)
+    rows = sweep(n=12)
     swept = list(factorized)
     monkeypatch.undo()
     # every operator of the same points, with no memo and no selection
@@ -440,7 +469,7 @@ def test_condition_sweep_estimates_each_distinct_operator_once(monkeypatch):
         storage(a)
         for eps in (0.25, 1e-2, 1e-4, 1e-6, 1e-8, 1e-11)
         for group in subdomain_operators(
-            crack_problem(0.5, eps, 12, 0.0), (0.0, 1e-3, 0.1)
+            built(crack_problem(0.5, eps, 12, 0.0)), (0.0, 1e-3, 0.1)
         )
         for a in group
     ]
@@ -455,14 +484,14 @@ def test_condition_sweep_estimates_each_distinct_operator_once(monkeypatch):
     ]
     hexed = lambda rs: [tuple(float(v).hex() for v in r) for r in rs]
     assert hexed(rows) == hexed(expect)
-    assert hexed(run_condition_sweep(n=12, workers=2)) == hexed(rows)
+    assert hexed(sweep(n=12, workers=2)) == hexed(rows)
 
 
 def test_condition_sweep_logs_its_counts(caplog):
     # one DEBUG line per geometry job; the serial jobs share one memo, so a
     # job's "new distinct" operators are those no earlier job built
     with caplog.at_level(logging.DEBUG, logger="latincut.experiments"):
-        run_condition_sweep(n=12)
+        sweep(n=12)
     lines = [r.getMessage() for r in caplog.records if r.name == "latincut.experiments"]
     counts = [
         tuple(int(v) for v in re.findall(r"(\d+) (?:operators|new|A sides|skipped)", line))
@@ -502,28 +531,26 @@ def test_worst_matches_the_maximum_of_every_estimate(members, indefinite, one):
 
 
 def test_condition_scaling_near_inverse_square():
-    rows = run_condition_scaling(base_n=12, levels=3)
+    rows = scaling(base_n=12, levels=3)
     h = [r[0] for r in rows]
     np.testing.assert_allclose(h, [1 / 12, 1 / 24, 1 / 48], rtol=1e-15)
     slope = fit_rate(h, [r[3] for r in rows])
     assert slope == pytest.approx(-2.0, abs=0.4)
     with pytest.raises(ConfigError):
-        run_condition_scaling(levels=1)
+        scaling(levels=1)
 
 
 def test_crack_condition_case_reports_worst_subproblem():
     # a point the per-point comparisons do not cover: eps_x = eps_y = 0.25
     pdef, kappa = crack_condition_case(0.25, 0.25, 12, gamma_g=0.1)
     assert len(linear_stage_condition_numbers(pdef)) == 4
-    rows = run_condition_sweep(
-        n=12, eps_values=(0.25,), gamma_g_values=(0.1,), eps_x_fixed=0.25
-    )
+    rows = sweep(n=12, eps_values=(0.25,), gamma_g_values=(0.1,), eps_x_fixed=0.25)
     assert rows == [(0.25, 0.1, kappa)]
 
 
 def test_p1p0_comparison_runs_both_schemes():
     res = run_p1p0_comparison(
-        base_nx=12, profile_iterations=(2, 5), params=LatinParams(it_max=50)
+        built(ellipse_case(base_nx=12, params=LatinParams(it_max=50))), profile_iterations=(2, 5)
     )
     assert set(res) == {"p1", "p0"}
     for scheme, r in res.items():
