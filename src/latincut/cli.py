@@ -110,15 +110,23 @@ def _run_convergence(cfg: RunConfig, outdir: Path, built: list[Built]) -> None:
 
 
 def _sweep_shifts(v: dict) -> list[tuple[float, float]]:
-    return experiments.crack_sweep_shifts(v["crack.mode"], v["crack.eps_values"], v["crack.eps_x"])
+    """The (eps_x, eps_y) shift of each sweep point, in sweep order: mode
+    "simple" keeps the vertical cuts at crack.eps_x, mode "double" moves
+    them with the diagonal shift eps."""
+    return [
+        (eps if v["crack.mode"] == "double" else v["crack.eps_x"], eps)
+        for eps in v["crack.eps_values"]
+    ]
 
 
 def _run_condition_sweep(cfg: RunConfig, outdir: Path, built: list[Built]) -> None:
-    shifts = _sweep_shifts(cfg.values)
-    geometries = dict(zip(dict.fromkeys(shifts), built))  # as `_sweep_geometries` yields them
-    rows = experiments.run_condition_sweep(
-        shifts, geometries, cfg.values["crack.gamma_g_values"], cfg.workers
-    )
+    v = cfg.values
+    shifts, gammas = _sweep_shifts(v), v["crack.gamma_g_values"]
+    # ``built`` holds one geometry per distinct shift, as `_sweep_geometries`
+    # orders them
+    kappas = experiments.crack_kappas(built, gammas, cfg.workers)
+    kappa = dict(zip(dict.fromkeys(shifts), kappas))
+    rows = [(eps, g, kappa[eps_x, eps][j]) for j, g in enumerate(gammas) for eps_x, eps in shifts]
     write_csv(outdir / "condition.csv", ["eps", "gamma_g", "kappa"], rows)
     # record the first swept problem, with the boundary conditions it assumes
     (outdir / "crack_problem.cfg").write_text(
@@ -128,9 +136,12 @@ def _run_condition_sweep(cfg: RunConfig, outdir: Path, built: list[Built]) -> No
 
 def _run_condition_scaling(cfg: RunConfig, outdir: Path, built: list[Built]) -> None:
     v = cfg.values
-    rows = experiments.run_condition_scaling(
-        built, v["scaling.eps"], v["scaling.gamma_g"], cfg.workers
-    )
+    eps, gamma_g = v["scaling.eps"], v["scaling.gamma_g"]
+    kappas = experiments.crack_kappas(built, (gamma_g,), cfg.workers)
+    rows = [
+        (experiments.grid_spacing(pdef), eps, gamma_g, kappa)
+        for (pdef, _), (kappa,) in zip(built, kappas)
+    ]
     write_csv(
         outdir / "condition_scaling.csv", ["h", "eps", "gamma_g", "kappa"], rows
     )

@@ -307,8 +307,7 @@ class KappaMemo:
 
 def _crack_kappas(args) -> list[float]:
     """Worst-subproblem kappa of one crack geometry for each gamma_g."""
-    (eps_x, eps_y), geometry, gamma_g_values, memo = args
-    memo = KappaMemo() if memo is None else memo
+    index, geometry, gamma_g_values, memo = args
     known, a_sides, built = len(memo.inverse), len(memo.kappa), 0
     kappas = []
     for operators in subdomain_operators(geometry, gamma_g_values):
@@ -316,9 +315,9 @@ def _crack_kappas(args) -> list[float]:
         kappas.append(memo.worst(operators))
     new = list(memo.inverse)[known:]
     log.debug(
-        "crack geometry eps_x=%r eps_y=%r: %d operators built, %d new distinct, "
+        "crack geometry %d: %d operators built, %d new distinct, "
         "%d A sides run, %d skipped",
-        eps_x, eps_y, built, len(new), len(memo.kappa) - a_sides,
+        index, built, len(new), len(memo.kappa) - a_sides,
         sum(k not in memo.kappa for k in new),
     )
     return kappas
@@ -335,7 +334,6 @@ class SolveResult:
     """
 
     pdef: ProblemDef
-    h_grid: float
     u: list[np.ndarray]
     history: list[IterationRecord]
     spaces: list[FESpace] = field(default_factory=list)
@@ -353,21 +351,19 @@ def traction_at_quadrature(state: LatinState, pair: tuple[int, int]) -> np.ndarr
 def solve_problem(
     pdef: ProblemDef,
     monitor_iterations: Iterable[int] = (),
-    capture_traction: bool = False,
     problem: ContactProblem | None = None,
 ) -> SolveResult:
-    """Run the full iteration, snapshotting fields at monitor iterations, on
-    ``problem`` (built from ``pdef``) if given."""
+    """Run the full iteration, snapshotting the fields and the first pair's
+    traction at monitor iterations, on ``problem`` (built from ``pdef``) if
+    given."""
     state = build_state(problem if problem is not None else build_problem(pdef), pdef.params)
-    result = SolveResult(
-        pdef=pdef, h_grid=grid_spacing(pdef), u=[], history=[], spaces=state.spaces
-    )
+    result = SolveResult(pdef=pdef, u=[], history=[], spaces=state.spaces)
     monitors = tuple(sorted(set(int(i) for i in monitor_iterations)))
     pair = min(state.pairs) if state.pairs else None
 
     def snapshot(it: int, st: LatinState) -> None:
         result.checkpoint_u[it] = [v.copy() for v in st.u]
-        if capture_traction and pair is not None:
+        if pair is not None:
             result.checkpoint_traction[it] = traction_at_quadrature(st, pair)
 
     iterate(state, checkpoints=monitors, callback=snapshot)
@@ -397,8 +393,8 @@ class ConvergenceStudy:
 
 
 def _solve_job(args) -> SolveResult:
-    pdef, problem, monitors, capture = args
-    return solve_problem(pdef, monitors, capture, problem)
+    pdef, problem, monitors = args
+    return solve_problem(pdef, monitors, problem)
 
 
 def _map_jobs(fn, jobs: list, workers: int) -> list:
@@ -445,10 +441,9 @@ def run_convergence_study(
     monitors = tuple(sorted(set(int(i) for i in monitor_iterations)))
 
     ladder = [level0] + [(make(lv, pdef0.params), None) for lv in range(1, levels)]
-    jobs = [(make(levels, ref_params), None, (), False)]
+    jobs = [(make(levels, ref_params), None, ())]
     for lv, (pdef, problem) in enumerate(ladder):
-        is_monitor = lv == levels - 1
-        jobs.append((pdef, problem, monitors if is_monitor else (), is_monitor))
+        jobs.append((pdef, problem, monitors if lv == levels - 1 else ()))
     ref_result, *level_results = _map_jobs(_solve_job, jobs, workers)
 
     fine_spaces = ref_result.spaces
@@ -467,7 +462,7 @@ def run_convergence_study(
             for s, (u, cs, fs) in enumerate(zip(res.u, res.spaces, fine_spaces))
         ]
         on_fine = [rows[0] for rows in stacks]
-        h_list.append(res.h_grid)
+        h_list.append(grid_spacing(res.pdef))
         h1_list.append(analysis.h1_error(on_fine, ref_result.u, fine_spaces))
         energy_list.append(analysis.energy_error(on_fine, ref_result.u, fine_spaces))
         its_list.append(res.history[-1].it if res.history else 0)
@@ -486,72 +481,27 @@ def run_convergence_study(
     )
 
 
-def crack_sweep_shifts(
-    mode: str, eps_values: Iterable[float], eps_x_fixed: float
-) -> list[tuple[float, float]]:
-    """The (eps_x, eps_y) shift of each crack-sweep point, in sweep order.
+def crack_kappas(
+    geometries: list[Built], gamma_g_values: Iterable[float], workers: int = 1
+) -> list[list[float]]:
+    """Worst-subproblem kappa of each crack geometry at each ghost-penalty
+    weight: ``out[i][j]`` is geometry i's at weight j.
 
-    Mode "simple" keeps the vertical cuts at eps_x_fixed; mode "double"
-    moves them with the diagonal shift eps.
-    """
-    if mode not in ("simple", "double"):
-        raise ConfigError(f"unknown crack sweep mode {mode!r}")
-    return [(eps if mode == "double" else eps_x_fixed, float(eps)) for eps in eps_values]
-
-
-def run_condition_sweep(
-    shifts: list[tuple[float, float]],
-    geometries: dict[tuple[float, float], Built],
-    gamma_g_values: Iterable[float] = (0.0, 1e-3, 0.1),
-    workers: int = 1,
-) -> list[tuple[float, float, float]]:
-    """Worst-subproblem kappa over the (eps, gamma_g) grid.
-
-    ``shifts`` are the (eps_x, eps) shifts of the sweep points, in sweep
-    order (`crack_sweep_shifts`), and ``geometries`` holds each distinct
-    shift's crack geometry, built once; each is one job for the worker
-    pool.  Rows run over eps for each gamma_g in turn.  The definitions
-    supply every solver parameter but gamma_g, which the grid sets.
-
-    Each point reports max_s kappa_s over the subdomains, through one
-    `KappaMemo` that lives for this call: every distinct operator is
-    factorized and its inverse side estimated once, and the power iteration
-    on the operator runs only where it can still attain the maximum, so
-    every reported kappa is the float `condition_number` gives for the
-    worst subdomain.  Subdomains the moving cut leaves unchanged, and a
+    Each geometry is one job for the worker pool, and its definition
+    supplies every solver parameter but gamma_g.  The geometries may lie on
+    different meshes.  Each kappa is max_s kappa_s over the subdomains,
+    through one `KappaMemo` that lives for this call: every distinct
+    operator is factorized and its inverse side estimated once, and the
+    power iteration on the operator runs only where it can still attain
+    the maximum, so every kappa is the float `condition_number` gives for
+    the worst subdomain.  Subdomains a moving cut leaves unchanged, and a
     ghost penalty with no ghost faces to act on, repeat an operator bit for
     bit.  Serial jobs share the memo; each pooled job gets its own (empty)
     copy.  Each job logs its operator and A-side counts at DEBUG.
     """
-    gammas = tuple(float(g) for g in gamma_g_values)
-    memo = KappaMemo()
-    jobs = [(shift, geometry, gammas, memo) for shift, geometry in geometries.items()]
-    kappa = {}
-    for shift, kappas in zip(geometries, _map_jobs(_crack_kappas, jobs, workers)):
-        kappa.update(((shift, g), k) for g, k in zip(gammas, kappas))
-    return [(shift[1], g, kappa[(shift, g)]) for g in gammas for shift in shifts]
-
-
-def run_condition_scaling(
-    levels: list[Built],
-    eps: float = 0.25,
-    gamma_g: float = 0.1,
-    workers: int = 1,
-) -> list[tuple[float, float, float, float]]:
-    """Kappa against mesh size at a fixed good cut: rows (h, eps, gamma_g, kappa).
-
-    ``levels`` are the crack geometries at the shift eps_x = eps_y = ``eps``,
-    one per mesh.  Kappa is the worst subdomain's, selected as in
-    `run_condition_sweep` with one `KappaMemo` per mesh.  The definitions
-    supply every solver parameter but gamma_g."""
-    if len(levels) < 2:
-        raise ConfigError("condition scaling needs at least two levels")
-    jobs = [((eps, eps), geometry, (gamma_g,), None) for geometry in levels]
-    kappas = _map_jobs(_crack_kappas, jobs, workers)
-    return [
-        (grid_spacing(pdef), eps, gamma_g, kappa)
-        for (pdef, _), (kappa,) in zip(levels, kappas)
-    ]
+    gammas, memo = list(gamma_g_values), KappaMemo()
+    jobs = [(i, geometry, gammas, memo) for i, geometry in enumerate(geometries)]
+    return _map_jobs(_crack_kappas, jobs, workers)
 
 
 def run_p1p0_comparison(
@@ -568,7 +518,7 @@ def run_p1p0_comparison(
     pdef, problem = geometry
     base = replace(pdef.params, it_max=its[-1])
     jobs = [
-        (replace(pdef, params=replace(base, interface_scheme=scheme)), problem, its, True)
+        (replace(pdef, params=replace(base, interface_scheme=scheme)), problem, its)
         for scheme in ("p1", "p0")
     ]
     p1, p0 = _map_jobs(_solve_job, jobs, workers)

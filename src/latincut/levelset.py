@@ -83,20 +83,19 @@ LevelSetFunction = Ellipse | Circle | HalfPlane
 class DiscreteLevelSet:
     """P1 interpolant of a level set on the background mesh.
 
-    nodal_values are the raw vertex samples; classification_values carry the
+    classification_values are the vertex samples given, copied with the
     zero-shift applied before any sign decision, so classification,
     subtriangulation and quadrature all agree on which side a vertex is on.
     """
 
     mesh: TriMesh
-    nodal_values: np.ndarray
+    classification_values: np.ndarray
 
     def __post_init__(self):
-        self.nodal_values = np.asarray(self.nodal_values, dtype=float)
-        if self.nodal_values.shape != (self.mesh.n_vertices,):
+        vals = np.array(self.classification_values, dtype=float)
+        if vals.shape != (self.mesh.n_vertices,):
             raise InvalidGeometryError("nodal value count must match the mesh")
         shift = ZERO_SHIFT * self.mesh.h
-        vals = self.nodal_values.copy()
         vals[np.abs(vals) < shift] = shift
         self.classification_values = vals
 
@@ -121,7 +120,7 @@ class DiscreteLevelSet:
 
 def interpolate_levelset(func: LevelSetFunction, mesh: TriMesh) -> DiscreteLevelSet:
     """Sample a catalog level set at the mesh vertices."""
-    return DiscreteLevelSet(mesh=mesh, nodal_values=func.evaluate(mesh.vertices))
+    return DiscreteLevelSet(mesh=mesh, classification_values=func.evaluate(mesh.vertices))
 
 
 def classify_values(values: np.ndarray) -> np.ndarray:

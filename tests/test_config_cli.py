@@ -307,7 +307,7 @@ export.profiles = true
     # no re-solve for profiles
     assert [p.nx for p in calls] == [48, 12, 24]
 
-    monitored = solve(calls[2], (2, 4, 6), capture_traction=True)
+    monitored = solve(calls[2], (2, 4, 6))
     iface = experiments.problem_spaces(monitored.pdef)[1][monitored.profile_interface.pair]
     expect = tmp_path / "expect"
     expect.mkdir()

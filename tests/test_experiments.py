@@ -24,14 +24,12 @@ from latincut.experiments import (
     KappaMemo,
     Built,
     build_problem,
+    crack_kappas,
     crack_problem,
-    crack_sweep_shifts,
     ellipse_case,
     grid_spacing,
     problem_spaces,
     problem_to_flat,
-    run_condition_scaling,
-    run_condition_sweep,
     run_convergence_study,
     run_p1p0_comparison,
     solve_problem,
@@ -56,22 +54,32 @@ def sweep(
     eps_x_fixed=0.5,
     workers=1,
 ):
-    """`run_condition_sweep` over these crack shifts, each distinct shift's
-    geometry built once, with the definition `cli` writes as the exemplar."""
-    shifts = crack_sweep_shifts(mode, eps_values, eps_x_fixed)
-    geometries = {
-        (eps_x, eps_y): built(crack_problem(eps_x, eps_y, n, gamma_g_values[0]))
-        for eps_x, eps_y in dict.fromkeys(shifts)
-    }
-    return run_condition_sweep(shifts, geometries, gamma_g_values, workers)
+    """The crack sweep's (eps, gamma_g, kappa) rows over the (eps, gamma_g)
+    grid, by `crack_kappas` over each distinct shift's geometry, built
+    once, with the definition `cli` writes as the exemplar.  Mode "simple"
+    keeps the vertical cuts at eps_x_fixed; mode "double" moves them with
+    eps.  Rows run over eps for each gamma_g in turn."""
+    shifts = [(eps if mode == "double" else eps_x_fixed, eps) for eps in eps_values]
+    distinct = list(dict.fromkeys(shifts))
+    geometries = [built(crack_problem(*shift, n, gamma_g_values[0])) for shift in distinct]
+    kappa = dict(zip(distinct, crack_kappas(geometries, gamma_g_values, workers)))
+    return [
+        (eps, g, kappa[eps_x, eps][j])
+        for j, g in enumerate(gamma_g_values)
+        for eps_x, eps in shifts
+    ]
 
 
 def scaling(base_n=12, levels=4, eps=0.25, gamma_g=0.1):
-    """`run_condition_scaling` on crack geometries of ``levels`` meshes."""
+    """Rows (h, eps, gamma_g, kappa) of `crack_kappas` on crack geometries
+    of ``levels`` meshes at the shift eps_x = eps_y = ``eps``."""
     geometries = [
         built(crack_problem(eps, eps, base_n * 2**lv, gamma_g)) for lv in range(levels)
     ]
-    return run_condition_scaling(geometries, eps, gamma_g)
+    return [
+        (grid_spacing(pdef), eps, gamma_g, kappa)
+        for (pdef, _), (kappa,) in zip(geometries, crack_kappas(geometries, (gamma_g,)))
+    ]
 
 
 # --- the all-subdomain oracle ---------------------------------------------
@@ -294,8 +302,8 @@ def test_build_problem_collects_boundary_data():
 
 def test_solve_problem_snapshots_and_profile_pair():
     pdef = ellipse_case(0, base_nx=12, params=LatinParams(it_max=8))
-    res = solve_problem(pdef, monitor_iterations=(5, 3), capture_traction=True)
-    assert res.h_grid == pytest.approx(0.2, rel=1e-15)
+    res = solve_problem(pdef, monitor_iterations=(5, 3))
+    assert grid_spacing(res.pdef) == pytest.approx(0.2, rel=1e-15)
     assert sorted(res.checkpoint_u) == [3, 5]
     assert sorted(res.checkpoint_traction) == [3, 5]
     assert res.profile_interface.pair == (0, 1)
@@ -423,8 +431,6 @@ def test_condition_sweep_shows_stabilization():
     assert math.isinf(bad) or bad > 1e3
     good = kappa[(1e-8, 1e-3)] / kappa[(0.25, 1e-3)]
     assert good < 1e2
-    with pytest.raises(ConfigError):
-        sweep(mode="triple")
 
 
 @pytest.mark.parametrize("mode", ["simple", "double"])
@@ -530,14 +536,28 @@ def test_worst_matches_the_maximum_of_every_estimate(members, indefinite, one):
     assert KappaMemo().worst(operators).hex() == expect.hex()
 
 
+def test_crack_kappas_spans_meshes():
+    # the n = 12 sweep geometries and one n = 24 geometry in one call: the
+    # serial jobs share one memo across both meshes, the pooled ones do not
+    gamma_g_values = (0.0, 1e-3, 0.1)
+    cases = [(0.5, eps, 12) for eps in (0.25, 1e-2, 1e-4, 1e-6, 1e-8, 1e-11)]
+    cases.append((0.25, 0.25, 24))
+    geometries = [built(crack_problem(x, y, n, 0.0)) for x, y, n in cases]
+    expect = [
+        [crack_condition_case(x, y, n, g)[1].hex() for g in gamma_g_values]
+        for x, y, n in cases
+    ]
+    for workers in (1, 2):
+        rows = crack_kappas(geometries, gamma_g_values, workers)
+        assert [[k.hex() for k in row] for row in rows] == expect, workers
+
+
 def test_condition_scaling_near_inverse_square():
     rows = scaling(base_n=12, levels=3)
     h = [r[0] for r in rows]
     np.testing.assert_allclose(h, [1 / 12, 1 / 24, 1 / 48], rtol=1e-15)
     slope = fit_rate(h, [r[3] for r in rows])
     assert slope == pytest.approx(-2.0, abs=0.4)
-    with pytest.raises(ConfigError):
-        scaling(levels=1)
 
 
 def test_crack_condition_case_reports_worst_subproblem():

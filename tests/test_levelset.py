@@ -57,7 +57,7 @@ def test_interpolation_exact_for_linear_function():
     m = build_structured_mesh((-1.0, -1.0, 1.0, 1.0), 5, 4)
     hp = HalfPlane(a=0.3, b=-0.7, c=0.1)
     ls = interpolate_levelset(hp, m)
-    np.testing.assert_allclose(ls.nodal_values, hp.evaluate(m.vertices), atol=1e-14)
+    np.testing.assert_allclose(ls.classification_values, hp.evaluate(m.vertices), atol=1e-14)
     # cell gradients of an interpolated linear field equal the exact gradient
     grads = ls.cell_gradients()
     np.testing.assert_allclose(grads[:, 0], 0.3, atol=1e-13)
@@ -67,7 +67,7 @@ def test_interpolation_exact_for_linear_function():
     assert ls.cell_gradients(tris).tobytes() == grads[tris].tobytes()
     # cell_values gathers the right corners
     cv = ls.cell_values()
-    np.testing.assert_array_equal(cv, ls.nodal_values[m.triangles])
+    np.testing.assert_array_equal(cv, ls.classification_values[m.triangles])
 
 
 @given(a=finite, b=finite, c=finite)
@@ -85,6 +85,7 @@ def test_classification_nudges_exact_zeros():
     m = build_structured_mesh((0.0, 0.0, 1.0, 1.0), 2, 2)
     vals = np.zeros(m.n_vertices)
     vals[0] = -1.0
+    before = vals.copy()
     ls = DiscreteLevelSet(m, vals)
     # exact zeros are pushed to a mesh-scaled epsilon so cuts are unambiguous
     assert np.all(ls.classification_values != 0.0)
@@ -92,8 +93,8 @@ def test_classification_nudges_exact_zeros():
         ls.classification_values[vals == 0.0], ZERO_SHIFT * m.h
     )
     assert ls.classification_values[0] == -1.0
-    # raw samples are left untouched
-    assert np.array_equal(ls.nodal_values, vals)
+    # the caller's array is not mutated
+    assert np.array_equal(vals, before)
 
 
 def test_classify_values_priority_rule():
