@@ -10,12 +10,12 @@ interface slices the cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .cutgeom import CutDomain, Material, SegmentSet
+from .cutgeom import CutDomain, InterfaceMesh, Material, SegmentSet
 from .errors import InvalidGeometryError
 from .levelset import barycentric_coordinates
 from .linalg import SparseSym
@@ -363,8 +363,29 @@ def gradient_jump_matrix(
     return SparseSym.from_coo(rows, cols, vals, n)
 
 
+def scatter_band_to_space(space: FESpace, band_vertices: np.ndarray) -> np.ndarray:
+    """The subdomain dof of each band dof, in band order."""
+    return space.vertex_dofs(band_vertices).ravel()
+
+
+class InterfaceBand(NamedTuple):
+    eval_op: sp.csr_matrix  # (2 * nq, 2 * n_band)
+    mass: SparseSym
+    dofs: dict[int, np.ndarray]  # subdomain -> (2 * n_band,)
+
+
+def interface_band(iface: InterfaceMesh, spaces: Sequence[FESpace]) -> InterfaceBand:
+    """The P1 evaluation of ``iface`` at its quadrature points, its L2 mass
+    and the dof of every band dof on each side ``spaces[i]``, i in its pair:
+    built once per interface, for the augmentation and the scheme alike."""
+    segs, band_vertices = iface.segments, iface.band_vertices
+    eval_op = interface_eval_operator(spaces[iface.pair[0]].mesh, segs, band_vertices)
+    dofs = {s: scatter_band_to_space(spaces[s], band_vertices) for s in iface.pair}
+    return InterfaceBand(eval_op, interface_mass(eval_op, segs.qweights), dofs)
+
+
 def assemble_latin_augmentation(
-    space: FESpace, interfaces: list, k: float
+    space: FESpace, bands: list[InterfaceBand], k: float
 ) -> SparseSym:
     """Interface mass term k int u.v over every interface of one subdomain.
 
@@ -372,21 +393,10 @@ def assemble_latin_augmentation(
     regularization that keeps floating subdomains solvable.
     """
     total = sp.csr_matrix((space.n_dofs, space.n_dofs))
-    for iface in interfaces:
-        e = interface_eval_operator(space.mesh, iface.segments, iface.band_vertices)
-        m = interface_mass(e, iface.segments.qweights)
-        s = scatter_band_to_space(space, iface.band_vertices)
-        total = total + s @ (k * m.csr) @ s.T
+    for band in bands:
+        m, dofs = band.mass.csr.tocoo(), band.dofs[space.domain.index]
+        total = total + sp.csr_matrix((k * m.data, (dofs[m.row], dofs[m.col])), total.shape)
     return SparseSym.finalize(total)
-
-
-def scatter_band_to_space(space: FESpace, band_vertices: np.ndarray) -> sp.csr_matrix:
-    """Sparse injection of band dofs into a subdomain's dof vector."""
-    dofs = space.vertex_dofs(band_vertices).ravel()
-    nb = 2 * band_vertices.size
-    return sp.csr_matrix(
-        (np.ones(nb), (dofs, np.arange(nb))), shape=(space.n_dofs, nb)
-    )
 
 
 def dirichlet_constraints(

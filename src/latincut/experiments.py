@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis
 from .analysis import ConvergenceRecord, interpolate_to_fine
-from .assembly import FESpace
+from .assembly import FESpace, interface_band
 from .config import format_value, params_to_flat
 from .cutgeom import OUTSIDE, InterfaceMesh, Material
 # nothing in this module calls these three or `problem_spaces` below; they
@@ -245,16 +245,17 @@ def subdomain_operators(
     """Every subdomain's `latin.linear_stage_operators`, with the strong
     Dirichlet dofs eliminated, for each ghost-penalty weight in turn.
 
-    The cut domains and interfaces are built once.  A weight's operators
-    are built when its list is requested, so only one weight's are held at
-    a time.
+    The cut domains, interfaces and interface bands are built once.  A
+    weight's operators are built when its list is requested, so only one
+    weight's are held at a time.
     """
     pdef, problem = geometry
     spaces, interfaces = build_geometry(problem, pdef.params.quad_points_per_segment)
+    bands = {pair: interface_band(iface, spaces) for pair, iface in interfaces.items()}
     gamma_g_values = list(gamma_g_values)
     frees, streams = [], []
     for i, space in enumerate(spaces):
-        touching = [ifc for pair, ifc in sorted(interfaces.items()) if i in pair]
+        touching = [band for pair, band in sorted(bands.items()) if i in pair]
         dirichlet = {s: (ux, uy) for sub, s, ux, uy in pdef.dirichlet if sub == i}
         frees.append(dirichlet_split(space, dirichlet)[0])
         streams.append(linear_stage_operators(space, touching, pdef.params.k, gamma_g_values))

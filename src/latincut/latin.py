@@ -11,9 +11,9 @@ built once, with the state: the subdomain factorizations, each subdomain's
 right-hand side on its free dofs and a displacement template holding its
 Dirichlet values, the interface projection factors, and every sparse
 operator in the orientation the loop applies it (each pair's interface
-load on a subdomain's free rows, the transpose of the band-to-subdomain
-scatter, the quadrature-point evaluation and its transpose, the interface
-mass), each a `linalg.CsrOperator`.  An iteration is then a few small
+load on a subdomain's free rows, the quadrature-point evaluation and its
+transpose, the interface mass), each a `linalg.CsrOperator`, and each
+side's band dofs, an index array.  An iteration is then a few small
 products, one triangular solve per subdomain and projection, and pointwise
 arithmetic.  A CSR copy of a transpose, of a row subset or of gathered rows
 sums every output entry in the same order as the matrix it came from, so
@@ -42,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assembly
-from .assembly import FESpace, VectorData, build_space
+from .assembly import FESpace, InterfaceBand, VectorData, build_space
 from .cutgeom import (
     InterfaceMesh,
     Material,
@@ -135,13 +135,11 @@ class P1Scheme:
     a pivot ratio below DEFLATION_TOL shows it, and takes the same path.
     """
 
-    def __init__(self, mesh: TriMesh, iface: InterfaceMesh, gamma_pi: float):
-        segs = iface.segments
-        eval_op = assembly.interface_eval_operator(mesh, segs, iface.band_vertices)
-        self.eval_op = CsrOperator(eval_op)
-        self._eval_t = CsrOperator(eval_op.T)
-        self._weights = np.repeat(segs.qweights, 2)
-        self.mass = assembly.interface_mass(eval_op, segs.qweights)
+    def __init__(self, mesh: TriMesh, iface: InterfaceMesh, band: InterfaceBand, gamma_pi: float):
+        self.eval_op = CsrOperator(band.eval_op)
+        self._eval_t = CsrOperator(band.eval_op.T)
+        self._weights = np.repeat(iface.segments.qweights, 2)
+        self.mass = band.mass
         self.load_map = CsrOperator(self.mass.csr)  # field -> band load
         self.stab = assembly.gradient_jump_matrix(
             mesh, iface.interior_faces, iface.band_vertices, gamma_pi
@@ -201,9 +199,8 @@ class P0Scheme:
     averaging and no jump penalty applies.
     """
 
-    def __init__(self, mesh: TriMesh, iface: InterfaceMesh, gamma_pi: float):
-        segs = iface.segments
-        trace_op = assembly.interface_eval_operator(mesh, segs, iface.band_vertices)
+    def __init__(self, mesh: TriMesh, iface: InterfaceMesh, band: InterfaceBand, gamma_pi: float):
+        segs, trace_op = iface.segments, band.eval_op
         ns = segs.n_segments
         nq = segs.qcells.size
         qidx = np.arange(nq)
@@ -236,38 +233,33 @@ class P0Scheme:
 class InterfaceOperators:
     """Precomputed per-pair interface machinery shared by both stages.
 
-    Built once per state.  ``scatter`` injects band fields into a
-    subdomain; the linear stage applies it fused with the scheme's
-    ``load_map``, on the subdomain's free dofs, kept by `SubdomainSystem`.
-    ``gather`` is its transpose, which reads a subdomain's band trace
-    (post-processing).
+    Built once per state.  ``band`` is the interface's one P1 band, which
+    the augmentation and the scheme share.  The linear stage applies the
+    scheme's ``load_map`` on a subdomain's free dofs, kept by
+    `SubdomainSystem`; post-processing reads a subdomain's band trace at
+    its ``band.dofs``.
     """
 
     pair: tuple[int, int]
     iface: InterfaceMesh
     scheme: P1Scheme | P0Scheme
-    scatter: dict[int, sp.csr_matrix]  # subdomain -> (n_dofs, 2 * n_band)
-    gather: dict[int, CsrOperator]  # subdomain -> (2 * n_band, n_dofs)
+    band: InterfaceBand
     qnormals: np.ndarray  # (nq, 2), pointing from low to high subdomain
 
 
 def build_interface_operators(
     mesh: TriMesh,
     iface: InterfaceMesh,
-    spaces: dict[int, FESpace],
+    spaces: list[FESpace],
     params: LatinParams,
 ) -> InterfaceOperators:
     scheme_type = P0Scheme if params.interface_scheme == "p0" else P1Scheme
-    scatter = {
-        s: assembly.scatter_band_to_space(spaces[s], iface.band_vertices)
-        for s in iface.pair
-    }
+    band = assembly.interface_band(iface, spaces)
     return InterfaceOperators(
         pair=iface.pair,
         iface=iface,
-        scheme=scheme_type(mesh, iface, params.gamma_pi),
-        scatter=scatter,
-        gather={s: CsrOperator(m.T) for s, m in scatter.items()},
+        scheme=scheme_type(mesh, iface, band, params.gamma_pi),
+        band=band,
         qnormals=iface.segments.qnormals,
     )
 
@@ -309,19 +301,17 @@ class SubdomainSystem:
         return u
 
 
-def _free_load(ops: InterfaceOperators, index: int, free: np.ndarray) -> CsrOperator:
-    """``scatter[free] @ load_map`` as one operator, bit for bit: the scatter
-    gives each free dof at most one band dof, with weight 1, so the rows of
-    the product are rows of ``load_map``, gathered in their own order."""
-    s = ops.scatter[index][free]
-    rows = np.full(free.size, -1)
-    rows[np.diff(s.indptr) > 0] = s.indices
-    return ops.scheme.load_map.take_rows(rows)
+def _free_load(ops: InterfaceOperators, space: FESpace, free: np.ndarray) -> CsrOperator:
+    """The scheme's ``load_map`` on the free dofs of ``space``: row r is its
+    row of the band dof at ``free[r]``, or empty where none is, bit for bit."""
+    rows = np.full(space.n_dofs, -1)
+    rows[ops.band.dofs[space.domain.index]] = np.arange(ops.scheme.load_map.shape[0])
+    return ops.scheme.load_map.take_rows(rows[free])
 
 
 def linear_stage_operators(
     space: FESpace,
-    interfaces: list[InterfaceMesh],
+    bands: list[InterfaceBand],
     k: float,
     gamma_g_values: Iterable[float],
 ) -> Iterator[SparseSym]:
@@ -329,7 +319,7 @@ def linear_stage_operators(
     turn, before boundary terms: the one place it is summed.
 
     Each is (elasticity + ghost penalty(gamma_g)) + the LaTIn augmentation
-    of ``interfaces`` with search-direction stiffness ``k``, in that order:
+    of ``bands`` with search-direction stiffness ``k``, in that order:
     floating-point sums depend on it, and the condition numbers the crack
     studies report must describe the matrix the linear stage factorizes bit
     for bit.  Elasticity and augmentation are assembled once, when the first
@@ -347,7 +337,7 @@ def linear_stage_operators(
             # ellipse ladder's peaks rose by up to 10 MB when it lived longer
             del elasticity
         if augmentation is None:
-            augmentation = assembly.assemble_latin_augmentation(space, interfaces, k)
+            augmentation = assembly.assemble_latin_augmentation(space, bands, k)
         # popped, so the generator holds no operator while it is suspended
         yield partial.pop() + augmentation
 
@@ -379,7 +369,7 @@ def build_subdomain_system(
     """
     index = space.domain.index
     (a,) = linear_stage_operators(
-        space, [ops.iface for ops in interface_ops], params.k, [params.gamma_g]
+        space, [ops.band for ops in interface_ops], params.k, [params.gamma_g]
     )
     rhs = np.zeros(space.n_dofs)
     for side, data in (neumann or {}).items():
@@ -406,7 +396,7 @@ def build_subdomain_system(
         fixed_values=fixed_values,
         factor=factor,
         lift=lift,
-        load={ops.pair: _free_load(ops, index, free) for ops in interface_ops},
+        load={ops.pair: _free_load(ops, space, free) for ops in interface_ops},
     )
 
 
@@ -500,9 +490,8 @@ def build_geometry(
 def build_state(problem: ContactProblem, params: LatinParams) -> LatinState:
     """Assemble and factorize; no iterations are run yet."""
     spaces, interfaces = build_geometry(problem, params.quad_points_per_segment)
-    space_of = dict(enumerate(spaces))
     operators = {
-        pair: build_interface_operators(problem.mesh, iface, space_of, params)
+        pair: build_interface_operators(problem.mesh, iface, spaces, params)
         for pair, iface in interfaces.items()
     }
     systems = []
@@ -557,7 +546,7 @@ def postprocess_interface(
     star = np.empty_like(hat)
     for pair, ops in state.operators.items():
         for side in pair:
-            trace = ops.gather[side] @ u[side]
+            trace = u[side][ops.band.dofs[side]] + 0.0  # a -0.0 reads as +0.0
             star[0, state.slots[(pair, side)]] = ops.scheme.from_bulk(trace)
     star[1] = hat[1] + state.params.k * (hat[0] - star[0])
     return star

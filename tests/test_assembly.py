@@ -21,6 +21,7 @@ from latincut.assembly import (
     dirichlet_constraints,
     elasticity_matrix,
     gradient_jump_matrix,
+    interface_band,
     interface_eval_operator,
     interface_mass,
     scatter_band_to_space,
@@ -353,26 +354,43 @@ def test_gradient_jump_matches_oracle_and_kills_linears():
 
 def test_latin_augmentation_energy_for_constants():
     mesh, ls, deco, iface = band_pieces()
-    dom = build_cut_domain(0, mesh, MAT, deco)
-    space = build_space(dom)
+    spaces = [build_space(build_cut_domain(i, mesh, MAT, deco)) for i in (0, 1)]
+    band = interface_band(iface, spaces)
     k = 2.5
-    aug = assemble_latin_augmentation(space, [iface], k)
     c = np.array([0.4, -1.1])
-    u = np.tile(c, space.vertices.size)
     expect = k * iface.segments.length.sum() * (c @ c)
-    assert u @ aug.matvec(u) == pytest.approx(expect, rel=1e-12)
+    for space in spaces:
+        aug = assemble_latin_augmentation(space, [band], k)
+        u = np.tile(c, space.vertices.size)
+        assert u @ aug.matvec(u) == pytest.approx(expect, rel=1e-12)
 
 
 def test_scatter_band_roundtrip():
     mesh, ls, deco, iface = band_pieces()
     dom = build_cut_domain(0, mesh, MAT, deco)
     space = build_space(dom)
-    s = scatter_band_to_space(space, iface.band_vertices)
+    dofs = scatter_band_to_space(space, iface.band_vertices)
     z = np.arange(2.0 * iface.band_vertices.size)
-    u = s @ z
-    # the transpose reads the band values back out
-    np.testing.assert_array_equal(s.T @ u, z)
+    u = np.zeros(space.n_dofs)
+    u[dofs] = z
+    # the same index map reads the band values back out
+    np.testing.assert_array_equal(u[dofs], z)
     assert u.sum() == pytest.approx(z.sum())
+
+
+def test_interface_band_is_its_parts():
+    mesh, ls, deco, iface = band_pieces()
+    spaces = [build_space(build_cut_domain(i, mesh, MAT, deco)) for i in (0, 1)]
+    band = interface_band(iface, spaces)
+    e = interface_eval_operator(mesh, iface.segments, iface.band_vertices)
+    m = interface_mass(e, iface.segments.qweights)
+    assert (band.eval_op != e).nnz == 0
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(band.mass, attr).tobytes() == getattr(m, attr).tobytes()
+    assert sorted(band.dofs) == [0, 1]
+    for i, space in enumerate(spaces):
+        expect = space.vertex_dofs(iface.band_vertices).ravel()
+        np.testing.assert_array_equal(band.dofs[i], expect)
 
 
 # --- loads and constraints -------------------------------------------------

@@ -853,9 +853,10 @@ def _main_stderr(args):
     return code, err.getvalue()
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(body=crack_configs())
-def test_validate_and_run_agree_on_crack_shifts(body):
+def assert_validate_and_run_agree(body):
+    """If validate accepts the config, run succeeds or leaves an error.json
+    (exit 2); if validate rejects it, run rejects it with the same message
+    and writes nothing.  Neither prints a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         path = Path(tmp) / "run.cfg"
@@ -868,6 +869,76 @@ def test_validate_and_run_agree_on_crack_shifts(body):
         else:
             assert code == 0
             assert run_code == 0 or (run_code == 2 and (out / "error.json").is_file())
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(body=crack_configs())
+def test_validate_and_run_agree_on_crack_shifts(body):
+    assert_validate_and_run_agree(body)
+
+
+def _iterations(*entries):
+    """Iteration lists drawn from ``entries``."""
+    return st.lists(st.sampled_from(entries), min_size=1, max_size=3).map(
+        lambda its: ",".join(map(str, its))
+    )
+
+
+# key -> (accepted value texts, ordinary and edge, with at most 20
+# iterations; value texts the config check rejects)
+_SOLVER_KEYS = {
+    "study.nu": (["0.3", "1e-12", repr(float(np.nextafter(0.5, 0.0)))], ["0.0", "0.5", "-0.1"]),
+    "latin.k": (["1.0", "0.001", "1000.0", "1e-300", "1e150"], ["0.0", "-1.0", "1e200"]),
+    "latin.eta": (["0.85", "1.0", "1e-09"], ["0.0", "1.5"]),
+    "latin.gamma_g": (["0.1", "0.0", "1000.0"], ["-0.1"]),
+    "latin.gamma_pi": (["0.1", "0.0", "1e-12", "1000.0"], ["-0.1"]),
+    "latin.quad_points_per_segment": (["1", "2", "4"], ["3"]),
+    "export.fields": (["true", "false"], ["yes"]),
+}
+_CONVERGENCE_KEYS = {
+    "study.levels": (["1", "2"], ["0"]),
+    "latin.it_max": (["1", "5", "20"], ["0"]),
+    "study.reference_it_max": (["1", "5", "20"], ["0"]),
+    "study.monitor_iterations": (_iterations(1, 2, 7, 20), ["0", "-1"]),
+    "export.profiles": (["true", "false"], ["1"]),
+    "latin.interface_scheme": (["p1", "p0"], ["p2"]),
+}
+_EXTRA_KEYS = {
+    "ellipse_convergence": {},
+    "two_inclusions_convergence": {"study.contrast": (["1.0", "1e-06", "1000000.0"], ["0.0"])},
+    "p1p0_comparison": {"profile.iterations": (_iterations(1, 2, 7, 20), ["0", ""])},
+}
+
+
+@st.composite
+def inclusion_configs(draw):
+    """A small ellipse, two-inclusion or P1/P0 run: every key it reads at an
+    accepted value, or at most one at a rejected value.  Checkpoints and
+    the mesh size (at most 12 cells per side) are left for the cross-key
+    and geometry checks to judge."""
+    experiment = draw(st.sampled_from(sorted(_EXTRA_KEYS)))
+    keys = {**_SOLVER_KEYS, **_EXTRA_KEYS[experiment]}
+    if experiment != "p1p0_comparison":
+        keys.update(_CONVERGENCE_KEYS)
+    values = {}
+    for key, (accepted, _) in keys.items():
+        values[key] = draw(
+            accepted if isinstance(accepted, st.SearchStrategy) else st.sampled_from(accepted)
+        )
+    if draw(st.integers(0, 2)) == 2:
+        key = draw(st.sampled_from(sorted(keys)))
+        values[key] = draw(st.sampled_from(keys[key][1]))
+    # out of order, so the draws do not favor the smallest meshes
+    values["study.base_nx"] = draw(st.sampled_from([12, 8, 6, 9, 4, 2, 10, 1, 3]))
+    if experiment != "p1p0_comparison" and draw(st.booleans()):
+        values["checkpoints"] = draw(_iterations(1, 5, 20))
+    return f"experiment = {experiment}\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(body=inclusion_configs())
+def test_validate_and_run_agree_on_inclusion_studies(body):
+    assert_validate_and_run_agree(body)
 
 
 def test_readme_key_table_matches_the_experiments():

@@ -22,12 +22,17 @@ from latincut.assembly import (
     assemble_ghost_penalty,
     build_space,
     dirichlet_constraints,
-    scatter_band_to_space,
 )
 from latincut.config import params_to_flat
 from latincut.cutgeom import Material, build_cut_domain, build_interface, decompose_mesh
 from latincut.errors import ConfigError, SolverFailure
-from latincut.experiments import build_problem, ellipse_case, two_inclusions_case
+from latincut.experiments import (
+    build_problem,
+    crack_problem,
+    ellipse_case,
+    subdomain_operators,
+    two_inclusions_case,
+)
 from latincut.latin import (
     ContactProblem,
     IterationRecord,
@@ -37,7 +42,7 @@ from latincut.latin import (
     linear_stage,
 )
 from latincut.levelset import HalfPlane, interpolate_levelset
-from latincut.linalg import DenseFactor
+from latincut.linalg import DenseFactor, SparseSym
 from latincut.mesh import build_structured_mesh
 
 MAT = Material(e=1.0, nu=0.3)
@@ -167,6 +172,95 @@ def test_build_state_material_count_checked():
         build_state(problem, LatinParams(it_max=1))
 
 
+# --- the interface band, built apart from `assembly.interface_band` -----------
+
+def band_injection(space, band_vertices):
+    """The 0/1 matrix (n_dofs, 2 * n_band) that places band dofs in a
+    subdomain's dof vector."""
+    dofs = space.vertex_dofs(band_vertices).ravel()
+    return sp.csr_matrix(
+        (np.ones(dofs.size), (dofs, np.arange(dofs.size))), shape=(space.n_dofs, dofs.size)
+    )
+
+
+def oracle_band(spaces, iface):
+    """One interface's band from the assembly primitives: its evaluation
+    operator, its mass and each side's 0/1 injection."""
+    mesh = spaces[iface.pair[0]].mesh
+    e = assembly.interface_eval_operator(mesh, iface.segments, iface.band_vertices)
+    return SimpleNamespace(
+        eval_op=e,
+        mass=assembly.interface_mass(e, iface.segments.qweights),
+        inject={s: band_injection(spaces[s], iface.band_vertices) for s in iface.pair},
+    )
+
+
+BAND_CASES = {
+    "two_blocks": two_block_problem(),
+    "two_inclusions": build_problem(two_inclusions_case(base_nx=12)),
+    # the triple junction: one subdomain touches three interfaces
+    "crack": build_problem(crack_problem(0.5, 0.25, 12, 0.1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAND_CASES))
+def test_augmentation_matches_injected_masses(case):
+    # relabeling k M onto a side's dofs stores exactly what the sum of
+    # S (k M) S^T over the subdomain's interfaces stores
+    k = 1.7
+    spaces, interfaces = latin.build_geometry(BAND_CASES[case], 2)
+    bands = {pair: assembly.interface_band(iface, spaces) for pair, iface in interfaces.items()}
+    for i, space in enumerate(spaces):
+        touching = [pair for pair in sorted(interfaces) if i in pair]
+        total = sp.csr_matrix((space.n_dofs, space.n_dofs))
+        for pair in touching:
+            band = oracle_band(spaces, interfaces[pair])
+            total = total + band.inject[i] @ (k * band.mass.csr) @ band.inject[i].T
+        expect = SparseSym.finalize(total)
+        got = assembly.assemble_latin_augmentation(space, [bands[p] for p in touching], k)
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(expect, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def count_band_parts(monkeypatch):
+    """Count the calls of the two band builders from here on."""
+    counts = {}
+    for name in ("interface_eval_operator", "interface_mass"):
+        counts[name] = 0
+
+        def counted(*args, _name=name, _fn=getattr(assembly, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(assembly, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "name, scheme, n_interfaces",
+    [("ellipse", "p1", 1), ("ellipse", "p0", 1), ("two_inclusions", "p1", 3)],
+)
+def test_build_state_builds_one_band_per_interface(monkeypatch, name, scheme, n_interfaces):
+    counts = count_band_parts(monkeypatch)
+    case = ellipse_case if name == "ellipse" else two_inclusions_case
+    pdef = case(base_nx=12, params=LatinParams(it_max=1, interface_scheme=scheme))
+    state = build_state(build_problem(pdef), pdef.params)
+    assert len(state.operators) == n_interfaces
+    assert counts == {"interface_eval_operator": n_interfaces, "interface_mass": n_interfaces}
+
+
+def test_crack_operators_build_one_band_per_interface(monkeypatch):
+    # three weights of one crack geometry share its five bands
+    pdef = crack_problem(0.5, 0.25, 12, 0.0)
+    problem = build_problem(pdef)
+    assert len(problem.deco.pairs) == 5
+    counts = count_band_parts(monkeypatch)
+    groups = list(subdomain_operators((pdef, problem), (0.0, 1e-3, 0.1)))
+    assert len(groups) == 3
+    assert counts == {"interface_eval_operator": 5, "interface_mass": 5}
+
+
 # --- linear stage against a dense solve -------------------------------------
 
 def test_first_linear_stage_matches_dense_solve():
@@ -182,8 +276,11 @@ def test_first_linear_stage_matches_dense_solve():
         a = (
             assemble_elasticity(space).toarray()
             + assemble_ghost_penalty(space, params.gamma_g).toarray()
-            + assembly.assemble_latin_augmentation(space, ifaces, params.k).toarray()
         )
+        for iface in ifaces:
+            band = oracle_band(state.spaces, iface)
+            s = band.inject[i].toarray()
+            a += s @ (params.k * band.mass.toarray()) @ s.T
         lift = a[np.ix_(sysm.free, sysm.fixed)] @ sysm.fixed_values
         expect = np.zeros(a.shape[0])
         expect[sysm.fixed] = sysm.fixed_values
@@ -423,25 +520,27 @@ def reference_iterate(state, n):
     cached and its interface fields packed: every transpose, weight matrix
     and full-length load rebuilt on each call, every indicator norm
     evaluated, and each (pair, side) field its own array in a dict.  Only
-    the factorizations are the state's.  Returns the reference's it, u,
-    history and fields ({name: {(pair, side): array}})."""
+    the factorizations are the state's; each pair's P1 band, with its 0/1
+    injections, is built apart (`oracle_band`).  Returns the reference's
+    it, u, history and fields ({name: {(pair, side): array}})."""
     params = state.params
     scheme = params.interface_scheme
     k = params.k
     eta = params.eta
+    bands = {pair: oracle_band(state.spaces, ops.iface) for pair, ops in state.operators.items()}
 
-    def load_vector(ops, z):
+    def load_vector(pair, ops, z):
         if scheme == "p0":
             return as_scipy(ops.scheme.load_map) @ z
-        return ops.scheme.mass.csr @ z
+        return bands[pair].mass.csr @ z
 
     def at_quadrature(ops, z):
         return as_scipy(ops.scheme.eval_op) @ z
 
-    def norm_sq(ops, z):
+    def norm_sq(pair, ops, z):
         if scheme == "p0":
             return float((z * z) @ np.repeat(ops.iface.segments.length, 2))
-        return float(z @ (ops.scheme.mass.csr @ z))
+        return float(z @ (bands[pair].mass.csr @ z))
 
     fields = {
         name: {
@@ -461,7 +560,7 @@ def reference_iterate(state, n):
             for pair, ops in state.operators.items():
                 if i in pair:
                     z = f_hat[(pair, i)] + params.k * w_hat[(pair, i)]
-                    load += ops.scatter[i] @ load_vector(ops, z)
+                    load += bands[pair].inject[i] @ load_vector(pair, ops, z)
             b = (system.rhs0 + load)[system.free] - system.lift
             u = np.zeros(system.space.n_dofs)
             u[system.fixed] = system.fixed_values
@@ -470,9 +569,9 @@ def reference_iterate(state, n):
 
         for pair, ops in state.operators.items():
             for side in pair:
-                trace = ops.scatter[side].T @ u_all[side]
+                trace = bands[pair].inject[side].T @ u_all[side]
                 if scheme == "p0":
-                    qp_trace = as_scipy(ops.scheme.trace_op) @ trace
+                    qp_trace = bands[pair].eval_op @ trace
                     w_new = reference_project(ops, qp_trace, scheme)
                 else:
                     w_new = trace.copy()
@@ -513,10 +612,10 @@ def reference_iterate(state, n):
             for pair, ops in state.operators.items():
                 for side in pair:
                     key = (pair, side)
-                    num += norm_sq(ops, f_hat[key] - previous["f_hat"][key])
-                    num += k**2 * norm_sq(ops, w_hat[key] - previous["w_hat"][key])
-                    den += norm_sq(ops, f_hat[key])
-                    den += k**2 * norm_sq(ops, w_hat[key])
+                    num += norm_sq(pair, ops, f_hat[key] - previous["f_hat"][key])
+                    num += k**2 * norm_sq(pair, ops, w_hat[key] - previous["w_hat"][key])
+                    den += norm_sq(pair, ops, f_hat[key])
+                    den += k**2 * norm_sq(pair, ops, w_hat[key])
             indicator = 0.0 if den == 0.0 else float(np.sqrt(num / den))
         previous = {
             name: {key: v.copy() for key, v in fields[name].items()}
@@ -743,7 +842,7 @@ def monolithic_bonded(n, dirichlet, k, gamma_g, gamma_pi):
         a = (assemble_elasticity(space) + assemble_ghost_penalty(space, gamma_g)).toarray()
         fixed, vals = dirichlet_constraints(space, dirichlet[i])
         free = np.setdiff1d(np.arange(space.n_dofs), fixed)
-        c = m_band @ scatter_band_to_space(space, iface.band_vertices).toarray().T
+        c = m_band @ band_injection(space, iface.band_vertices).toarray().T
         blocks.append(a[np.ix_(free, free)])
         rhss.append(-a[np.ix_(free, fixed)] @ vals)
         parts.append((space, free, fixed, vals))
