@@ -256,8 +256,7 @@ def subdomain_operators(
     frees, streams = [], []
     for i, space in enumerate(spaces):
         touching = [band for pair, band in sorted(bands.items()) if i in pair]
-        dirichlet = {s: (ux, uy) for sub, s, ux, uy in pdef.dirichlet if sub == i}
-        frees.append(dirichlet_split(space, dirichlet)[0])
+        frees.append(dirichlet_split(space, problem.dirichlet.get(i, {}))[0])
         streams.append(linear_stage_operators(space, touching, pdef.params.k, gamma_g_values))
     for _ in gamma_g_values:
         # each full operator is dropped as soon as it is reduced
@@ -343,12 +342,6 @@ class SolveResult:
     profile_interface: InterfaceMesh | None = None
 
 
-def traction_at_quadrature(state: LatinState, pair: tuple[int, int]) -> np.ndarray:
-    """Interface force of the low side evaluated at quadrature points (nq, 2)."""
-    f_hat = state.interface_field("f_hat", pair, pair[0])
-    return state.operators[pair].scheme.at_quadrature(f_hat).reshape(-1, 2)
-
-
 def solve_problem(
     pdef: ProblemDef,
     monitor_iterations: Iterable[int] = (),
@@ -364,8 +357,9 @@ def solve_problem(
 
     def snapshot(it: int, st: LatinState) -> None:
         result.checkpoint_u[it] = [v.copy() for v in st.u]
-        if pair is not None:
-            result.checkpoint_traction[it] = traction_at_quadrature(st, pair)
+        if pair is not None:  # the low side's force at the quadrature points
+            f_hat = st.interface_field("f_hat", pair, pair[0])
+            result.checkpoint_traction[it] = st.operators[pair].at_quadrature(f_hat).reshape(-1, 2)
 
     iterate(state, checkpoints=monitors, callback=snapshot)
     result.u = [v.copy() for v in state.u]
@@ -466,13 +460,13 @@ def run_convergence_study(
         h_list.append(grid_spacing(res.pdef))
         h1_list.append(analysis.h1_error(on_fine, ref_result.u, fine_spaces))
         energy_list.append(analysis.energy_error(on_fine, ref_result.u, fine_spaces))
-        its_list.append(res.history[-1].it if res.history else 0)
+        its_list.append(res.history[-1].it)
         if checkpoints:
             indicator_by_it = {rec.it: rec.indicator for rec in res.history}
             for row, it in enumerate(checkpoints, start=1):
                 chk = [rows[row] for rows in stacks]
                 err = analysis.energy_error(chk, ref_result.u, fine_spaces)
-                iteration_rows.append((it, err, indicator_by_it.get(it, float("nan"))))
+                iteration_rows.append((it, err, indicator_by_it[it]))
     record = ConvergenceRecord(h=h_list, h1=h1_list, energy=energy_list, iterations=its_list)
     return ConvergenceStudy(
         record=record,

@@ -7,17 +7,18 @@ interface quadrature points and maps the result back to nodal interface
 fields through a stabilized L2 projection.
 
 Everything an iteration applies that does not change between iterations is
-built once, with the state: the subdomain factorizations, each subdomain's
-right-hand side on its free dofs and a displacement template holding its
-Dirichlet values, the interface projection factors, and every sparse
-operator in the orientation the loop applies it (each pair's interface
-load on a subdomain's free rows, the quadrature-point evaluation and its
-transpose, the interface mass), each a `linalg.CsrOperator`, and each
-side's band dofs, an index array.  An iteration is then a few small
-products, one triangular solve per subdomain and projection, and pointwise
-arithmetic.  A CSR copy of a transpose, of a row subset or of gathered rows
-sums every output entry in the same order as the matrix it came from, so
-results are bit-identical to the plain scipy expressions.
+built once, with the state: each subdomain's factorization, right-hand
+side on its free dofs, displacement template holding its Dirichlet values
+and each pair's interface load on its free rows; and one scheme object per
+interface (`P1Scheme` or `P0Scheme`), holding the interface, its band dofs
+on each side (index arrays), its projection factor, its quadrature-point
+evaluation and that evaluation's transpose, and its load map.  Every
+sparse operator is a `linalg.CsrOperator` in the orientation the loop
+applies it.  An iteration is then a few small products, one triangular
+solve per subdomain and projection, and pointwise arithmetic.  A CSR copy
+of a transpose, of a row subset or of gathered rows sums every output
+entry in the same order as the matrix it came from, so results are
+bit-identical to the plain scipy expressions.
 
 The interface state is packed: `LatinState.slots` gives each (pair, side)
 a slice of length ``scheme.n_unknowns`` of the (2, n) arrays ``star`` and
@@ -119,7 +120,31 @@ class LatinParams:
             )
 
 
-class P1Scheme:
+class InterfaceScheme:
+    """One interface's discretization, the LaTIn state's record of it.
+
+    Holds the interface ``iface``, its one P1 ``band`` (shared with the
+    augmentation; post-processing reads a subdomain's band trace at its
+    ``band.dofs``), the normals at its quadrature points and the evaluation
+    of its ``n_unknowns`` interface unknowns there.  Each scheme adds the
+    ``load_map`` that the linear stage applies on a subdomain's free dofs,
+    kept by `SubdomainSystem`.
+    """
+
+    def __init__(self, iface: InterfaceMesh, band: InterfaceBand, eval_op: sp.csr_matrix):
+        self.iface = iface
+        self.band = band
+        self.qnormals = iface.segments.qnormals  # (nq, 2), from low to high subdomain
+        self.eval_op = CsrOperator(eval_op)
+        self._eval_t = CsrOperator(eval_op.T)
+        self._weights = np.repeat(iface.segments.qweights, 2)
+        self.n_unknowns = eval_op.shape[1]
+
+    def at_quadrature(self, z: np.ndarray) -> np.ndarray:
+        return self.eval_op @ z
+
+
+class P1Scheme(InterfaceScheme):
     """Continuous piecewise-linear interface fields on the band vertices.
 
     Projections solve the stabilized system (mass + gradient-jump penalty).
@@ -136,15 +161,12 @@ class P1Scheme:
     """
 
     def __init__(self, mesh: TriMesh, iface: InterfaceMesh, band: InterfaceBand, gamma_pi: float):
-        self.eval_op = CsrOperator(band.eval_op)
-        self._eval_t = CsrOperator(band.eval_op.T)
-        self._weights = np.repeat(iface.segments.qweights, 2)
+        super().__init__(iface, band, band.eval_op)
         self.mass = band.mass
         self.load_map = CsrOperator(self.mass.csr)  # field -> band load
         self.stab = assembly.gradient_jump_matrix(
             mesh, iface.interior_faces, iface.band_vertices, gamma_pi
         )
-        self.n_unknowns = 2 * iface.band_vertices.size
         try:
             proj = factorize(self.mass + self.stab)
         except NotSpdError:
@@ -178,9 +200,6 @@ class P1Scheme:
         )
         return factor
 
-    def at_quadrature(self, z: np.ndarray) -> np.ndarray:
-        return self.eval_op @ z
-
     def from_bulk(self, band_trace: np.ndarray) -> np.ndarray:
         return band_trace
 
@@ -191,7 +210,7 @@ class P1Scheme:
         return float(z @ (self.load_map @ z))
 
 
-class P0Scheme:
+class P0Scheme(InterfaceScheme):
     """Piecewise-constant-per-segment interface fields.
 
     Included only to reproduce the checkerboard instability of the
@@ -200,23 +219,17 @@ class P0Scheme:
     """
 
     def __init__(self, mesh: TriMesh, iface: InterfaceMesh, band: InterfaceBand, gamma_pi: float):
-        segs, trace_op = iface.segments, band.eval_op
+        segs = iface.segments
         ns = segs.n_segments
         nq = segs.qcells.size
         qidx = np.arange(nq)
         rows = np.concatenate((2 * qidx, 2 * qidx + 1))
         cols = np.concatenate((2 * segs.qseg, 2 * segs.qseg + 1))
         eval_op = sp.csr_matrix((np.ones(2 * nq), (rows, cols)), shape=(2 * nq, 2 * ns))
-        self.trace_op = CsrOperator(trace_op)
-        self.eval_op = CsrOperator(eval_op)
-        self._eval_t = CsrOperator(eval_op.T)
-        self.n_unknowns = 2 * ns
-        self._weights = np.repeat(segs.qweights, 2)
+        super().__init__(iface, band, eval_op)
+        self.trace_op = CsrOperator(band.eval_op)
         self._lengths = np.repeat(segs.length, 2)
-        self.load_map = CsrOperator(trace_op.T @ sp.diags(self._weights) @ eval_op)
-
-    def at_quadrature(self, z: np.ndarray) -> np.ndarray:
-        return self.eval_op @ z
+        self.load_map = CsrOperator(band.eval_op.T @ sp.diags(self._weights) @ eval_op)
 
     def from_bulk(self, band_trace: np.ndarray) -> np.ndarray:
         qp_values = self.trace_op @ band_trace
@@ -229,39 +242,16 @@ class P0Scheme:
         return float((z * z) @ self._lengths)
 
 
-@dataclass
-class InterfaceOperators:
-    """Precomputed per-pair interface machinery shared by both stages.
-
-    Built once per state.  ``band`` is the interface's one P1 band, which
-    the augmentation and the scheme share.  The linear stage applies the
-    scheme's ``load_map`` on a subdomain's free dofs, kept by
-    `SubdomainSystem`; post-processing reads a subdomain's band trace at
-    its ``band.dofs``.
-    """
-
-    pair: tuple[int, int]
-    iface: InterfaceMesh
-    scheme: P1Scheme | P0Scheme
-    band: InterfaceBand
-    qnormals: np.ndarray  # (nq, 2), pointing from low to high subdomain
-
-
 def build_interface_operators(
     mesh: TriMesh,
     iface: InterfaceMesh,
     spaces: list[FESpace],
     params: LatinParams,
-) -> InterfaceOperators:
+) -> P1Scheme | P0Scheme:
+    """The scheme ``params`` names on ``iface``, on its one P1 band."""
     scheme_type = P0Scheme if params.interface_scheme == "p0" else P1Scheme
     band = assembly.interface_band(iface, spaces)
-    return InterfaceOperators(
-        pair=iface.pair,
-        iface=iface,
-        scheme=scheme_type(mesh, iface, band, params.gamma_pi),
-        band=band,
-        qnormals=iface.segments.qnormals,
-    )
+    return scheme_type(mesh, iface, band, params.gamma_pi)
 
 
 @dataclass
@@ -301,12 +291,12 @@ class SubdomainSystem:
         return u
 
 
-def _free_load(ops: InterfaceOperators, space: FESpace, free: np.ndarray) -> CsrOperator:
+def _free_load(scheme: P1Scheme | P0Scheme, space: FESpace, free: np.ndarray) -> CsrOperator:
     """The scheme's ``load_map`` on the free dofs of ``space``: row r is its
     row of the band dof at ``free[r]``, or empty where none is, bit for bit."""
     rows = np.full(space.n_dofs, -1)
-    rows[ops.band.dofs[space.domain.index]] = np.arange(ops.scheme.load_map.shape[0])
-    return ops.scheme.load_map.take_rows(rows[free])
+    rows[scheme.band.dofs[space.domain.index]] = np.arange(scheme.load_map.shape[0])
+    return scheme.load_map.take_rows(rows[free])
 
 
 def linear_stage_operators(
@@ -354,7 +344,7 @@ def dirichlet_split(
 
 def build_subdomain_system(
     space: FESpace,
-    interface_ops: list[InterfaceOperators],
+    schemes: list[P1Scheme | P0Scheme],
     params: LatinParams,
     dirichlet: dict[str, VectorData] | None = None,
     neumann: dict[str, VectorData] | None = None,
@@ -369,7 +359,7 @@ def build_subdomain_system(
     """
     index = space.domain.index
     (a,) = linear_stage_operators(
-        space, [ops.band for ops in interface_ops], params.k, [params.gamma_g]
+        space, [scheme.band for scheme in schemes], params.k, [params.gamma_g]
     )
     rhs = np.zeros(space.n_dofs)
     for side, data in (neumann or {}).items():
@@ -396,7 +386,7 @@ def build_subdomain_system(
         fixed_values=fixed_values,
         factor=factor,
         lift=lift,
-        load={ops.pair: _free_load(ops, space, free) for ops in interface_ops},
+        load={scheme.iface.pair: _free_load(scheme, space, free) for scheme in schemes},
     )
 
 
@@ -443,7 +433,7 @@ class LatinState:
     params: LatinParams
     spaces: list[FESpace]
     systems: list[SubdomainSystem]
-    operators: dict[tuple[int, int], InterfaceOperators]
+    operators: dict[tuple[int, int], P1Scheme | P0Scheme]  # one per interface
     u: list[np.ndarray]
     slots: dict[tuple[tuple[int, int], int], slice]
     star: np.ndarray
@@ -496,7 +486,7 @@ def build_state(problem: ContactProblem, params: LatinParams) -> LatinState:
     }
     systems = []
     for i, space in enumerate(spaces):
-        touching = [ops for pair, ops in sorted(operators.items()) if i in pair]
+        touching = [scheme for pair, scheme in sorted(operators.items()) if i in pair]
         systems.append(
             build_subdomain_system(
                 space,
@@ -507,10 +497,10 @@ def build_state(problem: ContactProblem, params: LatinParams) -> LatinState:
             )
         )
     slots, n = {}, 0
-    for pair, ops in operators.items():
+    for pair, scheme in operators.items():
         for side in pair:
-            slots[(pair, side)] = slice(n, n + ops.scheme.n_unknowns)
-            n += ops.scheme.n_unknowns
+            slots[(pair, side)] = slice(n, n + scheme.n_unknowns)
+            n += scheme.n_unknowns
     return LatinState(
         problem=problem,
         params=params,
@@ -544,10 +534,10 @@ def postprocess_interface(
 ) -> np.ndarray:
     """The starred interface fields of displacements ``u`` under ``hat``."""
     star = np.empty_like(hat)
-    for pair, ops in state.operators.items():
+    for pair, scheme in state.operators.items():
         for side in pair:
-            trace = u[side][ops.band.dofs[side]] + 0.0  # a -0.0 reads as +0.0
-            star[0, state.slots[(pair, side)]] = ops.scheme.from_bulk(trace)
+            trace = u[side][scheme.band.dofs[side]] + 0.0  # a -0.0 reads as +0.0
+            star[0, state.slots[(pair, side)]] = scheme.from_bulk(trace)
     star[1] = hat[1] + state.params.k * (hat[0] - star[0])
     return star
 
@@ -570,15 +560,14 @@ def local_stage(state: LatinState, star: np.ndarray) -> tuple[np.ndarray, float]
     hat = np.empty_like(star)
     n_active = 0
     n_total = 0
-    for pair, ops in state.operators.items():
+    for pair, scheme in state.operators.items():
         i, j = pair
         si, sj = state.slots[(pair, i)], state.slots[(pair, j)]
-        scheme = ops.scheme
         fi = scheme.at_quadrature(star[1, si]).reshape(-1, 2)
         fj = scheme.at_quadrature(star[1, sj]).reshape(-1, 2)
         wi = scheme.at_quadrature(star[0, si]).reshape(-1, 2)
         wj = scheme.at_quadrature(star[0, sj]).reshape(-1, 2)
-        n = ops.qnormals
+        n = scheme.qnormals
         force = 0.5 * (fi - fj + params.k * (wj - wi))
         if state.problem.contact:
             # frictionless law: keep only compressive normal force
@@ -603,8 +592,8 @@ def error_indicator(state: LatinState, hat: np.ndarray, previous: Snapshot | Non
     change = hat - previous[1]
     num = 0.0
     den = 0.0
-    for pair, ops in state.operators.items():
-        norm = ops.scheme.norm_sq
+    for pair, scheme in state.operators.items():
+        norm = scheme.norm_sq
         # local_stage sets f_hat of the high side to exactly -f_hat of the
         # low side, and norm_sq(-z) == norm_sq(z) bit for bit, so both sides'
         # force terms are the low side's
@@ -619,7 +608,8 @@ def error_indicator(state: LatinState, hat: np.ndarray, previous: Snapshot | Non
             den += k2 * norm(hat[0, s])
     if den == 0.0:
         return 0.0
-    return float(np.sqrt(num / den))
+    ratio = num / den  # NaN where a diverging run's norms round negative
+    return math.sqrt(ratio) if ratio >= 0.0 else math.nan
 
 
 def _divergence(state: LatinState, hat: np.ndarray, previous: Snapshot | None) -> str | None:
@@ -629,14 +619,14 @@ def _divergence(state: LatinState, hat: np.ndarray, previous: Snapshot | None) -
     fields can stay finite while such a norm, dominated by the near-kernel
     of the interface mass, rounds negative."""
     change = None if previous is None else hat - previous[1]
-    for pair, ops in sorted(state.operators.items()):
+    for pair, scheme in sorted(state.operators.items()):
         sides = [state.slots[(pair, side)] for side in pair]
         if not all(np.isfinite(hat[:, s]).all() for s in sides):
             return f"non-finite interface fields on pair {pair}"
         if change is None:
             continue
         fields = [a[row, s] for a in (hat, change) for row in (0, 1) for s in sides]
-        if not all(0.0 <= ops.scheme.norm_sq(z) < math.inf for z in fields):
+        if not all(0.0 <= scheme.norm_sq(z) < math.inf for z in fields):
             return f"non-finite error indicator on pair {pair}"
     return None if change is None else "non-finite error indicator"
 

@@ -16,6 +16,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from types import ModuleType
 
@@ -508,6 +509,37 @@ study.reference_it_max = 2
     assert (out / "resolved.cfg").exists()
 
 
+def test_diverging_run_fails_without_a_warning(tmp_path, capsys):
+    # the interface norms of this diverging run round negative at iteration
+    # 6, so the indicator's ratio is negative: the run must report it
+    # through error.json alone, printing no numpy warning
+    out = tmp_path / "out"
+    cfg = run_cfg(
+        tmp_path,
+        f"""
+experiment = p1p0_comparison
+output.dir = {out}
+study.base_nx = 8
+latin.k = 1e150
+latin.eta = 1e-09
+latin.gamma_pi = 1e-12
+profile.iterations = 2,20
+""",
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["run", str(cfg)])
+    assert [str(w.message) for w in caught] == []
+    assert code == 2
+    message = "iteration 6: non-finite error indicator on pair (0, 1)"
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert json.loads((out / "error.json").read_text()) == {
+        "error": "SolverFailure",
+        "message": message,
+        "experiment": "p1p0_comparison",
+    }
+
+
 def test_k_whose_square_overflows_is_a_config_error(tmp_path, capsys):
     # error_indicator weighs the displacements by k ** 2, which overflows
     out = tmp_path / "out"
@@ -829,23 +861,6 @@ def _shift(n):
     )
 
 
-@st.composite
-def crack_configs(draw):
-    if draw(st.booleans()):
-        n = draw(st.sampled_from([3, 6, 9, 12]))
-        eps_values = draw(st.lists(_shift(n), min_size=1, max_size=2))
-        return (
-            f"experiment = crack_condition_sweep\ncrack.n = {n}\n"
-            f"crack.eps_x = {draw(_shift(n))!r}\n"
-            f"crack.eps_values = {','.join(map(repr, eps_values))}\n"
-        )
-    n = draw(st.sampled_from([3, 6, 12]))
-    return (
-        f"experiment = crack_condition_scaling\nscaling.base_n = {n}\n"
-        f"scaling.levels = 2\nscaling.eps = {draw(_shift(n))!r}\n"
-    )
-
-
 def _main_stderr(args):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -869,12 +884,6 @@ def assert_validate_and_run_agree(body):
         else:
             assert code == 0
             assert run_code == 0 or (run_code == 2 and (out / "error.json").is_file())
-
-
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(body=crack_configs())
-def test_validate_and_run_agree_on_crack_shifts(body):
-    assert_validate_and_run_agree(body)
 
 
 def _iterations(*entries):
@@ -938,6 +947,56 @@ def inclusion_configs(draw):
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(body=inclusion_configs())
 def test_validate_and_run_agree_on_inclusion_studies(body):
+    assert_validate_and_run_agree(body)
+
+
+def _crack_keys(experiment, n):
+    """Every key a crack experiment on the n grid reads: key -> (strategy of
+    accepted value texts, ordinary and edge; value texts the config check
+    rejects)."""
+    shift = _shift(n).map(repr)
+    keys = {
+        key: (st.sampled_from(_SOLVER_KEYS[key][0]), _SOLVER_KEYS[key][1])
+        for key in ("study.nu", "latin.k", "latin.quad_points_per_segment")
+    }
+    if experiment == "crack_condition_sweep":
+        weights = st.lists(st.sampled_from(["0.0", "1e-12", "0.001", "0.1", "1000.0"]),
+                           min_size=1, max_size=3)
+        return keys | {
+            "crack.n": (st.just(str(n)), ["4", "0", "-3"]),
+            "crack.mode": (st.sampled_from(["simple", "double"]), ["triple", ""]),
+            "crack.eps_x": (shift, ["nan", "inf"]),
+            "crack.eps_values": (st.lists(shift, min_size=1, max_size=2).map(",".join),
+                                 ["", "nan"]),
+            "crack.gamma_g_values": (weights.map(",".join), ["", "-0.1", "0.1,-1e-12"]),
+        }
+    return keys | {
+        "scaling.base_n": (st.just(str(n)), ["4", "0"]),
+        "scaling.levels": (st.sampled_from(["2", "3"]), ["1", "0"]),
+        "scaling.eps": (shift, ["nan", "inf"]),
+        "scaling.gamma_g": (st.sampled_from(["0.1", "0.0", "1e-12", "1000.0"]), ["-0.1"]),
+    }
+
+
+@st.composite
+def crack_configs(draw):
+    """A small crack sweep or scaling run: every key it reads at an accepted
+    value, or at most one at a rejected value.  Shifts, at most 12 cells
+    per side and up to three scaling levels are left for the geometry
+    check to judge."""
+    experiment = draw(st.sampled_from(["crack_condition_sweep", "crack_condition_scaling"]))
+    sizes = [3, 6, 9, 12] if experiment == "crack_condition_sweep" else [3, 6, 12]
+    keys = _crack_keys(experiment, draw(st.sampled_from(sizes)))
+    values = {key: draw(accepted) for key, (accepted, _) in keys.items()}
+    if draw(st.integers(0, 2)) == 2:
+        key = draw(st.sampled_from(sorted(keys)))
+        values[key] = draw(st.sampled_from(keys[key][1]))
+    return f"experiment = {experiment}\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(body=crack_configs())
+def test_validate_and_run_agree_on_crack_shifts(body):
     assert_validate_and_run_agree(body)
 
 

@@ -82,27 +82,25 @@ def displacement_error(state, exact):
 
 def interface_fields(state, pair):
     """Normal traction and opening at the quadrature points (hat fields)."""
-    ops = state.operators[pair]
-    sch = ops.scheme
+    sch = state.operators[pair]
     f = sch.at_quadrature(state.interface_field("f_hat", pair, pair[0])).reshape(-1, 2)
     w0 = sch.at_quadrature(state.interface_field("w_hat", pair, pair[0])).reshape(-1, 2)
     w1 = sch.at_quadrature(state.interface_field("w_hat", pair, pair[1])).reshape(-1, 2)
-    fn = np.einsum("qi,qi->q", f, ops.qnormals)
-    gap = np.einsum("qi,qi->q", w1 - w0, ops.qnormals)
+    fn = np.einsum("qi,qi->q", f, sch.qnormals)
+    gap = np.einsum("qi,qi->q", w1 - w0, sch.qnormals)
     return fn, gap
 
 
 def heart_fields(state, pair):
     """Contact-law fields rebuilt from the starred quantities."""
     i, j = pair
-    ops = state.operators[pair]
-    sch = ops.scheme
+    sch = state.operators[pair]
     k = state.params.k
     fi = sch.at_quadrature(state.interface_field("f_star", pair, i)).reshape(-1, 2)
     fj = sch.at_quadrature(state.interface_field("f_star", pair, j)).reshape(-1, 2)
     wi = sch.at_quadrature(state.interface_field("w_star", pair, i)).reshape(-1, 2)
     wj = sch.at_quadrature(state.interface_field("w_star", pair, j)).reshape(-1, 2)
-    n = ops.qnormals
+    n = sch.qnormals
     heart = np.einsum("qi,qi->q", 0.5 * (fi - fj + k * (wj - wi)), n)
     fn = np.minimum(heart, 0.0)
     w_heart_i = wi + (fn[:, None] * n - fi) / k
@@ -248,6 +246,10 @@ def test_build_state_builds_one_band_per_interface(monkeypatch, name, scheme, n_
     state = build_state(build_problem(pdef), pdef.params)
     assert len(state.operators) == n_interfaces
     assert counts == {"interface_eval_operator": n_interfaces, "interface_mass": n_interfaces}
+    # each interface's one record is its scheme
+    scheme_type = latin.P0Scheme if scheme == "p0" else latin.P1Scheme
+    for pair, sch in state.operators.items():
+        assert type(sch) is scheme_type and sch.iface.pair == pair
 
 
 def test_crack_operators_build_one_band_per_interface(monkeypatch):
@@ -272,7 +274,7 @@ def test_first_linear_stage_matches_dense_solve():
     for i, (sysm, u) in enumerate(zip(state.systems, u_all, strict=True)):
         # the operator, reassembled term by term and summed densely
         space = sysm.space
-        ifaces = [ops.iface for pair, ops in sorted(state.operators.items()) if i in pair]
+        ifaces = [sch.iface for pair, sch in sorted(state.operators.items()) if i in pair]
         a = (
             assemble_elasticity(space).toarray()
             + assemble_ghost_penalty(space, params.gamma_g).toarray()
@@ -503,15 +505,15 @@ def as_scipy(op):
     return sp.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape)
 
 
-def reference_project(ops, qp_values, scheme):
+def reference_project(sch, qp_values, scheme):
     """The projection as written before caching: eval_op^T W qp with the
     transpose and the diagonal weight matrix built on every call."""
-    segs = ops.iface.segments
+    segs = sch.iface.segments
     w = sp.diags(np.repeat(segs.qweights, 2))
-    rhs = as_scipy(ops.scheme.eval_op).T @ (w @ qp_values)
+    rhs = as_scipy(sch.eval_op).T @ (w @ qp_values)
     if scheme == "p0":
         return rhs / np.repeat(segs.length, 2)
-    return ops.scheme.proj.solve(rhs)
+    return sch.proj.solve(rhs)
 
 
 def reference_iterate(state, n):
@@ -527,25 +529,25 @@ def reference_iterate(state, n):
     scheme = params.interface_scheme
     k = params.k
     eta = params.eta
-    bands = {pair: oracle_band(state.spaces, ops.iface) for pair, ops in state.operators.items()}
+    bands = {pair: oracle_band(state.spaces, sch.iface) for pair, sch in state.operators.items()}
 
-    def load_vector(pair, ops, z):
+    def load_vector(pair, sch, z):
         if scheme == "p0":
-            return as_scipy(ops.scheme.load_map) @ z
+            return as_scipy(sch.load_map) @ z
         return bands[pair].mass.csr @ z
 
-    def at_quadrature(ops, z):
-        return as_scipy(ops.scheme.eval_op) @ z
+    def at_quadrature(sch, z):
+        return as_scipy(sch.eval_op) @ z
 
-    def norm_sq(pair, ops, z):
+    def norm_sq(pair, sch, z):
         if scheme == "p0":
-            return float((z * z) @ np.repeat(ops.iface.segments.length, 2))
+            return float((z * z) @ np.repeat(sch.iface.segments.length, 2))
         return float(z @ (bands[pair].mass.csr @ z))
 
     fields = {
         name: {
-            (pair, side): np.zeros(ops.scheme.n_unknowns)
-            for pair, ops in state.operators.items()
+            (pair, side): np.zeros(sch.n_unknowns)
+            for pair, sch in state.operators.items()
             for side in pair
         }
         for name in FIELD_NAMES
@@ -557,22 +559,22 @@ def reference_iterate(state, n):
     for it in range(n):
         for i, system in enumerate(state.systems):
             load = np.zeros(system.space.n_dofs)
-            for pair, ops in state.operators.items():
+            for pair, sch in state.operators.items():
                 if i in pair:
                     z = f_hat[(pair, i)] + params.k * w_hat[(pair, i)]
-                    load += bands[pair].inject[i] @ load_vector(pair, ops, z)
+                    load += bands[pair].inject[i] @ load_vector(pair, sch, z)
             b = (system.rhs0 + load)[system.free] - system.lift
             u = np.zeros(system.space.n_dofs)
             u[system.fixed] = system.fixed_values
             u[system.free] = system.factor.solve(b)
             u_all[i] = u
 
-        for pair, ops in state.operators.items():
+        for pair, sch in state.operators.items():
             for side in pair:
                 trace = bands[pair].inject[side].T @ u_all[side]
                 if scheme == "p0":
                     qp_trace = bands[pair].eval_op @ trace
-                    w_new = reference_project(ops, qp_trace, scheme)
+                    w_new = reference_project(sch, qp_trace, scheme)
                 else:
                     w_new = trace.copy()
                 key = (pair, side)
@@ -586,19 +588,19 @@ def reference_iterate(state, n):
                 f_star[key] = eta * f_star[key] + (1.0 - eta) * f_old
 
         n_active = n_total = 0
-        for pair, ops in state.operators.items():
+        for pair, sch in state.operators.items():
             i, j = pair
-            fi = at_quadrature(ops, f_star[(pair, i)]).reshape(-1, 2)
-            fj = at_quadrature(ops, f_star[(pair, j)]).reshape(-1, 2)
-            wi = at_quadrature(ops, w_star[(pair, i)]).reshape(-1, 2)
-            wj = at_quadrature(ops, w_star[(pair, j)]).reshape(-1, 2)
+            fi = at_quadrature(sch, f_star[(pair, i)]).reshape(-1, 2)
+            fj = at_quadrature(sch, f_star[(pair, j)]).reshape(-1, 2)
+            wi = at_quadrature(sch, w_star[(pair, i)]).reshape(-1, 2)
+            wj = at_quadrature(sch, w_star[(pair, j)]).reshape(-1, 2)
             force = 0.5 * (fi - fj + k * (wj - wi))
             if state.problem.contact:
-                heart = np.einsum("qi,qi->q", force, ops.qnormals)
+                heart = np.einsum("qi,qi->q", force, sch.qnormals)
                 n_active += int(np.count_nonzero(heart <= 0.0))
                 n_total += heart.size
-                force = np.minimum(heart, 0.0)[:, None] * ops.qnormals
-            f_hat_i = reference_project(ops, force.ravel(), scheme)
+                force = np.minimum(heart, 0.0)[:, None] * sch.qnormals
+            f_hat_i = reference_project(sch, force.ravel(), scheme)
             f_hat[(pair, i)] = f_hat_i
             f_hat[(pair, j)] = -f_hat_i
             for side in pair:
@@ -609,13 +611,13 @@ def reference_iterate(state, n):
             indicator = float("inf")
         else:
             num = den = 0.0
-            for pair, ops in state.operators.items():
+            for pair, sch in state.operators.items():
                 for side in pair:
                     key = (pair, side)
-                    num += norm_sq(pair, ops, f_hat[key] - previous["f_hat"][key])
-                    num += k**2 * norm_sq(pair, ops, w_hat[key] - previous["w_hat"][key])
-                    den += norm_sq(pair, ops, f_hat[key])
-                    den += k**2 * norm_sq(pair, ops, w_hat[key])
+                    num += norm_sq(pair, sch, f_hat[key] - previous["f_hat"][key])
+                    num += k**2 * norm_sq(pair, sch, w_hat[key] - previous["w_hat"][key])
+                    den += norm_sq(pair, sch, f_hat[key])
+                    den += k**2 * norm_sq(pair, sch, w_hat[key])
             indicator = 0.0 if den == 0.0 else float(np.sqrt(num / den))
         previous = {
             name: {key: v.copy() for key, v in fields[name].items()}
@@ -794,7 +796,7 @@ def test_nearly_singular_lens_projection_is_deflated(caplog):
     records = [r for r in caplog.records if r.name == "latincut.latin"]
     assert [r.levelname for r in records] == ["WARNING"]
     assert "pair (1, 2)" in records[0].getMessage()
-    assert isinstance(state.operators[(1, 2)].scheme.proj, DenseFactor)
+    assert isinstance(state.operators[(1, 2)].proj, DenseFactor)
     iterate(state)
     assert state.history[-1].indicator < 1e-3
 
